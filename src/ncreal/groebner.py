@@ -15,7 +15,7 @@ the basis in terms of their own input.
 
 from fractions import Fraction
 
-from .algebra import MonomialOrder, Poly, words_up_to
+from .algebra import MonomialOrder, Poly, word_dict_add, word_dict_mul, words_up_to
 
 
 class LeftGroebnerBasis:
@@ -32,29 +32,38 @@ class LeftGroebnerBasis:
     def __len__(self):
         return len(self.elements)
 
-    def _find_reduction(self, p):
-        """Largest reducible word of p together with the reducing element."""
-        for w in sorted(p.terms, key=self.order.key):
+    def _find_reduction(self, terms):
+        """Largest reducible word of terms together with the reducing element."""
+        for w in sorted(terms, key=self.order.key):
             for idx, lw in enumerate(self.leads):
                 if len(lw) <= len(w) and w[len(w) - len(lw):] == lw:
                     return w, idx
         return None
 
-    def normal_form(self, p, with_cofactors=False):
-        """Reduce p; returns nf, or (nf, cofactors) with p == sum cof[i]*elements[i] + nf."""
-        cof = [Poly.zero(self.g) for _ in self.elements]
-        work = p
+    def reduce(self, terms, cofactors=None):
+        """Suffix-reduce a {word: coeff} dict of any number type; returns the remainder.
+
+        Repeatedly cancels the largest reducible word w = omega * lead_i.  When
+        cofactors (one dict per element) is given, each omega is added to it.
+        """
+        work = terms
         while True:
             hit = self._find_reduction(work)
             if hit is None:
-                break
+                return work
             w, idx = hit
-            omega = Poly(self.g, {w[: len(w) - len(self.leads[idx])]: work.terms[w]})
-            work = work - omega * self.elements[idx]
-            cof[idx] = cof[idx] + omega
+            omega = {w[: len(w) - len(self.leads[idx])]: work[w]}
+            work = word_dict_add(work, word_dict_mul(omega, self.elements[idx].terms), -1)
+            if cofactors is not None:
+                cofactors[idx] = word_dict_add(cofactors[idx], omega)
+
+    def normal_form(self, p, with_cofactors=False):
+        """Reduce p; returns nf, or (nf, cofactors) with p == sum cof[i]*elements[i] + nf."""
+        cof = [{} for _ in self.elements] if with_cofactors else None
+        nf = Poly(self.g, self.reduce(p.terms, cof))
         if with_cofactors:
-            return work, cof
-        return work
+            return nf, [Poly(self.g, c) for c in cof]
+        return nf
 
     def contains(self, p):
         return not self.normal_form(p)

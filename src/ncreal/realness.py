@@ -21,13 +21,22 @@ Certificates are exact (Fractions) whenever a closed form or a rational
 lift succeeds, and numeric (float coefficient dicts, checked to a
 tolerance) otherwise.
 
+verify_nonreal_certificate(gens, cert, tol, basis=None) checks both kinds
+through one defect dict, lhs - rhs, rejects NaN, infinities and
+non-rational numbers in exact certificates, and takes a precomputed left
+Groebner basis as basis=.  The closed-form deciders return unchecked
+certificates against their own input; real_test realigns each onto its
+generators and verifies it once, and direct callers use the verifier.
+
 Dispatch tries exact closed forms first -- monomial ideals, purely
 analytic generators, linear, univariate quadratic, homogeneous principal,
 analytic + antianalytic -- and falls back to the semidefinite feasibility
 route with exact rational post-processing.
 """
 
+import math
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -79,42 +88,42 @@ class NonRealCertificate:
         self.residual = residual
 
     def to_json(self):
-        if self.exact:
-            return {
-                "exact": True,
-                "multipliers": [poly_str(q) for q in self.multipliers],
-                "sos": {
-                    "weights": [str(w) for w in self.weights],
-                    "polys": [poly_str(r) for r in self.members],
-                },
-                "residual": None,
-            }
+        poly, weight = (poly_str, str) if self.exact else (_terms_json, float)
         return {
-            "exact": False,
-            "multipliers": [_terms_json(q) for q in self.multipliers],
+            "exact": self.exact,
+            "multipliers": [poly(q) for q in self.multipliers],
             "sos": {
-                "weights": [float(w) for w in self.weights],
-                "polys": [_terms_json(r) for r in self.members],
+                "weights": [weight(w) for w in self.weights],
+                "polys": [poly(r) for r in self.members],
             },
-            "residual": self.residual,
+            "residual": None if self.exact else self.residual,
         }
 
     @classmethod
     def from_json(cls, data, g):
-        if data["exact"]:
+        """Inverse of to_json; raises ValueError on a malformed document."""
+        exact = _field(data, "exact", bool)
+        multipliers = _field(data, "multipliers", list)
+        sos = _field(data, "sos", dict)
+        weights, polys = _field(sos, "weights", list), _field(sos, "polys", list)
+        poly, weight = (parse_poly, Fraction) if exact else (_terms_from_json, float)
+        try:
             return cls(
-                [parse_poly(s, g) for s in data["multipliers"]],
-                [Fraction(w) for w in data["sos"]["weights"]],
-                [parse_poly(s, g) for s in data["sos"]["polys"]],
-                True,
+                [poly(q, g) for q in multipliers],
+                [weight(w) for w in weights],
+                [poly(r, g) for r in polys],
+                exact,
+                None if exact else data.get("residual"),
             )
-        return cls(
-            [_terms_from_json(d, g) for d in data["multipliers"]],
-            [float(w) for w in data["sos"]["weights"]],
-            [_terms_from_json(d, g) for d in data["sos"]["polys"]],
-            False,
-            data.get("residual"),
-        )
+        except (AttributeError, TypeError, OverflowError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed certificate: {exc}") from None
+
+
+def _field(data, key, kind):
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, kind):
+        raise ValueError(f"malformed certificate: {key!r} must be a {kind.__name__}")
+    return value
 
 
 def _terms_json(d):
@@ -147,85 +156,67 @@ class RealnessVerdict:
 
 
 # ---------------------------------------------------------------------------
-# float coefficient-dict helpers
+# certificate verification
 # ---------------------------------------------------------------------------
 
-def _float_terms(p):
-    return {w: float(c) for w, c in p.terms.items()}
+def _terms(p):
+    return p.terms if isinstance(p, Poly) else p
 
 
 def _inf_norm(d):
     return max((abs(c) for c in d.values()), default=0.0)
 
 
-def _normal_form_float(d, basis):
-    """Suffix-reduce a float coefficient dict against an exact basis."""
-    work = dict(d)
-    while True:
-        hit = None
-        for w in sorted(work, key=basis.order.key):
-            for idx, lw in enumerate(basis.leads):
-                if len(lw) <= len(w) and w[len(w) - len(lw):] == lw:
-                    hit = (w, idx)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return work
-        w, idx = hit
-        omega = {w[: len(w) - len(basis.leads[idx])]: work[w]}
-        work = word_dict_add(work, word_dict_mul(omega, _float_terms(basis.elements[idx])), -1.0)
-
-
-def _numeric_identity_residual(gens, cert):
+def _defect(gens, multipliers, weights, members):
+    """sum_t (q_t gen_t + gen_t^* q_t^*) - sum_k w_k r_k^* r_k as one coefficient dict."""
     acc = {}
-    for q, p in zip(cert.multipliers, gens):
-        qp = word_dict_mul(q, _float_terms(p))
-        acc = word_dict_add(acc, qp)
-        acc = word_dict_add(acc, word_dict_star(qp))
-    for w, r in zip(cert.weights, cert.members):
+    for q, p in zip(multipliers, gens):
+        qp = word_dict_mul(q, p.terms)
+        acc = word_dict_add(word_dict_add(acc, qp), word_dict_star(qp))
+    for w, r in zip(weights, members):
         acc = word_dict_add(acc, word_dict_mul(word_dict_star(r), r), -w)
-    return _inf_norm(acc)
+    return acc
 
 
-# ---------------------------------------------------------------------------
-# certificate verification
-# ---------------------------------------------------------------------------
-
-def verify_nonreal_certificate(gens, cert, tol=1e-8):
+def verify_nonreal_certificate(gens, cert, tol=1e-8, basis=None):
     """Check a NonRealCertificate against the generators it claims to refute.
 
-    Exact certificates must satisfy the identity exactly, with positive
-    weights and some member of nonzero normal form.  Numeric certificates
-    must satisfy it coefficientwise within tol, have weights >= -tol, and
-    keep some member visibly outside the ideal (normal form above sqrt(tol)
-    relative to the member's own size).
+    Both kinds go through one defect dict, lhs - rhs of the identity.  Exact
+    certificates must hold rational numbers only, have an empty defect,
+    positive weights and some member of nonzero normal form.  Numeric
+    certificates must hold finite numbers only, have a defect of inf-norm
+    <= tol (stored in cert.residual), weights >= -tol, and keep some member
+    visibly outside the ideal (normal form above sqrt(tol) relative to the
+    member's own size).  basis, when given, is a left Groebner basis of the
+    ideal generated by gens; otherwise one is computed.
     """
     gens = list(gens)
     if not gens or len(cert.multipliers) != len(gens):
         return False
     if len(cert.weights) != len(cert.members):
         return False
-    basis = left_groebner(gens)
+    qs = [_terms(q) for q in cert.multipliers]
+    rs = [_terms(r) for r in cert.members]
+    numbers = [*cert.weights, *(c for d in qs + rs for c in d.values())]
     if cert.exact:
-        lhs = Poly.zero(gens[0].g)
-        for q, p in zip(cert.multipliers, gens):
-            lhs = lhs + q * p + p.star() * q.star()
-        rhs = Poly.zero(gens[0].g)
-        for w, r in zip(cert.weights, cert.members):
-            if w <= 0:
-                return False
-            rhs = rhs + w * (r.star() * r)
-        if not rhs or lhs != rhs:
+        if not all(isinstance(c, Rational) for c in numbers):
             return False
-        return any(basis.normal_form(r) for r in cert.members)
-    if any(w < -tol for w in cert.weights):
+    elif not all(math.isfinite(c) for c in numbers):
         return False
-    if _numeric_identity_residual(gens, cert) > tol:
-        return False
-    for r in cert.members:
-        nf = _normal_form_float(r, basis)
-        if _inf_norm(nf) > np.sqrt(tol) * max(1.0, _inf_norm(r)):
+    defect = _defect(gens, qs, cert.weights, rs)
+    if cert.exact:
+        if defect or any(w <= 0 for w in cert.weights):
+            return False
+    else:
+        cert.residual = _inf_norm(defect)
+        # written as "not <=" so that a NaN from float overflow fails too
+        if not cert.residual <= tol or any(w < -tol for w in cert.weights):
+            return False
+    if basis is None:
+        basis = left_groebner(gens)
+    for r in rs:
+        floor = 0 if cert.exact else math.sqrt(tol) * max(1.0, _inf_norm(r))
+        if _inf_norm(basis.reduce(r)) > floor:
             return True
     return False
 
@@ -278,8 +269,6 @@ def real_monomial_ideal(gens, order=None):
         mult = [Poly.zero(g) for _ in gens]
         mult[i] = Poly.from_word(g, word_star(v), Fraction(1, 2) / c)
         cert = NonRealCertificate(mult, [Fraction(1)], [member], exact=True)
-        if not verify_nonreal_certificate(gens, cert):
-            raise AssertionError("internal error: monomial certificate failed to verify")
         return RealnessVerdict(
             NOT_REAL, "monomial", cert,
             detail=f"generator {word_str(w)} shrinks at length {k}",
@@ -312,8 +301,6 @@ def _analytic_antianalytic_core(p, method):
         cert = NonRealCertificate(
             [Poly.constant(g, sign)], [2 * abs(const)], [Poly.one(g)], exact=True,
         )
-        if not verify_nonreal_certificate([p], cert):
-            raise AssertionError("internal error: analytic certificate failed to verify")
         return RealnessVerdict(
             NOT_REAL, method, cert,
             detail="p = a - a* + c with c nonzero, so p + p* = 2c",
@@ -399,10 +386,7 @@ def _quadratic_certificate(p, q):
     sos = decompose_quadratic_univariate(*quad_coeffs(s))
     if sos is None:
         return None
-    cert = NonRealCertificate([q], sos.weights, sos.polys, exact=True)
-    if not verify_nonreal_certificate([p], cert):
-        raise AssertionError("internal error: quadratic certificate failed to verify")
-    return cert
+    return NonRealCertificate([q], sos.weights, sos.polys, exact=True)
 
 
 def _prefix_products(fac, g):
@@ -442,8 +426,6 @@ def real_principal_homogeneous(p, order=None):
         cert = NonRealCertificate(
             [q], sos.weights, [r * tail for r in sos.polys], exact=True,
         )
-        if not verify_nonreal_certificate([p], cert):
-            raise AssertionError("internal error: principal certificate failed to verify")
         return RealnessVerdict(
             NOT_REAL, "principal-homogeneous", cert,
             detail=f"prefix product of the first {ell} factor(s) has a signed SOS symmetrization",
@@ -477,31 +459,39 @@ def realness_prefilter_principal(p, order=None):
 
 
 # ---------------------------------------------------------------------------
-# SDP route
+# realignment
 # ---------------------------------------------------------------------------
 
-def _realign_multipliers_exact(basis, qdicts):
-    """Multipliers over basis elements -> multipliers over the input generators."""
-    g = basis.g
-    out = [Poly.zero(g) for _ in range(basis.ngens)]
-    for j in range(len(basis.elements)):
-        qj = Poly(g, qdicts.get(j, {}))
-        if not qj:
-            continue
-        for t in range(basis.ngens):
-            out[t] = out[t] + qj * basis.reps[j][t]
+def _realign(multipliers, reps, ngens):
+    """{i: q_i} against h_i = sum_t reps[i][t] gens[t] -> [q_t] against gens.
+
+    out[t] = sum_i q_i reps[i][t], on coefficient dicts of any number type;
+    q_i and reps[i][t] may be Polys or dicts.
+    """
+    out = [{} for _ in range(ngens)]
+    for i, q in multipliers.items():
+        for t, r in enumerate(reps[i]):
+            out[t] = word_dict_add(out[t], word_dict_mul(_terms(q), _terms(r)))
     return out
 
 
-def _realign_multipliers_float(basis, qdicts):
-    out = [{} for _ in range(basis.ngens)]
-    for j, qd in qdicts.items():
-        for t in range(basis.ngens):
-            rep = _float_terms(basis.reps[j][t])
-            if rep:
-                out[t] = word_dict_add(out[t], word_dict_mul(qd, rep))
-    return out
+def _checked(verdict, gens, reps, basis=None):
+    """Realign a closed-form verdict's certificate onto gens and verify it once."""
+    cert = verdict.certificate
+    if cert is not None:
+        mult = _realign(dict(enumerate(cert.multipliers)), reps, len(gens))
+        cert = NonRealCertificate(
+            [Poly(gens[0].g, q) for q in mult], cert.weights, cert.members, True,
+        )
+        if not verify_nonreal_certificate(gens, cert, basis=basis):
+            raise AssertionError(f"internal error: {verdict.method} certificate failed to verify")
+        verdict.certificate = cert
+    return verdict
 
+
+# ---------------------------------------------------------------------------
+# SDP route
+# ---------------------------------------------------------------------------
 
 def _exact_sdp_certificate(basis, problem, G, qdicts):
     res = psd_check_exact(G)
@@ -511,19 +501,15 @@ def _exact_sdp_certificate(basis, problem, G, qdicts):
     for k in range(problem.n):
         if not res.diag[k]:
             continue
-        r = Poly.zero(basis.g)
-        for i in range(problem.n):
-            if res.lower[i][k]:
-                r = r + Poly.from_word(basis.g, problem.words[res.perm[i]], res.lower[i][k])
         weights.append(res.diag[k])
-        members.append(r)
-    return NonRealCertificate(
-        _realign_multipliers_exact(basis, qdicts), weights, members, exact=True,
-    )
+        members.append(Poly(basis.g, {
+            problem.words[res.perm[i]]: res.lower[i][k] for i in range(problem.n)
+        }))
+    mult = [Poly(basis.g, q) for q in _realign(qdicts, basis.reps, basis.ngens)]
+    return NonRealCertificate(mult, weights, members, exact=True)
 
 
-def _numeric_sdp_certificate(gens, basis, problem, G, tol):
-    qnum = recover_multipliers(problem, G)
+def _numeric_sdp_certificate(basis, problem, G, qnum):
     w, V = np.linalg.eigh((G + G.T) / 2.0)
     # Keep every essentially-positive eigenpair: dropping weight inflates the
     # identity residual, so only noise-level eigenvalues are discarded.
@@ -536,11 +522,9 @@ def _numeric_sdp_certificate(gens, basis, problem, G, tol):
         members.append(
             {problem.words[i]: float(V[i, k]) for i in range(problem.n) if V[i, k]}
         )
-    cert = NonRealCertificate(
-        _realign_multipliers_float(basis, qnum), weights, members, exact=False,
+    return NonRealCertificate(
+        _realign(qnum, basis.reps, basis.ngens), weights, members, exact=False,
     )
-    cert.residual = _numeric_identity_residual(gens, cert)
-    return cert, qnum
 
 
 def _sdp_route(gens, basis, tol, max_iter, stall_window, exact_cap):
@@ -548,16 +532,17 @@ def _sdp_route(gens, basis, tol, max_iter, stall_window, exact_cap):
     result = solve_feasibility(problem, tol=tol, max_iter=max_iter, stall_window=stall_window)
 
     if result.status == "feasible":
-        cert, qnum = _numeric_sdp_certificate(gens, basis, problem, result.G, tol)
+        qnum = recover_multipliers(problem, result.G)
         lifted = exact_lift(problem, result.G, qnum)
         if lifted is not None:
             exact_cert = _exact_sdp_certificate(basis, problem, *lifted)
-            if exact_cert is not None and verify_nonreal_certificate(gens, exact_cert):
+            if exact_cert is not None and verify_nonreal_certificate(gens, exact_cert, basis=basis):
                 return RealnessVerdict(
                     NOT_REAL, "sdp-exact", exact_cert,
                     detail="numeric solution lifted to an exact rational witness",
                 )
-        if verify_nonreal_certificate(gens, cert, tol=50 * tol):
+        cert = _numeric_sdp_certificate(basis, problem, result.G, qnum)
+        if verify_nonreal_certificate(gens, cert, tol=50 * tol, basis=basis):
             return RealnessVerdict(
                 NOT_REAL, "sdp-numeric", cert, residual=cert.residual,
                 detail=f"feasible after {result.iterations} projection steps",
@@ -575,7 +560,7 @@ def _sdp_route(gens, basis, tol, max_iter, stall_window, exact_cap):
         )
     if exact_status == "feasible":
         exact_cert = _exact_sdp_certificate(basis, problem, *data)
-        if exact_cert is not None and verify_nonreal_certificate(gens, exact_cert):
+        if exact_cert is not None and verify_nonreal_certificate(gens, exact_cert, basis=basis):
             return RealnessVerdict(
                 NOT_REAL, "sdp-exact", exact_cert,
                 detail="exact elimination produced a feasible witness",
@@ -596,31 +581,25 @@ def _sdp_route(gens, basis, tol, max_iter, stall_window, exact_cap):
 # dispatch
 # ---------------------------------------------------------------------------
 
-def _embed_single(cert, gens, idx):
-    mult = [Poly.zero(gens[0].g) for _ in gens]
-    mult[idx] = cert.multipliers[0]
-    return NonRealCertificate(mult, cert.weights, cert.members, cert.exact, cert.residual)
-
-
 def _decide_single_exact(p, order):
-    """Closed-form chain for one nonconstant generator; None when none applies."""
+    """Closed-form chain for one nonconstant generator; None when none applies.
+
+    Certificates are against [p] and unverified; real_test checks them.
+    """
     if p.degree() == 1:
         return real_linear(p)
     used = p.variables_used()
     if p.degree() == 2 and len(used) == 1:
         var = used.pop()
         verdict = real_quadratic_univariate(p.relabel_variable(var, 1, 1))
-        if verdict.certificate is not None:
-            cert = verdict.certificate
-            back = NonRealCertificate(
+        cert = verdict.certificate
+        if cert is not None:
+            verdict.certificate = NonRealCertificate(
                 [q.relabel_variable(1, var, p.g) for q in cert.multipliers],
                 cert.weights,
                 [r.relabel_variable(1, var, p.g) for r in cert.members],
                 cert.exact,
             )
-            if not verify_nonreal_certificate([p], back):
-                raise AssertionError("internal error: relabeled certificate failed to verify")
-            verdict.certificate = back
         return verdict
     if p.is_homogeneous():
         return real_principal_homogeneous(p, order)
@@ -638,7 +617,8 @@ def real_test(gens, order=None, method="auto", tol=1e-8, max_iter=20000,
     method: "auto" (closed forms, then SDP), "exact" (closed forms only;
     Inconclusive when none applies), or "sdp" (the feasibility route
     directly).  Certificate multipliers always align with the gens list as
-    given, including zero entries.
+    given, including zero entries, and every returned certificate has
+    passed verify_nonreal_certificate against gens.
     """
     gens = list(gens)
     if not gens:
@@ -660,38 +640,20 @@ def real_test(gens, order=None, method="auto", tol=1e-8, max_iter=20000,
         )
 
     if method in ("auto", "exact"):
+        # reps[i] writes the i-th nonzero generator as a combination of gens
+        reps = [[{(): 1} if s == t else {} for s in range(len(gens))] for t, _ in live]
         if all(p.is_monomial() for _, p in live):
-            verdict = real_monomial_ideal([p for _, p in live], order)
-            if verdict.certificate is not None:
-                hit = next(
-                    i for i, (_, p) in enumerate(live)
-                    if verdict.certificate.multipliers[i]
-                )
-                verdict.certificate = _embed_single(
-                    NonRealCertificate(
-                        [verdict.certificate.multipliers[hit]],
-                        verdict.certificate.weights,
-                        verdict.certificate.members,
-                        True,
-                    ),
-                    gens, live[hit][0],
-                )
-            return verdict
+            return _checked(real_monomial_ideal([p for _, p in live], order), gens, reps)
         if all(p.is_analytic() for _, p in live):
             return RealnessVerdict(
                 REAL, "analytic", detail="analytic generators always give a real ideal",
             )
         if len(live) == 1:
-            t, p = live[0]
-            verdict = _decide_single_exact(p, order)
+            verdict = _decide_single_exact(live[0][1], order)
             if verdict is not None:
-                if verdict.certificate is not None:
-                    verdict.certificate = _embed_single(verdict.certificate, gens, t)
-                return verdict
+                return _checked(verdict, gens, reps)
 
     basis = left_groebner(gens, order)
-    if not basis.elements:
-        return RealnessVerdict(REAL, "zero-ideal", detail="every generator reduces to zero")
     if any(p.is_constant() for p in basis.elements):
         return RealnessVerdict(
             REAL, "unit-ideal", detail="the basis contains a nonzero constant",
@@ -700,18 +662,7 @@ def real_test(gens, order=None, method="auto", tol=1e-8, max_iter=20000,
         # several generators collapsed to a principal ideal
         verdict = _decide_single_exact(basis.elements[0], order)
         if verdict is not None:
-            if verdict.certificate is not None:
-                qdict = {0: verdict.certificate.multipliers[0].terms}
-                cert = NonRealCertificate(
-                    _realign_multipliers_exact(basis, qdict),
-                    verdict.certificate.weights,
-                    verdict.certificate.members,
-                    True,
-                )
-                if not verify_nonreal_certificate(gens, cert):
-                    raise AssertionError("internal error: realigned certificate failed to verify")
-                verdict.certificate = cert
-            return verdict
+            return _checked(verdict, gens, basis.reps, basis)
 
     if method == "exact":
         return RealnessVerdict(

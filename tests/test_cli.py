@@ -131,3 +131,28 @@ def test_vars_flag_widens_algebra(capsys):
     assert code == 0 and data["g"] == 3
     code, _, err = _run(capsys, "parse", "-e", "x2", "--vars", "1")
     assert code == 1 and "error:" in err
+
+
+def test_verify_rejects_non_finite_certificate(capsys, tmp_path):
+    cert = tmp_path / "nan.json"
+    cert.write_text('{"exact": false, "multipliers": [{"1": 5.0}], '
+                    '"sos": {"weights": [NaN], "polys": [{"x1": 1.0}]}}')
+    code, out, _ = _run(capsys, "verify", "-e", "x1* x1 + 1", "-c", str(cert))
+    assert code == 2 and "rejected" in out
+
+
+@pytest.mark.parametrize("text", [
+    "{}",
+    "[]",
+    '{"exact": true, "multipliers": ["1"]}',
+    '{"exact": "yes", "multipliers": [], "sos": {"weights": [], "polys": []}}',
+    '{"exact": false, "multipliers": [5], "sos": {"weights": [1.0], "polys": [{"x1": 1.0}]}}',
+    '{"exact": true, "multipliers": [1], "sos": {"weights": ["2"], "polys": ["x1"]}}',
+    '{"exact": true, "multipliers": ["1"], "sos": {"weights": ["1/0"], "polys": ["x1"]}}',
+    '{"exact": false, "multipliers": [{"1": 5.0}], "sos": {"weights": [[1]], "polys": [{"x1": 1.0}]}}',
+])
+def test_verify_malformed_certificate_exits_1(capsys, tmp_path, text):
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+    code, _, err = _run(capsys, "verify", "-e", "x1* x1", "-c", str(cert))
+    assert code == 1 and "error:" in err

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncreal import realness
 from ncreal.algebra import Poly
 from ncreal.parsing import parse_generators, parse_poly
 from ncreal.realness import (
@@ -308,3 +309,103 @@ def test_verdict_json_shape():
     assert data["method"] == "linear"
     assert data["certificate"]["exact"] is True
     assert set(data) == {"status", "method", "detail", "residual", "certificate"}
+
+
+def test_verifier_rejects_non_finite_and_non_rational_numbers():
+    nan, inf = float("nan"), float("inf")
+    gens = [parse_poly("x1 x1* + 3 x2")]
+    assert not verify_nonreal_certificate(
+        gens, NonRealCertificate([{(): nan}], [1.0], [{(0,): 1.0}], False))
+    gens = [parse_poly("x1* x1 + 1")]
+    for weight in (nan, inf):
+        cert = NonRealCertificate([{(): 5.0}], [weight], [{(0,): 1.0}], False)
+        assert not verify_nonreal_certificate(gens, cert)
+    gens, cert = _good_exact_cert()
+    for weight in (nan, 2.0):
+        bad = NonRealCertificate(cert.multipliers, [weight], cert.members, True)
+        assert not verify_nonreal_certificate(gens, bad)
+
+
+# ---------------------------------------------------------------------------
+# the single check point in real_test
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gens, method", [
+    ([Poly.zero(2)] + _gens("x2 x1\n3 x1 x1* x2"), "monomial"),
+    (_gens("x2 - x2* + x2^2 - x2 x2* - x2* x2 + x2*^2"), "quadratic-univariate"),
+    (_gens("x2 x1* x1\nx1* x1"), "monomial"),
+    (_gens("x2 x1* x1 + x1* x1\nx1* x1"), "quadratic-univariate"),
+    (_gens("x1 x1* x1 + x1 x1*^2"), "principal-homogeneous"),
+])
+def test_real_test_verifies_each_certificate_once(monkeypatch, gens, method):
+    verify = realness.verify_nonreal_certificate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(realness, "verify_nonreal_certificate", counting)
+    v = real_test(gens)
+    assert v.status == NOT_REAL and v.method == method
+    assert len(calls) == 1
+    assert len(v.certificate.multipliers) == len(gens)
+    assert verify(gens, v.certificate)
+
+
+def test_real_test_rejects_a_tampered_decider_certificate(monkeypatch):
+    decide = realness.real_linear
+
+    def tampered(p):
+        v = decide(p)
+        v.certificate.weights = [2 * w for w in v.certificate.weights]
+        return v
+
+    monkeypatch.setattr(realness, "real_linear", tampered)
+    with pytest.raises(AssertionError):
+        real_test([parse_poly("x1 - x1* + 1")])
+
+
+# ---------------------------------------------------------------------------
+# exact and numeric certificates go through the same check
+# ---------------------------------------------------------------------------
+
+def _float_image(cert):
+    def floats(p):
+        return {w: float(c) for w, c in p.terms.items()}
+    return NonRealCertificate(
+        [floats(q) for q in cert.multipliers], [float(w) for w in cert.weights],
+        [floats(r) for r in cert.members], exact=False,
+    )
+
+
+def _exact_defect_norm(gens, cert):
+    """Inf-norm of lhs - rhs, recomputed in exact rationals from the stored numbers."""
+    def poly(p):
+        return p if isinstance(p, Poly) else Poly(gens[0].g, {w: Fraction(c) for w, c in p.items()})
+    defect = Poly.zero(gens[0].g)
+    for q, p in zip(cert.multipliers, gens):
+        defect = defect + poly(q) * p + p.star() * poly(q).star()
+    for w, r in zip(cert.weights, cert.members):
+        defect = defect - Fraction(w) * (poly(r).star() * poly(r))
+    return float(max((abs(c) for c in defect.terms.values()), default=0))
+
+
+def test_exact_certificate_and_its_float_image_agree():
+    gens = _gens("12 + 2 x1 + 1/3 x1 x1* - 1/3 x1*^2")
+    v = real_test(gens)
+    assert v.status == NOT_REAL and v.certificate.exact
+    image = _float_image(v.certificate)
+    assert verify_nonreal_certificate(gens, image, tol=1e-8)
+    assert image.residual <= 1e-8
+    # both sides are float rounding of a coefficient ~36 identity
+    assert image.residual == pytest.approx(_exact_defect_norm(gens, image), abs=1e-12)
+
+    exact_members = list(v.certificate.members)
+    exact_members[0] = exact_members[0] + Fraction(1, 1000) * Poly.gen(1, 1)
+    off = NonRealCertificate(v.certificate.multipliers, v.certificate.weights, exact_members, True)
+    assert not verify_nonreal_certificate(gens, off)
+    off_image = _float_image(off)
+    assert not verify_nonreal_certificate(gens, off_image, tol=1e-8)
+    assert off_image.residual == pytest.approx(_exact_defect_norm(gens, off_image), rel=1e-9)
+    assert off_image.residual > 1e-4
