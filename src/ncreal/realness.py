@@ -198,12 +198,15 @@ def verify_nonreal_certificate(gens, cert, tol=1e-8, basis=None):
     qs = [_terms(q) for q in cert.multipliers]
     rs = [_terms(r) for r in cert.members]
     numbers = [*cert.weights, *(c for d in qs + rs for c in d.values())]
-    if cert.exact:
-        if not all(isinstance(c, Rational) for c in numbers):
+    try:
+        if cert.exact:
+            if not all(isinstance(c, Rational) for c in numbers):
+                return False
+        elif not all(math.isfinite(c) for c in numbers):
             return False
-    elif not all(math.isfinite(c) for c in numbers):
+        defect = _defect(gens, qs, cert.weights, rs)
+    except OverflowError:  # a number, or an exact sum met by a float, too large for a float
         return False
-    defect = _defect(gens, qs, cert.weights, rs)
     if cert.exact:
         if defect or any(w <= 0 for w in cert.weights):
             return False

@@ -7,11 +7,33 @@ x - A^T (A x - b).  Alternating projections converge to a point of the
 intersection when it is nonempty; when it is empty the gap between the two
 projections stabilizes at the positive distance between the sets, which is
 what the stall detector looks for.
+
+The svec layout of each side length n (upper-triangle indices and the
+sqrt(2) off-diagonal scale) is built once and cached by _svec_index.  Each
+step of solve_feasibility keeps the PSD iterate G in svec coordinates x
+together with its residual r = A x - b, and that one residual serves twice:
+||r|| <= tol is the feasibility test for G, and x - A^T r is the next
+affine projection.
 """
+
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-SQRT2 = np.sqrt(2.0)
+
+@lru_cache(maxsize=None)
+def _svec_index(n):
+    """The svec layout of n x n matrices: (triu_indices(n), scale).
+
+    scale is 1 on the diagonal and sqrt(2) off it, so that svec(S) is
+    S[iu] * scale.  The arrays are shared and read-only.
+    """
+    iu = np.triu_indices(n)
+    scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    for arr in (*iu, scale):
+        arr.flags.writeable = False
+    return iu, scale
 
 
 def svec(S):
@@ -19,18 +41,14 @@ def svec(S):
 
     Preserves inner products: <svec(S), svec(T)> == trace(S T).
     """
-    n = S.shape[0]
-    iu = np.triu_indices(n)
-    x = S[iu].copy()
-    x[iu[0] != iu[1]] *= SQRT2
-    return x
+    iu, scale = _svec_index(S.shape[0])
+    return S[iu] * scale
 
 
 def svec_inverse(x, n):
-    S = np.zeros((n, n))
-    iu = np.triu_indices(n)
-    vals = x.copy()
-    vals[iu[0] != iu[1]] /= SQRT2
+    iu, scale = _svec_index(n)
+    vals = x / scale
+    S = np.empty((n, n))
     S[iu] = vals
     S.T[iu] = vals
     return S
@@ -88,6 +106,7 @@ def project_psd(S):
     return (out + out.T) / 2.0
 
 
+@dataclass(eq=False)
 class SdpProblem:
     """Feasibility problem: find G psd with A svec(G) = b.
 
@@ -98,17 +117,28 @@ class SdpProblem:
                     (the affine residual of the least-squares solution stays
                     above tolerance); the caller should fall back to the
                     exact checker.
-    The builder attaches the raw exact rows and the multiplier recovery data
-    as extra attributes.
+    affine_residual -- that least-squares residual
+
+    build_real_sdp also fills in the data of the exact post-checks and of
+    multiplier recovery: the number of variables g and the word order, the
+    exact rows (gdict, qdict, const), the G and q unknowns, and the float
+    system C_G svec(G) + C_q q = rhs before the multipliers are eliminated.
     """
 
-    def __init__(self, n, words, A, b, inconsistent=False, affine_residual=0.0):
-        self.n = n
-        self.words = words
-        self.A = A
-        self.b = b
-        self.inconsistent = inconsistent
-        self.affine_residual = affine_residual
+    n: int
+    words: list
+    A: np.ndarray
+    b: np.ndarray
+    inconsistent: bool = False
+    affine_residual: float = 0.0
+    g: int | None = None
+    order: object = None
+    exact_rows: list = field(default_factory=list)
+    gvars: list = field(default_factory=list)
+    qvars: list = field(default_factory=list)
+    C_G: np.ndarray | None = None
+    C_q: np.ndarray | None = None
+    rhs: np.ndarray | None = None
 
 
 def project_affine(problem, S):
@@ -142,17 +172,22 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000, stall_window=500):
             "likely_infeasible", None, 0, problem.affine_residual, []
         )
     n = problem.n
+    A, b = problem.A, problem.b
     G = np.eye(n) / n
+    x = svec(G)
+    r = A @ x - b  # with no rows, r is empty: norm 0 and A^T r == 0
     gaps = []
     for it in range(1, max_iter + 1):
-        H = project_affine(problem, G)
-        w, V = np.linalg.eigh((H + H.T) / 2.0)
+        # H is assembled exactly symmetric, so eigh needs no symmetrisation
+        H = svec_inverse(x - A.T @ r, n)
+        w, V = np.linalg.eigh(H)
         if w[0] >= -tol:
             return FeasibilityResult("feasible", H, it, 0.0, gaps)
         G = (V * np.clip(w, 0.0, None)) @ V.T
         G = (G + G.T) / 2.0
-        res = np.linalg.norm(problem.A @ svec(G) - problem.b) if problem.A.shape[0] else 0.0
-        if res <= tol:
+        x = svec(G)
+        r = A @ x - b
+        if np.linalg.norm(r) <= tol:
             return FeasibilityResult("feasible", G, it, 0.0, gaps)
         gaps.append(np.linalg.norm(H - G))
         if len(gaps) > stall_window:

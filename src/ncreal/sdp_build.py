@@ -114,16 +114,10 @@ def build_real_sdp(basis):
         inconsistent = residual > 1e-8 * max(1.0, float(np.linalg.norm(b0)))
         b = A @ x0
 
-    problem = SdpProblem(m, words, A, b, inconsistent, residual)
-    problem.g = g
-    problem.order = order
-    problem.exact_rows = exact_rows
-    problem.gvars = gvars
-    problem.qvars = qvars
-    problem.C_G = C_G
-    problem.C_q = C_q
-    problem.rhs = rhs
-    return problem
+    return SdpProblem(
+        m, words, A, b, inconsistent, residual, g=g, order=order,
+        exact_rows=exact_rows, gvars=gvars, qvars=qvars, C_G=C_G, C_q=C_q, rhs=rhs,
+    )
 
 
 def recover_multipliers(problem, G):

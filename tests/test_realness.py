@@ -326,6 +326,21 @@ def test_verifier_rejects_non_finite_and_non_rational_numbers():
         assert not verify_nonreal_certificate(gens, bad)
 
 
+def test_verifier_rejects_numbers_too_large_for_a_float():
+    gens = [parse_poly("x1* x1")]
+    huge = 10**400
+    for cert in (
+        NonRealCertificate([{(): huge}], [1.0], [{(0,): 1.0}], False),
+        NonRealCertificate([{(): 0.5}], [huge], [{(0,): 1.0}], False),
+        NonRealCertificate([{(): Fraction(huge, 3)}], [1.0], [{(0,): 1.0}], False),
+        # each number fits a float, but 2 * 10**308 in the defect does not
+        NonRealCertificate([{(): 10**308}], [1.0], [{(0,): 1.0}], False),
+    ):
+        assert not verify_nonreal_certificate(gens, cert)
+    assert verify_nonreal_certificate(
+        gens, NonRealCertificate([{(): 0.5}], [1.0], [{(0,): 1.0}], False))
+
+
 # ---------------------------------------------------------------------------
 # the single check point in real_test
 # ---------------------------------------------------------------------------
