@@ -18,13 +18,12 @@ from .algebra import (
     words_up_to,
 )
 from .evaluation import MatrixPoint, apply_to_vector, common_kernel, evaluate
-from .exactla import psd_check_exact, rank_exact
+from .exactla import psd_check_exact
 from .factor import (
     Factorization,
     factor_homogeneous,
     is_irreducible_homogeneous,
     rank_one_split,
-    scalar_multiple_of,
 )
 from .gram import (
     GramMatrix,
@@ -37,7 +36,7 @@ from .gram import (
     quad_poly,
     sos_quadratic_univariate,
 )
-from .groebner import LeftGroebnerBasis, left_groebner, truncated_basis
+from .groebner import LeftGroebnerBasis, left_groebner
 from .parsing import ParseError, parse_generators, parse_poly, parse_word, poly_str
 from .realness import (
     INCONCLUSIVE,
@@ -55,7 +54,7 @@ from .realness import (
     realness_prefilter_principal,
     verify_nonreal_certificate,
 )
-from .sdp import eigen_sym, project_affine, project_psd, solve_feasibility
+from .sdp import solve_feasibility
 from .sdp_build import build_real_sdp, exact_infeasibility_check, exact_lift
 
 __version__ = "0.1.0"
@@ -64,19 +63,19 @@ __all__ = [
     "MonomialOrder", "Poly", "is_left_unshrinkable", "letter", "shrink_length",
     "word_star", "word_str", "words_of_degree", "words_up_to",
     "MatrixPoint", "apply_to_vector", "common_kernel", "evaluate",
-    "psd_check_exact", "rank_exact",
+    "psd_check_exact",
     "Factorization", "factor_homogeneous", "is_irreducible_homogeneous",
-    "rank_one_split", "scalar_multiple_of",
+    "rank_one_split",
     "GramMatrix", "SosCertificate", "decompose_quadratic_univariate",
     "gram_matrix", "is_sos_homogeneous", "pm_sos_kind", "quad_coeffs",
     "quad_poly", "sos_quadratic_univariate",
-    "LeftGroebnerBasis", "left_groebner", "truncated_basis",
+    "LeftGroebnerBasis", "left_groebner",
     "ParseError", "parse_generators", "parse_poly", "parse_word", "poly_str",
     "INCONCLUSIVE", "NOT_REAL", "NUMERICALLY_REAL", "REAL",
     "NonRealCertificate", "RealnessVerdict",
     "real_analytic_antianalytic", "real_linear", "real_monomial_ideal",
     "real_principal_homogeneous", "real_quadratic_univariate", "real_test",
     "realness_prefilter_principal", "verify_nonreal_certificate",
-    "eigen_sym", "project_affine", "project_psd", "solve_feasibility",
+    "solve_feasibility",
     "build_real_sdp", "exact_infeasibility_check", "exact_lift",
 ]

@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: LDL^T with symmetric pivoting, ranks,
-and a sparse Gauss-Jordan eliminator for affine systems.
+"""Exact rational linear algebra: LDL^T with symmetric pivoting and a
+sparse Gauss-Jordan eliminator for affine systems.
 
 Everything here is Fraction arithmetic; a verdict from this module is a
 proof, not an approximation.
@@ -7,6 +7,7 @@ proof, not an approximation.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,39 +113,19 @@ def psd_check_exact(A) -> PsdResult:
     return PsdResult(True, perm, L, diag, None)
 
 
-def rank_exact(A) -> int:
-    """Rank of a rational matrix by plain Gaussian elimination."""
-    M = to_fraction_matrix(A)
-    if not M:
-        return 0
-    rows, cols = len(M), len(M[0])
-    rank = 0
-    col = 0
-    while rank < rows and col < cols:
-        piv = next((r for r in range(rank, rows) if M[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        prow = M[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, rows):
-            f = M[r][col] * inv
-            if f:
-                row = M[r]
-                for c in range(col, cols):
-                    row[c] -= f * prow[c]
-        rank += 1
-        col += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # sparse exact affine systems
 # ---------------------------------------------------------------------------
 
 class Inconsistent(Exception):
-    """The affine system has no solution (the exact infeasibility proof)."""
+    """The affine system has no solution (the exact infeasibility proof).
+
+    const is the c of the contradiction 0 = c that a row reduced to.
+    """
+
+    def __init__(self, const):
+        super().__init__(f"0 = {const}")
+        self.const = const
 
 
 class ExactAffineSystem:
@@ -154,12 +135,28 @@ class ExactAffineSystem:
     Rows can keep arriving after a solve (the PSD-propagation loop feeds
     forced zeros back in); expressions stay closed under the current set
     of pivots.
+
+    priority maps a variable to a sort key: a reduced row pivots on its
+    variable of least key, ties going to the variable mentioned first.
+    Variables of low key are thus eliminated first, and the solved form of
+    a pivot of higher key never involves them.  Without priority, first
+    mention alone decides.
     """
 
-    def __init__(self):
+    def __init__(self, priority=None):
         self.solved: dict = {}          # var -> (dict free-var -> Fraction, Fraction)
         self._order: dict = {}          # deterministic pivot tie-break
+        self._uses: dict = {}           # free var -> solved vars whose expression holds it
+        self._priority = priority or (lambda var: 0)
         self.inconsistent = False
+
+    def copy(self) -> ExactAffineSystem:
+        """An independent copy: rows added to it leave this system as it is."""
+        other = copy.copy(self)
+        other.solved = {var: (dict(expr), c0) for var, (expr, c0) in self.solved.items()}
+        other._order = dict(self._order)
+        other._uses = {var: set(users) for var, users in self._uses.items()}
+        return other
 
     def _substitute(self, row: dict, const: Fraction) -> tuple[dict, Fraction]:
         out: dict = {}
@@ -190,26 +187,28 @@ class ExactAffineSystem:
         if not reduced:
             if const:
                 self.inconsistent = True
-                raise Inconsistent(f"0 = {const}")
+                raise Inconsistent(const)
             return
-        pivot = min(reduced, key=lambda v: self._order[v])
+        pivot = min(reduced, key=lambda v: (self._priority(v), self._order[v]))
         pc = reduced.pop(pivot)
         expr = {v: -c / pc for v, c in reduced.items()}
         c0 = const / pc
         self.solved[pivot] = (expr, c0)
-        # eliminate the new pivot from every stored expression
-        for var, (vexpr, vc) in list(self.solved.items()):
-            if var == pivot or pivot not in vexpr:
-                continue
+        for fv in expr:
+            self._uses.setdefault(fv, set()).add(pivot)
+        # eliminate the new pivot from every stored expression that holds it
+        for var in self._uses.pop(pivot, ()):
+            vexpr, vc = self.solved[var]
             f = vexpr.pop(pivot)
-            vc = vc + f * c0
             for fv, fc in expr.items():
                 val = vexpr.get(fv, Fraction(0)) + f * fc
                 if val:
                     vexpr[fv] = val
+                    self._uses[fv].add(var)
                 else:
                     vexpr.pop(fv, None)
-            self.solved[var] = (vexpr, vc)
+                    self._uses[fv].discard(var)
+            self.solved[var] = (vexpr, vc + f * c0)
 
     def expression(self, var) -> tuple[dict, Fraction]:
         """Solved form of var: (free-variable coefficients, constant)."""

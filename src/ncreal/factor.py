@@ -102,14 +102,3 @@ def factor_homogeneous(p, order=None):
     if out.product(p.g) != p:
         raise AssertionError("internal error: factorization does not multiply back")
     return out
-
-
-def scalar_multiple_of(p, q):
-    """Return c with p == c * q, or None if no such scalar exists."""
-    if not q:
-        return Fraction(1) if not p else None
-    if not p:
-        return Fraction(0)
-    w = next(iter(q.terms))
-    c = p.coefficient(w) / q.terms[w]
-    return c if p == c * q else None

@@ -15,7 +15,7 @@ the basis in terms of their own input.
 
 from fractions import Fraction
 
-from .algebra import MonomialOrder, Poly, word_dict_add, word_dict_mul, words_up_to
+from .algebra import MonomialOrder, Poly, word_dict_add, word_dict_mul
 
 
 class LeftGroebnerBasis:
@@ -132,14 +132,3 @@ def left_groebner(gens, order=None):
             break
 
     return LeftGroebnerBasis(g, order, elements, reps, len(gens))
-
-
-def truncated_basis(basis, e):
-    """All left word multiples v * p_i of basis elements with degree <= e."""
-    if basis.elements and e < max(p.degree() for p in basis.elements):
-        raise ValueError("truncation degree below the maximal basis degree")
-    out = []
-    for p in basis.elements:
-        for v in words_up_to(basis.g, e - p.degree(), basis.order):
-            out.append(Poly(basis.g, {v: Fraction(1)}) * p)
-    return out

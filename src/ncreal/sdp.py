@@ -54,58 +54,6 @@ def svec_inverse(x, n):
     return S
 
 
-def eigen_sym(S, tol=1e-12, max_sweeps=60):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (w, V) with w ascending and S V = V diag(w).  Written against the
-    plain definition for checkability; the inner projection loop uses LAPACK
-    through numpy instead, which computes the same thing faster.
-    """
-    S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    if S.shape != (n, n) or not np.allclose(S, S.T, atol=1e-10 * (1.0 + np.abs(S).max(initial=0.0))):
-        raise ValueError("input must be a square symmetric matrix")
-    A = S.copy()
-    V = np.eye(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(0.0, (A * A).sum() - (np.diag(A) ** 2).sum()))
-        if off <= tol * max(1.0, np.abs(np.diag(A)).max(initial=0.0)):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * A[p, q])
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:  # theta^2 would overflow; t ~ 1/(2 theta)
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p, rot_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * rot_p - s * rot_q
-                A[:, q] = s * rot_p + c * rot_q
-                rot_p, rot_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rot_p - s * rot_q
-                A[q, :] = s * rot_p + c * rot_q
-                rot_p, rot_q = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * rot_p - s * rot_q
-                V[:, q] = s * rot_p + c * rot_q
-    w = np.diag(A).copy()
-    idx = np.argsort(w, kind="stable")
-    return w[idx], V[:, idx]
-
-
-def project_psd(S):
-    """Nearest (Frobenius) positive semidefinite matrix: clip negative eigenvalues."""
-    w, V = np.linalg.eigh((S + S.T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    out = (V * w) @ V.T
-    return (out + out.T) / 2.0
-
-
 @dataclass(eq=False)
 class SdpProblem:
     """Feasibility problem: find G psd with A svec(G) = b.
@@ -113,16 +61,16 @@ class SdpProblem:
     n            -- side length of G
     words        -- labels of the rows/columns of G
     A, b         -- orthonormal-row affine system in svec coordinates
-    inconsistent -- True when the raw constraints admit no solution at all
-                    (the affine residual of the least-squares solution stays
-                    above tolerance); the caller should fall back to the
-                    exact checker.
-    affine_residual -- that least-squares residual
+    inconsistent -- True when the constraints admit no solution at all;
+                    solve_feasibility then stops at once
+    affine_residual -- for inconsistent constraints, the size of the
+                    contradiction they imply
 
-    build_real_sdp also fills in the data of the exact post-checks and of
-    multiplier recovery: the number of variables g and the word order, the
-    exact rows (gdict, qdict, const), the G and q unknowns, and the float
-    system C_G svec(G) + C_q q = rhs before the multipliers are eliminated.
+    build_real_sdp also records the number of variables g and the word
+    order, the exact rows (gdict, qdict, const), the G and q unknowns, and
+    system: the rows solved exactly with the multipliers q eliminated
+    first (an ExactAffineSystem), from which A and b were derived.  The
+    exact post-checks and multiplier recovery read that one system.
     """
 
     n: int
@@ -136,17 +84,7 @@ class SdpProblem:
     exact_rows: list = field(default_factory=list)
     gvars: list = field(default_factory=list)
     qvars: list = field(default_factory=list)
-    C_G: np.ndarray | None = None
-    C_q: np.ndarray | None = None
-    rhs: np.ndarray | None = None
-
-
-def project_affine(problem, S):
-    """Project S onto the affine subspace {G : A svec(G) = b}."""
-    x = svec(S)
-    if problem.A.shape[0]:
-        x = x - problem.A.T @ (problem.A @ x - problem.b)
-    return svec_inverse(x, problem.n)
+    system: object = None
 
 
 class FeasibilityResult:

@@ -9,19 +9,29 @@ deg(q_j p_j) < 2d such that
     M^* G M  ==  sum_j ( q_j p_j + p_j^* q_j^* ) ,
 
 where M is the column vector of the indexing words.  Matching coefficients
-word by word gives exact linear constraints; the multipliers are eliminated
-by projecting onto the orthogonal complement of their column space, leaving
-an affine slice of the PSD cone for the alternating-projection solver.
+word by word gives exact linear constraints, one row per pair {w, w^*}
+(the rows of w and w^* are the same row).
 
-The same rows, kept as exact fractions, feed two rational procedures:
+build_real_sdp feeds these rows, as fractions, into one sparse exact
+elimination (ExactAffineSystem) that pivots on multiplier unknowns first.
+Every solved G unknown is then an expression G_p - sum_f e_f G_f = c over
+free G unknowns alone: these rows cut out exactly the G for which some
+multipliers exist.  In svec coordinates they form a full-row-rank matrix
+B = [I | -E], and one QR factorization B^T = Q R gives the orthonormal-row
+system A = Q^T, b = R^-T c of the alternating-projection solver.  Its rank
+is the number of G pivots; no float threshold decides it.  A row that
+reduces to 0 = c proves the constraints inconsistent.
 
-* exact_infeasibility_check: Gauss-Jordan elimination plus PSD propagation
-  (a pinned negative diagonal kills feasibility; a pinned zero diagonal
+The solved system is stored on the problem and serves the rest:
+
+* exact_infeasibility_check: PSD propagation on a copy of the system (a
+  pinned negative diagonal kills feasibility; a pinned zero diagonal
   forces its row and column to zero).  When the system pins G completely,
   an exact PSD test decides feasibility outright.
 * exact_lift: rounds a numeric solution to small rationals along the free
   variables of the solved system, producing an exactly feasible pair (G, q)
   when the rounding verifies.
+* recover_multipliers: the solved multiplier expressions at a numeric G.
 """
 
 from fractions import Fraction
@@ -30,7 +40,7 @@ import numpy as np
 
 from .algebra import word_star, words_up_to
 from .exactla import ExactAffineSystem, Inconsistent, psd_check_exact, to_fraction_matrix
-from .sdp import SdpProblem, svec
+from .sdp import SdpProblem, _svec_index
 
 
 def build_real_sdp(basis):
@@ -50,7 +60,8 @@ def build_real_sdp(basis):
         for v in words_up_to(g, 2 * d - 1 - p.degree(), order)
     ]
 
-    # Exact rows: one per word w, sum gcoef * G[i][j]  -  sum qcoef * q = rhs.
+    # Exact rows: one per pair {w, w*}, kept under w <= w*,
+    # sum gcoef * G[i][j]  -  sum qcoef * q = rhs.
     rows = {}
 
     def row(w):
@@ -61,86 +72,82 @@ def build_real_sdp(basis):
     for a in range(m):
         wa = word_star(words[a])
         for b in range(m):
-            gdict, _ = row(wa + words[b])
-            key = (min(a, b), max(a, b))
-            gdict[key] = gdict.get(key, Fraction(0)) + 1
+            w = wa + words[b]
+            if w <= word_star(w):
+                gdict, _ = row(w)
+                key = (min(a, b), max(a, b))
+                gdict[key] = gdict.get(key, Fraction(0)) + 1
     for j, v in qvars:
         for u, c in basis.elements[j].terms.items():
             for w in (v + u, word_star(v + u)):
-                _, qdict = row(w)
-                qdict[(j, v)] = qdict.get((j, v), Fraction(0)) + c
+                if w <= word_star(w):
+                    _, qdict = row(w)
+                    qdict[(j, v)] = qdict.get((j, v), Fraction(0)) + c
 
     word_order = sorted(rows, key=order.key)
     exact_rows = [({(i, i): Fraction(1) for i in range(m)}, {}, Fraction(1))]
     exact_rows += [(rows[w][0], rows[w][1], Fraction(0)) for w in word_order]
 
+    # Eliminate the multipliers first: what is left on G pivots involves G only.
+    system = ExactAffineSystem(priority=lambda var: 0 if var[0] == "q" else 1)
     gvars = [(i, j) for i in range(m) for j in range(i, m)]
-    gindex = {v: k for k, v in enumerate(gvars)}
-    qindex = {v: k for k, v in enumerate(qvars)}
-    sqrt2 = np.sqrt(2.0)
-    C_G = np.zeros((len(exact_rows), len(gvars)))
-    C_q = np.zeros((len(exact_rows), len(qvars)))
-    rhs = np.zeros(len(exact_rows))
-    for r, (gdict, qdict, const) in enumerate(exact_rows):
-        for (i, j), c in gdict.items():
-            # svec coordinate for i < j is sqrt(2) * G[i][j]
-            C_G[r, gindex[(i, j)]] = float(c) if i == j else float(c) / sqrt2
-        for key, c in qdict.items():
-            C_q[r, qindex[key]] = -float(c)
-        rhs[r] = float(const)
+    A, b = np.zeros((0, len(gvars))), np.zeros(0)
+    try:
+        for gdict, qdict, const in exact_rows:
+            rowvars = {("g",) + key: c for key, c in gdict.items()}
+            for key, c in qdict.items():
+                rowvars[("q",) + key] = -c
+            system.add_row(rowvars, const)
+    except Inconsistent as exc:
+        return SdpProblem(
+            m, words, A, b, True, float(abs(exc.const)), g=g, order=order,
+            exact_rows=exact_rows, gvars=gvars, qvars=qvars, system=system,
+        )
 
-    # Eliminate the multipliers: project rows onto range(C_q)^perp.
-    if qvars and np.abs(C_q).max() > 0:
-        U, s, _ = np.linalg.svd(C_q, full_matrices=False)
-        Q1 = U[:, s > s[0] * 1e-12]
-        A0 = C_G - Q1 @ (Q1.T @ C_G)
-        b0 = rhs - Q1 @ (Q1.T @ rhs)
-    else:
-        A0, b0 = C_G, rhs
-
-    inconsistent = False
-    residual = 0.0
-    if np.abs(A0).max() == 0:
-        A = np.zeros((0, len(gvars)))
-        b = np.zeros(0)
-        residual = float(np.linalg.norm(b0))
-        inconsistent = residual > 1e-8
-    else:
-        U2, s2, V2t = np.linalg.svd(A0, full_matrices=False)
-        r = int((s2 > s2[0] * 1e-12).sum())
-        A = V2t[:r]
-        x0 = V2t[:r].T @ ((U2[:, :r].T @ b0) / s2[:r])
-        residual = float(np.linalg.norm(A0 @ x0 - b0))
-        inconsistent = residual > 1e-8 * max(1.0, float(np.linalg.norm(b0)))
-        b = A @ x0
+    # gvars runs through the upper triangle row by row, as svec does.
+    gindex = {("g",) + v: k for k, v in enumerate(gvars)}
+    _, scale = _svec_index(m)
+    pivots = sorted(gindex[var] for var in system.solved if var[0] == "g")
+    if pivots:
+        B = np.zeros((len(pivots), len(gvars)))
+        c = np.zeros(len(pivots))
+        for r, p in enumerate(pivots):
+            expr, c0 = system.solved[("g",) + gvars[p]]
+            # G_p - sum e_f G_f = c0 in svec coordinates x_k = scale_k G_k
+            B[r, p] = 1.0
+            for f, e in expr.items():
+                k = gindex[f]
+                B[r, k] = -float(e) * scale[p] / scale[k]
+            c[r] = float(c0) * scale[p]
+        Q, R = np.linalg.qr(B.T)
+        A = np.ascontiguousarray(Q.T)
+        b = np.linalg.solve(R.T, c)
 
     return SdpProblem(
-        m, words, A, b, inconsistent, residual, g=g, order=order,
-        exact_rows=exact_rows, gvars=gvars, qvars=qvars, C_G=C_G, C_q=C_q, rhs=rhs,
+        m, words, A, b, g=g, order=order,
+        exact_rows=exact_rows, gvars=gvars, qvars=qvars, system=system,
     )
 
 
 def recover_multipliers(problem, G):
-    """Least-squares multipliers for a numeric G: one float word-dict per basis element."""
-    if not problem.qvars:
-        return {}
-    target = problem.rhs - problem.C_G @ svec(G)
-    sol, *_ = np.linalg.lstsq(problem.C_q, target, rcond=None)
+    """Multipliers for a numeric G: the solved q expressions at G, free q = 0.
+
+    One float word-dict per basis element.
+    """
     out = {}
-    for k, (j, v) in enumerate(problem.qvars):
-        if abs(sol[k]) > 0:
-            out.setdefault(j, {})[v] = float(sol[k])
+    for j, v in problem.qvars:
+        expr, c0 = problem.system.expression(("q", j, v))
+        val = float(c0) + sum(
+            float(e) * float(G[f[1], f[2]]) for f, e in expr.items() if f[0] == "g"
+        )
+        if val:
+            out.setdefault(j, {})[v] = val
     return out
 
 
 def _exact_system(problem):
-    sys = ExactAffineSystem()
-    for gdict, qdict, const in problem.exact_rows:
-        rowvars = {("g",) + key: c for key, c in gdict.items()}
-        for key, c in qdict.items():
-            rowvars[("q",) + key] = -c
-        sys.add_row(rowvars, const)
-    return sys
+    """A copy of the problem's solved exact system, free to take more rows."""
+    return problem.system.copy()
 
 
 def exact_infeasibility_check(problem, max_unknowns=120):
@@ -150,14 +157,14 @@ def exact_infeasibility_check(problem, max_unknowns=120):
     ("unknown", None).  Sound in both decided directions: "infeasible" comes
     with a rational proof (inconsistency, a negative pinned diagonal after
     PSD propagation, or a fully pinned non-PSD G), "feasible" returns an
-    exactly verified point.
+    exactly verified point.  Inconsistent constraints are decided whatever
+    max_unknowns is; the problem's system is not changed.
     """
+    if problem.inconsistent:
+        return "infeasible", None
     if len(problem.gvars) + len(problem.qvars) > max_unknowns:
         return "unknown", None
-    try:
-        sys = _exact_system(problem)
-    except Inconsistent:
-        return "infeasible", None
+    sys = _exact_system(problem)
     m = problem.n
     forced = set()
     while True:
@@ -207,10 +214,9 @@ def exact_infeasibility_check(problem, max_unknowns=120):
 
 def exact_lift(problem, G_num, q_num, denominators=(10, 100, 10**4, 10**6)):
     """Round a numeric solution to an exactly feasible rational (G, q), or None."""
-    try:
-        sys = _exact_system(problem)
-    except Inconsistent:
+    if problem.inconsistent:
         return None
+    sys = problem.system
     free = sys.free_variables()
     numeric = {}
     for var in free:

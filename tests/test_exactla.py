@@ -8,9 +8,10 @@ from ncreal.exactla import (
     ExactAffineSystem,
     Inconsistent,
     psd_check_exact,
-    rank_exact,
     to_fraction_matrix,
 )
+
+from util import rank_exact
 
 
 def _rand_int_matrix(rng, n, m=None, lo=-4, hi=4):
@@ -147,6 +148,30 @@ def test_affine_system_detects_inconsistency():
     sys2 = ExactAffineSystem()
     with pytest.raises(Inconsistent):
         sys2.add_row({}, Fraction(1))  # 0 = 1
+
+
+def test_affine_system_priority_and_copy():
+    plain = ExactAffineSystem()
+    sys = ExactAffineSystem(priority=lambda v: 0 if v.startswith("q") else 1)
+    for s in (plain, sys):
+        s.add_row({"g1": 1, "q1": 1}, 2)
+    # first mention pivots on g1, which then depends on q1
+    assert plain.expression("g1") == ({"q1": Fraction(-1)}, Fraction(2))
+    assert sys.expression("q1") == ({"g1": Fraction(-1)}, Fraction(2))
+    sys.add_row({"g1": 1, "g2": 1, "q1": -1}, 0)
+    # q first: the solved g1 involves free g unknowns only
+    assert set(sys.solved) == {"q1", "g1"}
+    assert sys.expression("g1") == ({"g2": Fraction(-1, 2)}, Fraction(1))
+    assert sys.expression("q1") == ({"g2": Fraction(1, 2)}, Fraction(1))
+    other = sys.copy()
+    other.add_row({"g2": 1}, 4)
+    assert other.pinned_value("g1") == -1 and other.pinned_value("q1") == 3
+    assert sys.pinned_value("g2") is None
+    assert sys.expression("g1") == ({"g2": Fraction(-1, 2)}, Fraction(1))
+    with pytest.raises(Inconsistent) as exc:
+        other.add_row({"g1": 2, "q1": 2}, 5)
+    assert exc.value.const == 1
+    assert not sys.inconsistent
 
 
 def test_affine_system_random_consistency():

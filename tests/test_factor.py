@@ -8,11 +8,10 @@ from ncreal.factor import (
     factor_homogeneous,
     is_irreducible_homogeneous,
     rank_one_split,
-    scalar_multiple_of,
 )
 from ncreal.parsing import parse_poly
 
-from util import rand_coeff, rand_irreducible, rand_linear_factor
+from util import rand_coeff, rand_irreducible, rand_linear_factor, scalar_multiple_of
 
 
 def test_rank_one_split_basic():

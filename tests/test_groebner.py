@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 from ncreal.algebra import MonomialOrder, Poly, words_up_to
-from ncreal.exactla import rank_exact
-from ncreal.groebner import left_groebner, truncated_basis
+from ncreal.groebner import left_groebner
 from ncreal.parsing import parse_generators, parse_poly
 
-from util import rand_poly
+from util import rand_poly, rank_exact, truncated_basis
 
 
 def _basis_for(text, order=None):

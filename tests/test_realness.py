@@ -228,6 +228,13 @@ def test_sdp_refutes_to_real():
     assert v.status == REAL and v.method == "sdp-exact"
 
 
+def test_sdp_inconsistent_constraints_are_an_exact_proof():
+    # x1 in I pins G = 0 against trace G = 1; that is decided exactly even
+    # when the unknown cap switches the exact check off
+    v = real_test([parse_poly("x1")], method="sdp", exact_cap=0)
+    assert v.status == REAL and v.method == "sdp-exact"
+
+
 def test_sdp_numerically_real():
     # auto dispatch decides this analytic generator exactly; forcing the sdp
     # route exercises the stall detector, whose verdict must stay consistent

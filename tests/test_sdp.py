@@ -1,22 +1,27 @@
-"""Numeric SDP layer: svec coordinates, eigensolvers, alternating projections."""
+"""Numeric SDP layer: svec coordinates, alternating projections, and the
+assembly of the realness SDP against the dense construction it replaced."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ncreal import realness
+from ncreal.algebra import word_star, words_up_to
+from ncreal.exactla import ExactAffineSystem
 from ncreal.groebner import left_groebner
 from ncreal.parsing import parse_poly
-from ncreal.sdp import (
-    SdpProblem,
-    eigen_sym,
-    project_affine,
-    project_psd,
-    solve_feasibility,
-    svec,
-    svec_inverse,
+from ncreal.realness import NOT_REAL, REAL, real_test
+from ncreal.sdp import SdpProblem, solve_feasibility, svec, svec_inverse
+from ncreal.sdp_build import (
+    build_real_sdp,
+    exact_infeasibility_check,
+    exact_lift,
+    recover_multipliers,
 )
-from ncreal.sdp_build import build_real_sdp
+
+from util import eigen_sym, project_affine, project_psd
 
 
 def _rand_sym(rng, n, scale=2.0):
@@ -280,3 +285,183 @@ def test_svec_layout_is_built_once_per_side(monkeypatch):
     S = _rand_sym(random.Random(57), 5)
     assert np.array_equal(svec_inverse(svec(S), 5), svec_inverse(svec(S), 5))
     assert all(calls.count(n) <= 1 for n in set(calls))
+
+
+# ---------------------------------------------------------------------------
+# the exact elimination against the dense SVD assembly it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_build(basis):
+    """build_real_sdp as first written: one exact row per word, the
+    multipliers removed by an SVD of C_q and the rank of the rest read off
+    a second SVD.  Returns (A, b, inconsistent, residual, row words)."""
+    g = basis.g
+    order = basis.order
+    d = max(p.degree() for p in basis.elements)
+    words = [w for w in words_up_to(g, d - 1, order) if basis.is_irreducible_word(w)]
+    m = len(words)
+    qvars = [
+        (j, v)
+        for j, p in enumerate(basis.elements)
+        for v in words_up_to(g, 2 * d - 1 - p.degree(), order)
+    ]
+
+    # Exact rows: one per word w, sum gcoef * G[i][j]  -  sum qcoef * q = rhs.
+    rows = {}
+
+    def row(w):
+        if w not in rows:
+            rows[w] = ({}, {})
+        return rows[w]
+
+    for a in range(m):
+        wa = word_star(words[a])
+        for b in range(m):
+            gdict, _ = row(wa + words[b])
+            key = (min(a, b), max(a, b))
+            gdict[key] = gdict.get(key, Fraction(0)) + 1
+    for j, v in qvars:
+        for u, c in basis.elements[j].terms.items():
+            for w in (v + u, word_star(v + u)):
+                _, qdict = row(w)
+                qdict[(j, v)] = qdict.get((j, v), Fraction(0)) + c
+
+    word_order = sorted(rows, key=order.key)
+    exact_rows = [({(i, i): Fraction(1) for i in range(m)}, {}, Fraction(1))]
+    exact_rows += [(rows[w][0], rows[w][1], Fraction(0)) for w in word_order]
+
+    gvars = [(i, j) for i in range(m) for j in range(i, m)]
+    gindex = {v: k for k, v in enumerate(gvars)}
+    qindex = {v: k for k, v in enumerate(qvars)}
+    sqrt2 = np.sqrt(2.0)
+    C_G = np.zeros((len(exact_rows), len(gvars)))
+    C_q = np.zeros((len(exact_rows), len(qvars)))
+    rhs = np.zeros(len(exact_rows))
+    for r, (gdict, qdict, const) in enumerate(exact_rows):
+        for (i, j), c in gdict.items():
+            # svec coordinate for i < j is sqrt(2) * G[i][j]
+            C_G[r, gindex[(i, j)]] = float(c) if i == j else float(c) / sqrt2
+        for key, c in qdict.items():
+            C_q[r, qindex[key]] = -float(c)
+        rhs[r] = float(const)
+
+    # Eliminate the multipliers: project rows onto range(C_q)^perp.
+    if qvars and np.abs(C_q).max() > 0:
+        U, s, _ = np.linalg.svd(C_q, full_matrices=False)
+        Q1 = U[:, s > s[0] * 1e-12]
+        A0 = C_G - Q1 @ (Q1.T @ C_G)
+        b0 = rhs - Q1 @ (Q1.T @ rhs)
+    else:
+        A0, b0 = C_G, rhs
+
+    inconsistent = False
+    residual = 0.0
+    if np.abs(A0).max() == 0:
+        A = np.zeros((0, len(gvars)))
+        b = np.zeros(0)
+        residual = float(np.linalg.norm(b0))
+        inconsistent = residual > 1e-8
+    else:
+        U2, s2, V2t = np.linalg.svd(A0, full_matrices=False)
+        r = int((s2 > s2[0] * 1e-12).sum())
+        A = V2t[:r]
+        x0 = V2t[:r].T @ ((U2[:, :r].T @ b0) / s2[:r])
+        residual = float(np.linalg.norm(A0 @ x0 - b0))
+        inconsistent = residual > 1e-8 * max(1.0, float(np.linalg.norm(b0)))
+        b = A @ x0
+    return A, b, inconsistent, residual, word_order
+
+
+ASSEMBLY_CASES = {
+    "criterion 1": (["x1 x1* - x1* x1 - 1"], 1),
+    "cubic4": (["x1 x1*^2 - 1", "x1^2 + x1*^2", "x1 x1* - x1*^2", "x1* x1 - 5"], 1),
+    "quartic15": (["x1^2 x1*^2 + x1* x1 - 1"], 1),
+    "mixed21": (["x1 x2 x1* - x2 + 2", "x2* x2 x1 + x1*"], 2),
+    "large n = 48": ([
+        "-2 x1^2 x1*^2 x1^2 + 2 x1 x1* x1^4 + 3 x1*^6 + 2 x1* x1 x1* x1^2"
+        " - 1/2 x1* x1^2 x1* - 3 x1^2",
+        "1/2 x1* x1 + x1*",
+    ], 1),
+    "large n = 31": (["-3 x1 x1*^2 x1 x1* - 3 x1* x1^3 - 1/2 x1*^2 - 1"], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_CASES))
+def test_exact_assembly_matches_svd_assembly(name):
+    texts, g = ASSEMBLY_CASES[name]
+    basis = left_groebner([parse_poly(t, g) for t in texts])
+    problem = build_real_sdp(basis)
+    A_ref, b_ref, inconsistent, _, word_order = _reference_build(basis)
+    assert not inconsistent and not problem.inconsistent
+    assert problem.A.shape == A_ref.shape
+    assert np.abs(problem.A.T @ problem.A - A_ref.T @ A_ref).max() <= 1e-12
+    assert np.abs(problem.A.T @ problem.b - A_ref.T @ b_ref).max() <= 1e-12
+    # one exact row per pair {w, w*}, besides the trace row
+    pairs = {min(w, word_star(w)) for w in word_order}
+    assert len(problem.exact_rows) == 1 + len(pairs) < 1 + len(word_order)
+
+
+def test_inconsistent_constraints_are_found_exactly():
+    # x1 in I: the constant coefficient pins G = 0 against trace G = 1
+    problem = build_real_sdp(left_groebner([parse_poly("x1")]))
+    assert problem.inconsistent and problem.affine_residual == 1.0
+    assert problem.A.shape == (0, 1)
+    assert exact_infeasibility_check(problem, max_unknowns=0) == ("infeasible", None)
+    assert exact_lift(problem, np.eye(1), {}) is None
+
+
+def test_multiplier_unknowns_are_eliminated_first():
+    problem = build_real_sdp(left_groebner([parse_poly("x1^2 x1*^2 + x1* x1 - 1")]))
+    solved = problem.system.solved
+    gpivots = [var for var in solved if var[0] == "g"]
+    assert len(gpivots) == problem.A.shape[0] > 0
+    assert all(f[0] == "g" and f not in solved for var in gpivots for f in solved[var][0])
+    # at a point of the affine slice, the recovered multipliers meet every row
+    G = svec_inverse(problem.A.T @ problem.b, problem.n)
+    q = recover_multipliers(problem, G)
+    for gdict, qdict, const in problem.exact_rows:
+        lhs = sum(float(c) * G[i, j] for (i, j), c in gdict.items())
+        lhs -= sum(float(c) * q.get(j, {}).get(v, 0.0) for (j, v), c in qdict.items())
+        assert abs(lhs - float(const)) <= 1e-9
+
+
+def _count_systems(monkeypatch):
+    built = []
+    init = ExactAffineSystem.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExactAffineSystem, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("text,route", [
+    ("x1 x1* - x1* x1 - 1", "exact check"),
+    ("x1 x1* - x1*^2 + 2 x1 + 4", "lift"),
+])
+def test_one_exact_system_per_problem(monkeypatch, text, route):
+    built = _count_systems(monkeypatch)
+    problems = []
+
+    def recording(basis):
+        problems.append(build_real_sdp(basis))
+        return problems[-1]
+
+    monkeypatch.setattr(realness, "build_real_sdp", recording)
+    verdict = real_test([parse_poly(text)], method="sdp")
+    assert verdict.method == "sdp-exact"
+    assert verdict.status == (REAL if route == "exact check" else NOT_REAL)
+    # the one system is the problem's own; the check and the lift build none
+    assert len(problems) == 1 and built == [problems[0].system]
+
+
+def test_exact_check_leaves_the_system_unchanged():
+    # x1* x1 pins G[x1*, x1*] = 0, so PSD propagation adds rows to its copy
+    problem = build_real_sdp(left_groebner([parse_poly("x1* x1 + x1*")]))
+    before = {var: (dict(expr), c0) for var, (expr, c0) in problem.system.solved.items()}
+    first = exact_infeasibility_check(problem)
+    second = exact_infeasibility_check(problem)
+    assert first == second and first[0] != "unknown"
+    assert problem.system.solved == before

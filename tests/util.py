@@ -1,13 +1,19 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and reference implementations for the test suite.
 
-Everything takes an explicit random.Random so individual tests stay
-reproducible.
+The generators take an explicit random.Random so individual tests stay
+reproducible.  The references (eigen_sym, project_psd, project_affine,
+rank_exact, truncated_basis, scalar_multiple_of) are plain-definition
+oracles that only the tests need.
 """
 
 from fractions import Fraction
 
-from ncreal.algebra import MonomialOrder, Poly, iter_words
+import numpy as np
+
+from ncreal.algebra import MonomialOrder, Poly, iter_words, words_up_to
+from ncreal.exactla import to_fraction_matrix
 from ncreal.factor import is_irreducible_homogeneous
+from ncreal.sdp import svec, svec_inverse
 
 
 def rand_word(rng, g, d):
@@ -74,3 +80,116 @@ def brute_shrinkable(w):
         if w[k : 2 * k] == ustar:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: plain-definition oracles for the library
+# ---------------------------------------------------------------------------
+
+def eigen_sym(S, tol=1e-12, max_sweeps=60):
+    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+
+    Returns (w, V) with w ascending and S V = V diag(w).  Written against the
+    plain definition for checkability; the projection loop uses LAPACK
+    through numpy instead, which computes the same thing faster.
+    """
+    S = np.asarray(S, dtype=float)
+    n = S.shape[0]
+    if S.shape != (n, n) or not np.allclose(S, S.T, atol=1e-10 * (1.0 + np.abs(S).max(initial=0.0))):
+        raise ValueError("input must be a square symmetric matrix")
+    A = S.copy()
+    V = np.eye(n)
+    for _ in range(max_sweeps):
+        off = np.sqrt(max(0.0, (A * A).sum() - (np.diag(A) ** 2).sum()))
+        if off <= tol * max(1.0, np.abs(np.diag(A)).max(initial=0.0)):
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(A[p, q]) <= 1e-300:
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * A[p, q])
+                if theta == 0.0:
+                    t = 1.0
+                elif abs(theta) > 1e150:  # theta^2 would overflow; t ~ 1/(2 theta)
+                    t = 1.0 / (2.0 * theta)
+                else:
+                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rot_p, rot_q = A[:, p].copy(), A[:, q].copy()
+                A[:, p] = c * rot_p - s * rot_q
+                A[:, q] = s * rot_p + c * rot_q
+                rot_p, rot_q = A[p, :].copy(), A[q, :].copy()
+                A[p, :] = c * rot_p - s * rot_q
+                A[q, :] = s * rot_p + c * rot_q
+                rot_p, rot_q = V[:, p].copy(), V[:, q].copy()
+                V[:, p] = c * rot_p - s * rot_q
+                V[:, q] = s * rot_p + c * rot_q
+    w = np.diag(A).copy()
+    idx = np.argsort(w, kind="stable")
+    return w[idx], V[:, idx]
+
+
+def project_psd(S):
+    """Nearest (Frobenius) positive semidefinite matrix: clip negative eigenvalues."""
+    w, V = np.linalg.eigh((S + S.T) / 2.0)
+    w = np.clip(w, 0.0, None)
+    out = (V * w) @ V.T
+    return (out + out.T) / 2.0
+
+
+def project_affine(problem, S):
+    """Project S onto the affine subspace {G : A svec(G) = b}."""
+    x = svec(S)
+    if problem.A.shape[0]:
+        x = x - problem.A.T @ (problem.A @ x - problem.b)
+    return svec_inverse(x, problem.n)
+
+
+def rank_exact(A):
+    """Rank of a rational matrix by plain Gaussian elimination."""
+    M = to_fraction_matrix(A)
+    if not M:
+        return 0
+    rows, cols = len(M), len(M[0])
+    rank = 0
+    col = 0
+    while rank < rows and col < cols:
+        piv = next((r for r in range(rank, rows) if M[r][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        prow = M[rank]
+        inv = 1 / prow[col]
+        for r in range(rank + 1, rows):
+            f = M[r][col] * inv
+            if f:
+                row = M[r]
+                for c in range(col, cols):
+                    row[c] -= f * prow[c]
+        rank += 1
+        col += 1
+    return rank
+
+
+def truncated_basis(basis, e):
+    """All left word multiples v * p_i of basis elements with degree <= e."""
+    if basis.elements and e < max(p.degree() for p in basis.elements):
+        raise ValueError("truncation degree below the maximal basis degree")
+    out = []
+    for p in basis.elements:
+        for v in words_up_to(basis.g, e - p.degree(), basis.order):
+            out.append(Poly(basis.g, {v: Fraction(1)}) * p)
+    return out
+
+
+def scalar_multiple_of(p, q):
+    """Return c with p == c * q, or None if no such scalar exists."""
+    if not q:
+        return Fraction(1) if not p else None
+    if not p:
+        return Fraction(0)
+    w = next(iter(q.terms))
+    c = p.coefficient(w) / q.terms[w]
+    return c if p == c * q else None
