@@ -183,7 +183,7 @@ def cmd_verify(args):
     gens = _load_polys(args)
     with open(args.certificate) as fh:
         cert = NonRealCertificate.from_json(json.load(fh), gens[0].g)
-    ok = verify_nonreal_certificate(gens, cert, tol=args.tol)
+    ok = verify_nonreal_certificate(gens, cert)
     _emit(
         args,
         {"accepted": ok},
@@ -255,7 +255,6 @@ def _build_parser():
     p = sub.add_parser("verify", help="check a non-realness certificate")
     common(p)
     p.add_argument("-c", "--certificate", required=True, help="certificate JSON file")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate a polynomial at a matrix point")

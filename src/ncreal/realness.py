@@ -17,16 +17,19 @@ and a weighted SOS such that
 
 with some member r_k outside the ideal: the sum of squares lands in
 I + I^* while a square root escapes I, which is exactly non-realness.
-Certificates are exact (Fractions) whenever a closed form or a rational
-lift succeeds, and numeric (float coefficient dicts, checked to a
-tolerance) otherwise.
+Every certificate is exact: Poly multipliers and members, Fraction
+weights.  The SDP route reports NotReal only with a rational witness, a
+lifted numeric solution or a point the exact check pins down; projections
+that converge without one are Inconclusive.  Its exact check runs at any
+problem size.
 
-verify_nonreal_certificate(gens, cert, tol, basis=None) checks both kinds
-through one defect dict, lhs - rhs, rejects NaN, infinities and
-non-rational numbers in exact certificates, and takes a precomputed left
-Groebner basis as basis=.  The closed-form deciders return unchecked
-certificates against their own input; real_test realigns each onto its
-generators and verifies it once, and direct callers use the verifier.
+verify_nonreal_certificate(gens, cert, basis=None) forms the defect,
+lhs - rhs, as one coefficient dict and accepts only an empty defect,
+positive weights, rational numbers throughout and some member of nonzero
+normal form; basis= takes a precomputed left Groebner basis.  The
+closed-form deciders return unchecked certificates against their own
+input; real_test realigns each onto its generators and verifies it once,
+and direct callers use the verifier.
 
 Dispatch tries exact closed forms first -- monomial ideals, purely
 analytic generators, linear, univariate quadratic, homogeneous principal,
@@ -34,11 +37,8 @@ analytic + antianalytic -- and falls back to the semidefinite feasibility
 route with exact rational post-processing.
 """
 
-import math
 from fractions import Fraction
 from numbers import Rational
-
-import numpy as np
 
 from .algebra import (
     MonomialOrder,
@@ -54,7 +54,7 @@ from .exactla import psd_check_exact
 from .factor import factor_homogeneous
 from .gram import decompose_quadratic_univariate, pm_sos_kind, quad_coeffs
 from .groebner import left_groebner
-from .parsing import parse_poly, parse_word, poly_str
+from .parsing import parse_poly, poly_str
 from .sdp import solve_feasibility
 from .sdp_build import (
     build_real_sdp,
@@ -76,44 +76,40 @@ INCONCLUSIVE = "Inconclusive"
 class NonRealCertificate:
     """Witness of non-realness; see the module docstring for the identity.
 
-    Exact certificates hold Poly multipliers/members and Fraction weights;
-    numeric ones hold {word: float} dicts and float weights.
+    Multipliers and members are Polys, weights Fractions.  exact is always
+    True; saved documents carry it as "exact": true.
     """
 
-    def __init__(self, multipliers, weights, members, exact, residual=None):
+    exact = True
+
+    def __init__(self, multipliers, weights, members):
         self.multipliers = list(multipliers)
         self.weights = list(weights)
         self.members = list(members)
-        self.exact = exact
-        self.residual = residual
 
     def to_json(self):
-        poly, weight = (poly_str, str) if self.exact else (_terms_json, float)
         return {
-            "exact": self.exact,
-            "multipliers": [poly(q) for q in self.multipliers],
+            "exact": True,
+            "multipliers": [poly_str(q) for q in self.multipliers],
             "sos": {
-                "weights": [weight(w) for w in self.weights],
-                "polys": [poly(r) for r in self.members],
+                "weights": [str(w) for w in self.weights],
+                "polys": [poly_str(r) for r in self.members],
             },
-            "residual": None if self.exact else self.residual,
         }
 
     @classmethod
     def from_json(cls, data, g):
         """Inverse of to_json; raises ValueError on a malformed document."""
-        exact = _field(data, "exact", bool)
+        if _field(data, "exact", bool) is not True:
+            raise ValueError("malformed certificate: only exact certificates exist")
         multipliers = _field(data, "multipliers", list)
         sos = _field(data, "sos", dict)
         weights, polys = _field(sos, "weights", list), _field(sos, "polys", list)
-        poly, weight = (parse_poly, Fraction) if exact else (_terms_from_json, float)
         try:
             return cls(
-                [poly(q, g) for q in multipliers],
-                [weight(w) for w in weights],
-                [poly(r, g) for r in polys],
-                exact,
-                None if exact else data.get("residual"),
+                [parse_poly(q, g) for q in multipliers],
+                [Fraction(w) for w in weights],
+                [parse_poly(r, g) for r in polys],
             )
         except (AttributeError, TypeError, OverflowError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed certificate: {exc}") from None
@@ -124,14 +120,6 @@ def _field(data, key, kind):
     if not isinstance(value, kind):
         raise ValueError(f"malformed certificate: {key!r} must be a {kind.__name__}")
     return value
-
-
-def _terms_json(d):
-    return {word_str(w): float(c) for w, c in d.items()}
-
-
-def _terms_from_json(data, g):
-    return {parse_word(s, g): float(c) for s, c in data.items()}
 
 
 class RealnessVerdict:
@@ -163,10 +151,6 @@ def _terms(p):
     return p.terms if isinstance(p, Poly) else p
 
 
-def _inf_norm(d):
-    return max((abs(c) for c in d.values()), default=0.0)
-
-
 def _defect(gens, multipliers, weights, members):
     """sum_t (q_t gen_t + gen_t^* q_t^*) - sum_k w_k r_k^* r_k as one coefficient dict."""
     acc = {}
@@ -178,17 +162,15 @@ def _defect(gens, multipliers, weights, members):
     return acc
 
 
-def verify_nonreal_certificate(gens, cert, tol=1e-8, basis=None):
+def verify_nonreal_certificate(gens, cert, tol=None, basis=None):
     """Check a NonRealCertificate against the generators it claims to refute.
 
-    Both kinds go through one defect dict, lhs - rhs of the identity.  Exact
-    certificates must hold rational numbers only, have an empty defect,
-    positive weights and some member of nonzero normal form.  Numeric
-    certificates must hold finite numbers only, have a defect of inf-norm
-    <= tol (stored in cert.residual), weights >= -tol, and keep some member
-    visibly outside the ideal (normal form above sqrt(tol) relative to the
-    member's own size).  basis, when given, is a left Groebner basis of the
-    ideal generated by gens; otherwise one is computed.
+    The certificate must hold rational numbers only, its defect (lhs - rhs
+    of the identity, as one coefficient dict) must be empty, its weights
+    positive, and some member must have a nonzero normal form.  basis, when
+    given, is a left Groebner basis of the ideal generated by gens;
+    otherwise one is computed.  tol is accepted for compatibility and
+    unused: the check is exact.
     """
     gens = list(gens)
     if not gens or len(cert.multipliers) != len(gens):
@@ -198,30 +180,13 @@ def verify_nonreal_certificate(gens, cert, tol=1e-8, basis=None):
     qs = [_terms(q) for q in cert.multipliers]
     rs = [_terms(r) for r in cert.members]
     numbers = [*cert.weights, *(c for d in qs + rs for c in d.values())]
-    try:
-        if cert.exact:
-            if not all(isinstance(c, Rational) for c in numbers):
-                return False
-        elif not all(math.isfinite(c) for c in numbers):
-            return False
-        defect = _defect(gens, qs, cert.weights, rs)
-    except OverflowError:  # a number, or an exact sum met by a float, too large for a float
+    if not all(isinstance(c, Rational) for c in numbers):
         return False
-    if cert.exact:
-        if defect or any(w <= 0 for w in cert.weights):
-            return False
-    else:
-        cert.residual = _inf_norm(defect)
-        # written as "not <=" so that a NaN from float overflow fails too
-        if not cert.residual <= tol or any(w < -tol for w in cert.weights):
-            return False
+    if _defect(gens, qs, cert.weights, rs) or any(w <= 0 for w in cert.weights):
+        return False
     if basis is None:
         basis = left_groebner(gens)
-    for r in rs:
-        floor = 0 if cert.exact else math.sqrt(tol) * max(1.0, _inf_norm(r))
-        if _inf_norm(basis.reduce(r)) > floor:
-            return True
-    return False
+    return any(any(basis.reduce(r).values()) for r in rs)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +236,7 @@ def real_monomial_ideal(gens, order=None):
         c = gens[i].terms[w]
         mult = [Poly.zero(g) for _ in gens]
         mult[i] = Poly.from_word(g, word_star(v), Fraction(1, 2) / c)
-        cert = NonRealCertificate(mult, [Fraction(1)], [member], exact=True)
+        cert = NonRealCertificate(mult, [Fraction(1)], [member])
         return RealnessVerdict(
             NOT_REAL, "monomial", cert,
             detail=f"generator {word_str(w)} shrinks at length {k}",
@@ -301,9 +266,7 @@ def _analytic_antianalytic_core(p, method):
         raise ValueError("generator must be nonconstant")
     if const and b_star == -a.star():
         sign = Fraction(1 if const > 0 else -1)
-        cert = NonRealCertificate(
-            [Poly.constant(g, sign)], [2 * abs(const)], [Poly.one(g)], exact=True,
-        )
+        cert = NonRealCertificate([Poly.constant(g, sign)], [2 * abs(const)], [Poly.one(g)])
         return RealnessVerdict(
             NOT_REAL, method, cert,
             detail="p = a - a* + c with c nonzero, so p + p* = 2c",
@@ -389,7 +352,7 @@ def _quadratic_certificate(p, q):
     sos = decompose_quadratic_univariate(*quad_coeffs(s))
     if sos is None:
         return None
-    return NonRealCertificate([q], sos.weights, sos.polys, exact=True)
+    return NonRealCertificate([q], sos.weights, sos.polys)
 
 
 def _prefix_products(fac, g):
@@ -426,9 +389,7 @@ def real_principal_homogeneous(p, order=None):
         tail = Poly.one(g)
         for f in fac.factors[ell:]:
             tail = tail * f
-        cert = NonRealCertificate(
-            [q], sos.weights, [r * tail for r in sos.polys], exact=True,
-        )
+        cert = NonRealCertificate([q], sos.weights, [r * tail for r in sos.polys])
         return RealnessVerdict(
             NOT_REAL, "principal-homogeneous", cert,
             detail=f"prefix product of the first {ell} factor(s) has a signed SOS symmetrization",
@@ -484,7 +445,7 @@ def _checked(verdict, gens, reps, basis=None):
     if cert is not None:
         mult = _realign(dict(enumerate(cert.multipliers)), reps, len(gens))
         cert = NonRealCertificate(
-            [Poly(gens[0].g, q) for q in mult], cert.weights, cert.members, True,
+            [Poly(gens[0].g, q) for q in mult], cert.weights, cert.members,
         )
         if not verify_nonreal_certificate(gens, cert, basis=basis):
             raise AssertionError(f"internal error: {verdict.method} certificate failed to verify")
@@ -509,28 +470,10 @@ def _exact_sdp_certificate(basis, problem, G, qdicts):
             problem.words[res.perm[i]]: res.lower[i][k] for i in range(problem.n)
         }))
     mult = [Poly(basis.g, q) for q in _realign(qdicts, basis.reps, basis.ngens)]
-    return NonRealCertificate(mult, weights, members, exact=True)
+    return NonRealCertificate(mult, weights, members)
 
 
-def _numeric_sdp_certificate(basis, problem, G, qnum):
-    w, V = np.linalg.eigh((G + G.T) / 2.0)
-    # Keep every essentially-positive eigenpair: dropping weight inflates the
-    # identity residual, so only noise-level eigenvalues are discarded.
-    cutoff = 1e-14 * max(1.0, float(w[-1])) if len(w) else 0.0
-    weights, members = [], []
-    for k in range(len(w)):
-        if w[k] <= cutoff:
-            continue
-        weights.append(float(w[k]))
-        members.append(
-            {problem.words[i]: float(V[i, k]) for i in range(problem.n) if V[i, k]}
-        )
-    return NonRealCertificate(
-        _realign(qnum, basis.reps, basis.ngens), weights, members, exact=False,
-    )
-
-
-def _sdp_route(gens, basis, tol, max_iter, stall_window, exact_cap):
+def _sdp_route(gens, basis, tol, max_iter, stall_window):
     problem = build_real_sdp(basis)
     result = solve_feasibility(problem, tol=tol, max_iter=max_iter, stall_window=stall_window)
 
@@ -538,34 +481,24 @@ def _sdp_route(gens, basis, tol, max_iter, stall_window, exact_cap):
         qnum = recover_multipliers(problem, result.G)
         lifted = exact_lift(problem, result.G, qnum)
         if lifted is not None:
-            exact_cert = _exact_sdp_certificate(basis, problem, *lifted)
-            if exact_cert is not None and verify_nonreal_certificate(gens, exact_cert, basis=basis):
+            cert = _exact_sdp_certificate(basis, problem, *lifted)
+            if cert is not None and verify_nonreal_certificate(gens, cert, basis=basis):
                 return RealnessVerdict(
-                    NOT_REAL, "sdp-exact", exact_cert,
+                    NOT_REAL, "sdp-exact", cert,
                     detail="numeric solution lifted to an exact rational witness",
                 )
-        cert = _numeric_sdp_certificate(basis, problem, result.G, qnum)
-        if verify_nonreal_certificate(gens, cert, tol=50 * tol, basis=basis):
-            return RealnessVerdict(
-                NOT_REAL, "sdp-numeric", cert, residual=cert.residual,
-                detail=f"feasible after {result.iterations} projection steps",
-            )
-        return RealnessVerdict(
-            INCONCLUSIVE, "sdp-numeric", residual=cert.residual,
-            detail="projections converged but the certificate failed verification",
-        )
 
-    exact_status, data = exact_infeasibility_check(problem, max_unknowns=exact_cap)
+    exact_status, data = exact_infeasibility_check(problem)
     if exact_status == "infeasible":
         return RealnessVerdict(
             REAL, "sdp-exact",
             detail="exact elimination refutes the feasibility system",
         )
     if exact_status == "feasible":
-        exact_cert = _exact_sdp_certificate(basis, problem, *data)
-        if exact_cert is not None and verify_nonreal_certificate(gens, exact_cert, basis=basis):
+        cert = _exact_sdp_certificate(basis, problem, *data)
+        if cert is not None and verify_nonreal_certificate(gens, cert, basis=basis):
             return RealnessVerdict(
-                NOT_REAL, "sdp-exact", exact_cert,
+                NOT_REAL, "sdp-exact", cert,
                 detail="exact elimination produced a feasible witness",
             )
     if result.status == "likely_infeasible":
@@ -574,10 +507,11 @@ def _sdp_route(gens, basis, tol, max_iter, stall_window, exact_cap):
             detail=f"projection gap stalled at {result.final_gap:.3e} "
                    f"after {result.iterations} steps",
         )
-    return RealnessVerdict(
-        INCONCLUSIVE, "sdp-numeric", residual=result.final_gap,
-        detail=f"no decision within {result.iterations} projection steps",
-    )
+    if result.status == "feasible":
+        detail = f"projections converged in {result.iterations} steps, but no rational lift verified"
+    else:
+        detail = f"no decision within {result.iterations} projection steps"
+    return RealnessVerdict(INCONCLUSIVE, "sdp-numeric", residual=result.final_gap, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +535,6 @@ def _decide_single_exact(p, order):
                 [q.relabel_variable(1, var, p.g) for q in cert.multipliers],
                 cert.weights,
                 [r.relabel_variable(1, var, p.g) for r in cert.members],
-                cert.exact,
             )
         return verdict
     if p.is_homogeneous():
@@ -614,7 +547,7 @@ def _decide_single_exact(p, order):
 
 
 def real_test(gens, order=None, method="auto", tol=1e-8, max_iter=20000,
-              stall_window=500, exact_cap=120):
+              stall_window=500):
     """Decide realness of the left ideal generated by gens.
 
     method: "auto" (closed forms, then SDP), "exact" (closed forms only;
@@ -672,4 +605,4 @@ def real_test(gens, order=None, method="auto", tol=1e-8, max_iter=20000,
             INCONCLUSIVE, "exact",
             detail="no exact closed form applies to these generators",
         )
-    return _sdp_route(gens, basis, tol, max_iter, stall_window, exact_cap)
+    return _sdp_route(gens, basis, tol, max_iter, stall_window)

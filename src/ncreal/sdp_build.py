@@ -26,8 +26,9 @@ The solved system is stored on the problem and serves the rest:
 
 * exact_infeasibility_check: PSD propagation on a copy of the system (a
   pinned negative diagonal kills feasibility; a pinned zero diagonal
-  forces its row and column to zero).  When the system pins G completely,
-  an exact PSD test decides feasibility outright.
+  forces its row and column to zero), at any problem size.  When the
+  system pins G completely, an exact PSD test decides feasibility
+  outright.
 * exact_lift: rounds a numeric solution to small rationals along the free
   variables of the solved system, producing an exactly feasible pair (G, q)
   when the rounding verifies.
@@ -150,20 +151,19 @@ def _exact_system(problem):
     return problem.system.copy()
 
 
-def exact_infeasibility_check(problem, max_unknowns=120):
-    """Decide feasibility exactly when the system is small or rigid enough.
+def exact_infeasibility_check(problem):
+    """Decide feasibility exactly, by PSD propagation on the solved system.
 
     Returns ("infeasible", None), ("feasible", (G, qdicts)), or
     ("unknown", None).  Sound in both decided directions: "infeasible" comes
     with a rational proof (inconsistency, a negative pinned diagonal after
-    PSD propagation, or a fully pinned non-PSD G), "feasible" returns an
-    exactly verified point.  Inconsistent constraints are decided whatever
-    max_unknowns is; the problem's system is not changed.
+    PSD propagation, a contradiction met while forcing zeros, or a fully
+    pinned non-PSD G), "feasible" returns an exactly verified point.  Runs
+    in rational arithmetic at any problem size, on a copy of the problem's
+    system, which is not changed.
     """
     if problem.inconsistent:
         return "infeasible", None
-    if len(problem.gvars) + len(problem.qvars) > max_unknowns:
-        return "unknown", None
     sys = _exact_system(problem)
     m = problem.n
     forced = set()

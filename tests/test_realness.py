@@ -1,6 +1,7 @@
 """Realness deciders: closed forms, dispatch, SDP fallback, certificates."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -229,20 +230,53 @@ def test_sdp_refutes_to_real():
 
 
 def test_sdp_inconsistent_constraints_are_an_exact_proof():
-    # x1 in I pins G = 0 against trace G = 1; that is decided exactly even
-    # when the unknown cap switches the exact check off
-    v = real_test([parse_poly("x1")], method="sdp", exact_cap=0)
+    # x1 in I pins G = 0 against trace G = 1, which is decided exactly
+    v = real_test([parse_poly("x1")], method="sdp")
     assert v.status == REAL and v.method == "sdp-exact"
 
 
 def test_sdp_numerically_real():
-    # auto dispatch decides this analytic generator exactly; forcing the sdp
-    # route exercises the stall detector, whose verdict must stay consistent
-    p = parse_poly("x1^4 + x1^2")
-    assert real_test([p]).status == REAL
+    # auto dispatch decides this univariate quadratic exactly; forcing the
+    # sdp route exercises the stall detector, whose verdict must stay
+    # consistent (the exact check does not decide it)
+    p = parse_poly("-3 x1^2 + x1 x1* + x1* x1 + 2 x1*^2 + 2 x1 + 3 x1* + 1")
+    v = real_test([p])
+    assert v.status == REAL and v.method == "quadratic-univariate"
     v = real_test([p], method="sdp")
     assert v.status == NUMERICALLY_REAL and v.method == "sdp-numeric"
     assert v.residual is not None and v.residual > 0
+
+
+@pytest.mark.parametrize("text", [
+    "x1^2 x1*^2 + x1* x1 - 1",
+    "x1 x2 x1* - x2 + 2\nx2* x2 x1 + x1*",
+])
+def test_sdp_exact_check_decides_above_the_old_unknown_cap(text):
+    # 135 and 273 unknowns (G and q), above the 120 that once switched the
+    # exact check off and left these NumericallyReal
+    gens = _gens(text)
+    v = real_test(gens, method="sdp", max_iter=2000)
+    assert v.status == REAL and v.method == "sdp-exact"
+
+
+def test_sdp_route_never_contradicts_the_monomial_decider():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(40):
+        g = rng.choice([1, 2])
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            word = tuple(rng.randrange(2 * g) for _ in range(rng.randint(2, 3)))
+            gens.append(Poly.from_word(g, word, Fraction(rng.choice([-3, -1, 1, 2]))))
+        exact = real_test(gens)
+        sdp = real_test(gens, method="sdp", max_iter=2000)
+        assert exact.method == "monomial"
+        assert {exact.status, sdp.status} != {REAL, NOT_REAL}, gens
+        for v in (exact, sdp):
+            if v.status == NOT_REAL:
+                assert verify_nonreal_certificate(gens, v.certificate)
+        seen.add(sdp.status)
+    assert {REAL, NOT_REAL} <= seen
 
 
 def test_sdp_agrees_with_monomial_decider():
@@ -274,39 +308,21 @@ def test_collapsed_generators_realign_certificate():
 
 def _good_exact_cert():
     gens = [parse_poly("x1* x1")]
-    cert = NonRealCertificate(
-        [Poly.constant(1, Fraction(1))], [Fraction(2)], [parse_poly("x1")], exact=True,
-    )
+    cert = NonRealCertificate([Poly.constant(1, Fraction(1))], [Fraction(2)], [parse_poly("x1")])
     assert verify_nonreal_certificate(gens, cert)
     return gens, cert
 
 
 def test_verifier_rejects_tampered_certificates():
     gens, cert = _good_exact_cert()
-    bad = NonRealCertificate(cert.multipliers, [Fraction(-2)], cert.members, True)
+    bad = NonRealCertificate(cert.multipliers, [Fraction(-2)], cert.members)
     assert not verify_nonreal_certificate(gens, bad)
-    bad = NonRealCertificate([parse_poly("x1 + 1")], cert.weights, cert.members, True)
+    bad = NonRealCertificate([parse_poly("x1 + 1")], cert.weights, cert.members)
     assert not verify_nonreal_certificate(gens, bad)
     # members inside the ideal witness nothing
-    bad = NonRealCertificate(
-        [parse_poly("x1* x1")], [Fraction(1)], [parse_poly("x1* x1")], True,
-    )
+    bad = NonRealCertificate([parse_poly("x1* x1")], [Fraction(1)], [parse_poly("x1* x1")])
     assert not verify_nonreal_certificate(gens, bad)
-    assert not verify_nonreal_certificate(gens, NonRealCertificate([], [], [], True))
-
-
-def test_numeric_certificate_verification_and_json():
-    gens = [parse_poly("x1* x1")]
-    cert = NonRealCertificate(
-        [{(): 1.0}], [2.0], [{(0,): 1.0}], exact=False, residual=0.0,
-    )
-    assert verify_nonreal_certificate(gens, cert)
-    data = json.loads(json.dumps(cert.to_json()))
-    assert data["exact"] is False
-    back = NonRealCertificate.from_json(data, 1)
-    assert verify_nonreal_certificate(gens, back)
-    off = NonRealCertificate([{(): 1.0}], [2.0], [{(0,): 1.0 + 1e-3}], False)
-    assert not verify_nonreal_certificate(gens, off)
+    assert not verify_nonreal_certificate(gens, NonRealCertificate([], [], []))
 
 
 def test_verdict_json_shape():
@@ -319,33 +335,25 @@ def test_verdict_json_shape():
 
 
 def test_verifier_rejects_non_finite_and_non_rational_numbers():
-    nan, inf = float("nan"), float("inf")
-    gens = [parse_poly("x1 x1* + 3 x2")]
-    assert not verify_nonreal_certificate(
-        gens, NonRealCertificate([{(): nan}], [1.0], [{(0,): 1.0}], False))
-    gens = [parse_poly("x1* x1 + 1")]
-    for weight in (nan, inf):
-        cert = NonRealCertificate([{(): 5.0}], [weight], [{(0,): 1.0}], False)
-        assert not verify_nonreal_certificate(gens, cert)
     gens, cert = _good_exact_cert()
-    for weight in (nan, 2.0):
-        bad = NonRealCertificate(cert.multipliers, [weight], cert.members, True)
+    for weight in (float("nan"), float("inf"), 2.0):
+        bad = NonRealCertificate(cert.multipliers, [weight], cert.members)
         assert not verify_nonreal_certificate(gens, bad)
 
 
-def test_verifier_rejects_numbers_too_large_for_a_float():
-    gens = [parse_poly("x1* x1")]
-    huge = 10**400
-    for cert in (
-        NonRealCertificate([{(): huge}], [1.0], [{(0,): 1.0}], False),
-        NonRealCertificate([{(): 0.5}], [huge], [{(0,): 1.0}], False),
-        NonRealCertificate([{(): Fraction(huge, 3)}], [1.0], [{(0,): 1.0}], False),
-        # each number fits a float, but 2 * 10**308 in the defect does not
-        NonRealCertificate([{(): 10**308}], [1.0], [{(0,): 1.0}], False),
-    ):
-        assert not verify_nonreal_certificate(gens, cert)
-    assert verify_nonreal_certificate(
-        gens, NonRealCertificate([{(): 0.5}], [1.0], [{(0,): 1.0}], False))
+def test_float_certificates_are_rejected():
+    gens, cert = _good_exact_cert()
+    data = cert.to_json()
+    assert data["exact"] is True
+    with pytest.raises(ValueError):
+        NonRealCertificate.from_json({**data, "exact": False}, 1)
+    # the float image of a valid certificate: the same identity, to the bit
+    floats = NonRealCertificate(
+        [Poly(1, {w: float(c) for w, c in q.terms.items()}) for q in cert.multipliers],
+        [float(w) for w in cert.weights],
+        [Poly(1, {w: float(c) for w, c in r.terms.items()}) for r in cert.members],
+    )
+    assert not verify_nonreal_certificate(gens, floats)
 
 
 # ---------------------------------------------------------------------------
@@ -386,48 +394,3 @@ def test_real_test_rejects_a_tampered_decider_certificate(monkeypatch):
     monkeypatch.setattr(realness, "real_linear", tampered)
     with pytest.raises(AssertionError):
         real_test([parse_poly("x1 - x1* + 1")])
-
-
-# ---------------------------------------------------------------------------
-# exact and numeric certificates go through the same check
-# ---------------------------------------------------------------------------
-
-def _float_image(cert):
-    def floats(p):
-        return {w: float(c) for w, c in p.terms.items()}
-    return NonRealCertificate(
-        [floats(q) for q in cert.multipliers], [float(w) for w in cert.weights],
-        [floats(r) for r in cert.members], exact=False,
-    )
-
-
-def _exact_defect_norm(gens, cert):
-    """Inf-norm of lhs - rhs, recomputed in exact rationals from the stored numbers."""
-    def poly(p):
-        return p if isinstance(p, Poly) else Poly(gens[0].g, {w: Fraction(c) for w, c in p.items()})
-    defect = Poly.zero(gens[0].g)
-    for q, p in zip(cert.multipliers, gens):
-        defect = defect + poly(q) * p + p.star() * poly(q).star()
-    for w, r in zip(cert.weights, cert.members):
-        defect = defect - Fraction(w) * (poly(r).star() * poly(r))
-    return float(max((abs(c) for c in defect.terms.values()), default=0))
-
-
-def test_exact_certificate_and_its_float_image_agree():
-    gens = _gens("12 + 2 x1 + 1/3 x1 x1* - 1/3 x1*^2")
-    v = real_test(gens)
-    assert v.status == NOT_REAL and v.certificate.exact
-    image = _float_image(v.certificate)
-    assert verify_nonreal_certificate(gens, image, tol=1e-8)
-    assert image.residual <= 1e-8
-    # both sides are float rounding of a coefficient ~36 identity
-    assert image.residual == pytest.approx(_exact_defect_norm(gens, image), abs=1e-12)
-
-    exact_members = list(v.certificate.members)
-    exact_members[0] = exact_members[0] + Fraction(1, 1000) * Poly.gen(1, 1)
-    off = NonRealCertificate(v.certificate.multipliers, v.certificate.weights, exact_members, True)
-    assert not verify_nonreal_certificate(gens, off)
-    off_image = _float_image(off)
-    assert not verify_nonreal_certificate(gens, off_image, tol=1e-8)
-    assert off_image.residual == pytest.approx(_exact_defect_norm(gens, off_image), rel=1e-9)
-    assert off_image.residual > 1e-4

@@ -406,7 +406,7 @@ def test_inconsistent_constraints_are_found_exactly():
     problem = build_real_sdp(left_groebner([parse_poly("x1")]))
     assert problem.inconsistent and problem.affine_residual == 1.0
     assert problem.A.shape == (0, 1)
-    assert exact_infeasibility_check(problem, max_unknowns=0) == ("infeasible", None)
+    assert exact_infeasibility_check(problem) == ("infeasible", None)
     assert exact_lift(problem, np.eye(1), {}) is None
 
 
