@@ -3,10 +3,14 @@
 The feasibility set is the intersection of the PSD cone with an affine
 subspace of symmetric matrices, described in scaled vector coordinates
 (svec) by an orthonormal-row system A x = b, so the affine projection is
-x - A^T (A x - b).  Alternating projections converge to a point of the
-intersection when it is nonempty; when it is empty the gap between the two
-projections stabilizes at the positive distance between the sets, which is
-what the stall detector looks for.
+x - A^T (A x - b).  A is kept sparse, as coordinate triples (rows, cols,
+vals): build_real_sdp makes it from one small QR per component of the
+exact system, so it is block-diagonal up to a permutation of the
+coordinates, and A x and A^T r are one np.bincount each.  Alternating
+projections converge to a point of the intersection when it is nonempty;
+when it is empty the gap between the two projections stabilizes at the
+positive distance between the sets, which is what the stall detector looks
+for.
 
 The svec layout of each side length n (upper-triangle indices and the
 sqrt(2) off-diagonal scale) is built once and cached by _svec_index.  Each
@@ -60,7 +64,10 @@ class SdpProblem:
 
     n            -- side length of G
     words        -- labels of the rows/columns of G
-    A, b         -- orthonormal-row affine system in svec coordinates
+    rows, cols, vals -- the nonzeros of A, whose rows are orthonormal, in
+                    svec coordinates: A[rows[k], cols[k]] = vals[k]; the
+                    index arrays are integer-typed even when empty
+    b            -- right-hand side, one entry per row of A
     inconsistent -- True when the constraints admit no solution at all;
                     solve_feasibility then stops at once
     affine_residual -- for inconsistent constraints, the size of the
@@ -69,13 +76,16 @@ class SdpProblem:
     build_real_sdp also records the number of variables g and the word
     order, the exact rows (gdict, qdict, const), the G and q unknowns, and
     system: the rows solved exactly with the multipliers q eliminated
-    first (an ExactAffineSystem), from which A and b were derived.  The
-    exact post-checks and multiplier recovery read that one system.
+    first (an ExactAffineSystem), from whose components A and b were
+    derived.  The exact post-checks and multiplier recovery read that one
+    system.
     """
 
     n: int
     words: list
-    A: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     b: np.ndarray
     inconsistent: bool = False
     affine_residual: float = 0.0
@@ -110,21 +120,26 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000, stall_window=500):
             "likely_infeasible", None, 0, problem.affine_residual, []
         )
     n = problem.n
-    A, b = problem.A, problem.b
+    rows, cols, vals, b = problem.rows, problem.cols, problem.vals, problem.b
+    m, N = len(b), n * (n + 1) // 2
+
+    def residual(x):  # A x - b
+        return np.bincount(rows, vals * x[cols], minlength=m) - b
+
     G = np.eye(n) / n
     x = svec(G)
-    r = A @ x - b  # with no rows, r is empty: norm 0 and A^T r == 0
+    r = residual(x)  # with no rows, r is empty: norm 0 and A^T r == 0
     gaps = []
     for it in range(1, max_iter + 1):
         # H is assembled exactly symmetric, so eigh needs no symmetrisation
-        H = svec_inverse(x - A.T @ r, n)
+        H = svec_inverse(x - np.bincount(cols, vals * r[rows], minlength=N), n)
         w, V = np.linalg.eigh(H)
         if w[0] >= -tol:
             return FeasibilityResult("feasible", H, it, 0.0, gaps)
         G = (V * np.clip(w, 0.0, None)) @ V.T
         G = (G + G.T) / 2.0
         x = svec(G)
-        r = A @ x - b
+        r = residual(x)
         if np.linalg.norm(r) <= tol:
             return FeasibilityResult("feasible", G, it, 0.0, gaps)
         gaps.append(np.linalg.norm(H - G))

@@ -17,10 +17,14 @@ elimination (ExactAffineSystem) that pivots on multiplier unknowns first.
 Every solved G unknown is then an expression G_p - sum_f e_f G_f = c over
 free G unknowns alone: these rows cut out exactly the G for which some
 multipliers exist.  In svec coordinates they form a full-row-rank matrix
-B = [I | -E], and one QR factorization B^T = Q R gives the orthonormal-row
-system A = Q^T, b = R^-T c of the alternating-projection solver.  Its rank
-is the number of G pivots; no float threshold decides it.  A row that
-reduces to 0 = c proves the constraints inconsistent.
+B = [I | -E], which is almost empty: joining each pivot with the free
+unknowns of its expression splits the coordinates into many small
+independent components.  One QR factorization B_c^T = Q_c R_c per
+component gives the orthonormal rows A_c = Q_c^T and b_c = R_c^-T c_c of
+the alternating-projection solver, kept in coordinate form; no dense A and
+no QR over all of B is ever formed.  The rank is the number of G pivots;
+no float threshold decides it.  A row that reduces to 0 = c proves the
+constraints inconsistent.
 
 The solved system is stored on the problem and serves the rest:
 
@@ -40,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import word_star, words_up_to
-from .exactla import ExactAffineSystem, Inconsistent, psd_check_exact, to_fraction_matrix
+from .exactla import ExactAffineSystem, Inconsistent, psd_check_exact
 from .sdp import SdpProblem, _svec_index
 
 
@@ -92,7 +96,6 @@ def build_real_sdp(basis):
     # Eliminate the multipliers first: what is left on G pivots involves G only.
     system = ExactAffineSystem(priority=lambda var: 0 if var[0] == "q" else 1)
     gvars = [(i, j) for i in range(m) for j in range(i, m)]
-    A, b = np.zeros((0, len(gvars))), np.zeros(0)
     try:
         for gdict, qdict, const in exact_rows:
             rowvars = {("g",) + key: c for key, c in gdict.items()}
@@ -100,34 +103,77 @@ def build_real_sdp(basis):
                 rowvars[("q",) + key] = -c
             system.add_row(rowvars, const)
     except Inconsistent as exc:
+        empty = np.zeros(0, dtype=np.intp)
         return SdpProblem(
-            m, words, A, b, True, float(abs(exc.const)), g=g, order=order,
+            m, words, empty, empty, np.zeros(0), np.zeros(0),
+            True, float(abs(exc.const)), g=g, order=order,
             exact_rows=exact_rows, gvars=gvars, qvars=qvars, system=system,
         )
 
+    rows, cols, vals, b = _component_rows(system, gvars, m)
+    return SdpProblem(
+        m, words, rows, cols, vals, b, g=g, order=order,
+        exact_rows=exact_rows, gvars=gvars, qvars=qvars, system=system,
+    )
+
+
+def _component_rows(system, gvars, m):
+    """The orthonormal rows of the solved G pivots, one QR per component.
+
+    A G pivot's expression holds free G unknowns only, so joining each pivot
+    with the unknowns of its expression splits the svec coordinates into
+    independent components.  Each component that holds a pivot gives
+    B_c = [I | -E_c] in svec scaling and one QR B_c^T = Q_c R_c, so that
+    A_c = Q_c^T and b_c = R_c^-T c_c; a component without a pivot adds no
+    rows.  Returns the rows of all A_c in coordinate form (rows, cols, vals)
+    and the stacked b.
+    """
     # gvars runs through the upper triangle row by row, as svec does.
     gindex = {("g",) + v: k for k, v in enumerate(gvars)}
     _, scale = _svec_index(m)
+    parent = list(range(len(gvars)))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
     pivots = sorted(gindex[var] for var in system.solved if var[0] == "g")
-    if pivots:
-        B = np.zeros((len(pivots), len(gvars)))
-        c = np.zeros(len(pivots))
-        for r, p in enumerate(pivots):
-            expr, c0 = system.solved[("g",) + gvars[p]]
+    for p in pivots:
+        for f in system.solved[("g",) + gvars[p]][0]:
+            parent[find(gindex[f])] = find(p)
+    components = {}
+    for p in pivots:
+        components.setdefault(find(p), []).append(p)
+
+    # empty seeds keep the index arrays integer-typed when there is no
+    # pivot: np.bincount rejects float indices
+    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    vals, b = [np.zeros(0)], [np.zeros(0)]
+    nrows = 0
+    for cpivots in components.values():
+        exprs = [system.solved[("g",) + gvars[p]] for p in cpivots]
+        coords = sorted({*cpivots, *(gindex[f] for expr, _ in exprs for f in expr)})
+        local = {k: i for i, k in enumerate(coords)}
+        B = np.zeros((len(cpivots), len(coords)))
+        c = np.empty(len(cpivots))
+        for r, (p, (expr, c0)) in enumerate(zip(cpivots, exprs)):
             # G_p - sum e_f G_f = c0 in svec coordinates x_k = scale_k G_k
-            B[r, p] = 1.0
+            B[r, local[p]] = 1.0
             for f, e in expr.items():
                 k = gindex[f]
-                B[r, k] = -float(e) * scale[p] / scale[k]
+                B[r, local[k]] = -float(e) * scale[p] / scale[k]
             c[r] = float(c0) * scale[p]
         Q, R = np.linalg.qr(B.T)
-        A = np.ascontiguousarray(Q.T)
-        b = np.linalg.solve(R.T, c)
-
-    return SdpProblem(
-        m, words, A, b, g=g, order=order,
-        exact_rows=exact_rows, gvars=gvars, qvars=qvars, system=system,
-    )
+        rows.append(np.repeat(np.arange(nrows, nrows + len(cpivots)), len(coords)))
+        cols.append(np.tile(coords, len(cpivots)))
+        vals.append(Q.T.ravel())
+        b.append(np.linalg.solve(R.T, c))
+        nrows += len(cpivots)
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep], np.concatenate(b)
 
 
 def recover_multipliers(problem, G):
@@ -231,7 +277,7 @@ def exact_lift(problem, G_num, q_num, denominators=(10, 100, 10**4, 10**6)):
             (i, j): sys.evaluate(("g", i, j), assignment) for i, j in problem.gvars
         }
         G = [[values[(min(i, j), max(i, j))] for j in range(m)] for i in range(m)]
-        if not psd_check_exact(to_fraction_matrix(G)).is_psd:
+        if not psd_check_exact(G).is_psd:
             continue
         qdicts = {}
         for j, v in problem.qvars:

@@ -279,6 +279,26 @@ def test_sdp_route_never_contradicts_the_monomial_decider():
     assert {REAL, NOT_REAL} <= seen
 
 
+def test_sdp_route_never_contradicts_the_quadratic_closed_form():
+    words = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(40):
+        coeffs = [0] * len(words)
+        while not any(coeffs[3:]):
+            coeffs = [rng.randint(-3, 3) for _ in words]
+        gens = [Poly(1, {w: Fraction(c) for w, c in zip(words, coeffs) if c})]
+        exact = real_test(gens)
+        sdp = real_test(gens, method="sdp", max_iter=2000)
+        assert exact.method == "quadratic-univariate"
+        assert {exact.status, sdp.status} != {REAL, NOT_REAL}, gens
+        for v in (exact, sdp):
+            if v.status == NOT_REAL:
+                assert verify_nonreal_certificate(gens, v.certificate)
+        seen.add(exact.status)
+    assert {REAL, NOT_REAL} <= seen
+
+
 def test_sdp_agrees_with_monomial_decider():
     gens = [parse_poly("x1* x1^3")]
     exact = real_test(gens)

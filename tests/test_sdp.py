@@ -3,6 +3,7 @@ assembly of the realness SDP against the dense construction it replaced."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ncreal.exactla import ExactAffineSystem
 from ncreal.groebner import left_groebner
 from ncreal.parsing import parse_poly
 from ncreal.realness import NOT_REAL, REAL, real_test
-from ncreal.sdp import SdpProblem, solve_feasibility, svec, svec_inverse
+from ncreal.sdp import solve_feasibility, svec, svec_inverse
 from ncreal.sdp_build import (
     build_real_sdp,
     exact_infeasibility_check,
@@ -21,7 +22,7 @@ from ncreal.sdp_build import (
     recover_multipliers,
 )
 
-from util import eigen_sym, project_affine, project_psd
+from util import dense_rows, eigen_sym, problem_from_dense, project_affine, project_psd
 
 
 def _rand_sym(rng, n, scale=2.0):
@@ -82,7 +83,7 @@ def _normalized_rows(rows, b):
 def _trace_only_problem(n, value=1.0):
     row = svec(np.eye(n))
     A, b = _normalized_rows([row], [value])
-    return SdpProblem(n, list(range(n)), A, b)
+    return problem_from_dense(n, A, b)
 
 
 def test_trace_only_problem_is_immediately_feasible():
@@ -100,7 +101,7 @@ def test_forced_negative_diagonal_is_infeasible():
     E = np.zeros((n, n))
     E[0, 0] = 1.0
     A, b = _normalized_rows([svec(E)], [-1.0])
-    res = solve_feasibility(SdpProblem(n, list(range(n)), A, b))
+    res = solve_feasibility(problem_from_dense(n, A, b))
     assert res.status == "likely_infeasible"
     assert res.final_gap > 1e-7
     assert res.G is None
@@ -128,7 +129,7 @@ def test_exactly_feasible_system_is_found():
         rows.append(svec(C))
         rhs.append(float(svec(C) @ svec(target)))
     A, b = _normalized_rows(rows, rhs)
-    res = solve_feasibility(SdpProblem(n, list(range(n)), A, b))
+    res = solve_feasibility(problem_from_dense(n, A, b))
     assert res.status == "feasible"
     assert np.linalg.norm(A @ svec(res.G) - b) <= 1e-6
     assert np.linalg.eigvalsh(res.G)[0] >= -1e-8
@@ -142,7 +143,7 @@ def test_project_affine_is_a_projection():
     assert np.isclose(float(np.trace(H)), 2.0)
     assert np.allclose(project_affine(prob, H), H)
     # empty systems project to the input unchanged
-    empty = SdpProblem(3, list(range(3)), np.zeros((0, 6)), np.zeros(0))
+    empty = problem_from_dense(3, np.zeros((0, 6)), np.zeros(0))
     T = _rand_sym(rng, 3)
     assert np.allclose(project_affine(empty, T), T)
 
@@ -210,7 +211,7 @@ def _boundary_problem():
     E = np.diag([1.0, 0.0])
     F = np.array([[0.0, 1.0], [1.0, 1.0]])
     A, b = _normalized_rows([svec(E), svec(F)], [0.0, 1.0])
-    return SdpProblem(2, [0, 1], A, b)
+    return problem_from_dense(2, A, b)
 
 
 def _random_affine_problem(rng, n, k):
@@ -218,7 +219,7 @@ def _random_affine_problem(rng, n, k):
     target = L @ L.T if rng.random() < 0.5 else _rand_sym(rng, n)
     rows = [svec(_rand_sym(rng, n)) for _ in range(k)]
     A, b = _normalized_rows(rows, [float(row @ svec(target)) for row in rows])
-    return SdpProblem(n, list(range(n)), A, b)
+    return problem_from_dense(n, A, b)
 
 
 def _differential_cases():
@@ -228,7 +229,7 @@ def _differential_cases():
     n = 3
     E = np.zeros((n, n))
     E[0, 0] = 1.0
-    negative = SdpProblem(n, list(range(n)), *_normalized_rows([svec(E)], [-1.0]))
+    negative = problem_from_dense(n, *_normalized_rows([svec(E)], [-1.0]))
     rng = random.Random(54)
     L = np.array([[rng.uniform(-1, 1) for _ in range(4)] for _ in range(4)])
     rows, rhs = [], []
@@ -236,7 +237,7 @@ def _differential_cases():
         C = _rand_sym(rng, 4)
         rows.append(svec(C))
         rhs.append(float(svec(C) @ svec(L @ L.T)))
-    pinned = SdpProblem(4, list(range(4)), *_normalized_rows(rows, rhs))
+    pinned = problem_from_dense(4, *_normalized_rows(rows, rhs))
     rng = random.Random(56)
     cases = [
         ("criterion 1", built("x1 x1* - x1* x1 - 1"), {}),
@@ -244,7 +245,7 @@ def _differential_cases():
         ("trace only", _trace_only_problem(4), {}),
         ("pinned near a psd point", pinned, {}),
         ("negative diagonal stalls", negative, {}),
-        ("empty system", SdpProblem(3, list(range(3)), np.zeros((0, 6)), np.zeros(0)), {}),
+        ("empty system", problem_from_dense(3, np.zeros((0, 6)), np.zeros(0)), {}),
         ("boundary to max_iter", _boundary_problem(), {"max_iter": 400}),
     ]
     for i in range(6):
@@ -254,20 +255,33 @@ def _differential_cases():
     return cases
 
 
+def _dense_view(problem):
+    """The problem with its affine system as the dense A the reference reads."""
+    return SimpleNamespace(
+        n=problem.n, A=dense_rows(problem), b=problem.b,
+        inconsistent=problem.inconsistent, affine_residual=problem.affine_residual,
+    )
+
+
 def test_solve_feasibility_matches_reference_loop_exactly():
+    # The loop sums A x and A^T r by np.bincount, the reference by BLAS dot,
+    # in other orders: steps agree to rounding, so the trajectories agree to
+    # a tolerance fixed beforehand (2,000 nonexpansive steps at float64 eps
+    # give about 4e-13), while status and iteration count agree exactly.
     statuses = set()
     for name, problem, kwargs in _differential_cases():
         res = solve_feasibility(problem, **kwargs)
-        status, G, iterations, final_gap, gaps = _reference_solve(problem, **kwargs)
+        status, G, iterations, final_gap, gaps = _reference_solve(_dense_view(problem), **kwargs)
         statuses.add(status)
         assert res.status == status, name
         assert res.iterations == iterations, name
-        assert res.final_gap == final_gap, name
-        assert res.gaps == gaps, name
+        assert abs(res.final_gap - final_gap) <= 1e-10, name
+        assert len(res.gaps) == len(gaps), name
+        assert np.abs(np.subtract(res.gaps, gaps)).max(initial=0.0) <= 1e-10, name
         if G is None:
             assert res.G is None, name
         else:
-            assert np.array_equal(res.G, G), name
+            assert np.abs(res.G - G).max() <= 1e-10, name
     assert statuses == {"feasible", "likely_infeasible", "max_iterations"}
 
 
@@ -393,9 +407,10 @@ def test_exact_assembly_matches_svd_assembly(name):
     problem = build_real_sdp(basis)
     A_ref, b_ref, inconsistent, _, word_order = _reference_build(basis)
     assert not inconsistent and not problem.inconsistent
-    assert problem.A.shape == A_ref.shape
-    assert np.abs(problem.A.T @ problem.A - A_ref.T @ A_ref).max() <= 1e-12
-    assert np.abs(problem.A.T @ problem.b - A_ref.T @ b_ref).max() <= 1e-12
+    A = dense_rows(problem)
+    assert A.shape == A_ref.shape
+    assert np.abs(A.T @ A - A_ref.T @ A_ref).max() <= 1e-12
+    assert np.abs(A.T @ problem.b - A_ref.T @ b_ref).max() <= 1e-12
     # one exact row per pair {w, w*}, besides the trace row
     pairs = {min(w, word_star(w)) for w in word_order}
     assert len(problem.exact_rows) == 1 + len(pairs) < 1 + len(word_order)
@@ -405,7 +420,7 @@ def test_inconsistent_constraints_are_found_exactly():
     # x1 in I: the constant coefficient pins G = 0 against trace G = 1
     problem = build_real_sdp(left_groebner([parse_poly("x1")]))
     assert problem.inconsistent and problem.affine_residual == 1.0
-    assert problem.A.shape == (0, 1)
+    assert dense_rows(problem).shape == (0, 1)
     assert exact_infeasibility_check(problem) == ("infeasible", None)
     assert exact_lift(problem, np.eye(1), {}) is None
 
@@ -414,15 +429,55 @@ def test_multiplier_unknowns_are_eliminated_first():
     problem = build_real_sdp(left_groebner([parse_poly("x1^2 x1*^2 + x1* x1 - 1")]))
     solved = problem.system.solved
     gpivots = [var for var in solved if var[0] == "g"]
-    assert len(gpivots) == problem.A.shape[0] > 0
+    A = dense_rows(problem)
+    assert len(gpivots) == A.shape[0] > 0
     assert all(f[0] == "g" and f not in solved for var in gpivots for f in solved[var][0])
     # at a point of the affine slice, the recovered multipliers meet every row
-    G = svec_inverse(problem.A.T @ problem.b, problem.n)
+    G = svec_inverse(A.T @ problem.b, problem.n)
     q = recover_multipliers(problem, G)
     for gdict, qdict, const in problem.exact_rows:
         lhs = sum(float(c) * G[i, j] for (i, j), c in gdict.items())
         lhs -= sum(float(c) * q.get(j, {}).get(v, 0.0) for (j, v), c in qdict.items())
         assert abs(lhs - float(const)) <= 1e-9
+
+
+def test_affine_rows_are_factored_per_component(monkeypatch):
+    shapes = []
+    qr = np.linalg.qr
+
+    def recording(M, *args, **kwargs):
+        shapes.append(M.shape)
+        return qr(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    problem = build_real_sdp(left_groebner([parse_poly("x1 x2 x1* x2* - x2 x1 + 2", 2)]))
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    N = len(problem.gvars)
+    assert (problem.n, N, len(problem.b)) == (85, 3655, 2753)
+    # no factorization is wider than the largest component, 68 coordinates
+    assert shapes and max(max(shape) for shape in shapes) == 68
+    rows, cols, vals = problem.rows, problem.cols, problem.vals
+    AAt = np.zeros((len(problem.b), len(problem.b)))
+    for k in range(N):
+        at = cols == k
+        AAt[np.ix_(rows[at], rows[at])] += np.outer(vals[at], vals[at])
+    assert np.abs(AAt - np.eye(len(problem.b))).max() <= 1e-12
+    # each row's support lies inside one component of the solved system
+    gindex = {("g",) + v: k for k, v in enumerate(problem.gvars)}
+    parent = list(range(N))
+
+    def find(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for var, (expr, _) in problem.system.solved.items():
+        if var[0] == "g":
+            for f in expr:
+                parent[find(gindex[f])] = find(gindex[var])
+    roots = np.array([find(k) for k in cols])
+    for r in range(len(problem.b)):
+        assert len(set(roots[rows == r])) == 1
 
 
 def _count_systems(monkeypatch):

@@ -3,7 +3,9 @@
 The generators take an explicit random.Random so individual tests stay
 reproducible.  The references (eigen_sym, project_psd, project_affine,
 rank_exact, truncated_basis, scalar_multiple_of) are plain-definition
-oracles that only the tests need.
+oracles that only the tests need.  problem_from_dense and dense_rows move an
+SdpProblem's affine system between a dense A and the coordinate form the
+library keeps.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ import numpy as np
 from ncreal.algebra import MonomialOrder, Poly, iter_words, words_up_to
 from ncreal.exactla import to_fraction_matrix
 from ncreal.factor import is_irreducible_homogeneous
-from ncreal.sdp import svec, svec_inverse
+from ncreal.sdp import SdpProblem, svec, svec_inverse
 
 
 def rand_word(rng, g, d):
@@ -138,11 +140,27 @@ def project_psd(S):
     return (out + out.T) / 2.0
 
 
+def problem_from_dense(n, A, b):
+    """The SdpProblem of side n whose affine system is A svec(G) = b, with the
+    nonzeros of the dense A stored in coordinate form."""
+    A = np.asarray(A, dtype=float)
+    rows, cols = np.nonzero(A)
+    return SdpProblem(n, list(range(n)), rows, cols, A[rows, cols], np.asarray(b, dtype=float))
+
+
+def dense_rows(problem):
+    """The dense A of a problem's affine system A svec(G) = b."""
+    A = np.zeros((len(problem.b), problem.n * (problem.n + 1) // 2))
+    A[problem.rows, problem.cols] = problem.vals
+    return A
+
+
 def project_affine(problem, S):
     """Project S onto the affine subspace {G : A svec(G) = b}."""
+    A = dense_rows(problem)
     x = svec(S)
-    if problem.A.shape[0]:
-        x = x - problem.A.T @ (problem.A @ x - problem.b)
+    if A.shape[0]:
+        x = x - A.T @ (A @ x - problem.b)
     return svec_inverse(x, problem.n)
 
 
