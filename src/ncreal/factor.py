@@ -2,49 +2,57 @@
 
 A nonzero homogeneous p of degree d factors as p1 * p2 with deg p1 = d1 iff
 its (d1, d - d1)-Gram matrix has rank one; the factors are read off a
-nonzero row/column pair.  Splitting at the smallest admissible d1 makes the
-left factor irreducible, so iterating yields the full factorization
-p = c * f1 * ... * fk into monic irreducibles.  (Homogeneous polynomials
-factor uniquely here, so the result does not depend on tie-breaking, but the
-scan order below is deterministic anyway.)
+nonzero row/column pair.  Only the support of p is touched: a term c w is
+the Gram entry c at row (w[:d1])^* and column w[d1:], so the nonzero rows
+and columns are read from p.terms, and a rank-one matrix fills exactly the
+product of its nonzero rows and columns.  Splitting at the smallest
+admissible d1 makes the left factor irreducible, so iterating yields the
+full factorization p = c * f1 * ... * fk into monic irreducibles.
+(Homogeneous polynomials factor uniquely here, so the result does not
+depend on tie-breaking, but the scan order below is deterministic anyway.)
 """
 
 from fractions import Fraction
 
 from .algebra import MonomialOrder, Poly, word_star
-from .gram import gram_matrix
 
 
 def rank_one_split(p, d1, order=None):
     """Split homogeneous p of degree d as p1 * p2 with deg p1 == d1, if possible.
 
     Returns (p1, p2) or None.  p1 is normalized to have coefficient 1 on the
-    first nonzero entry's row word.
+    first nonzero entry's row word: the pivot is the first row word in
+    order, then the first column word in that row.  The cost is linear in
+    the number of terms of p.
     """
     if not p or not p.is_homogeneous():
         raise ValueError("input must be nonzero homogeneous")
     d = p.degree()
     if not 1 <= d1 <= d - 1:
         raise ValueError("need 1 <= d1 <= deg(p) - 1")
-    gm = gram_matrix(p, d1, d - d1, order)
-    A = gm.entries
-    i0 = j0 = None
-    for i, row in enumerate(A):
-        for j, a in enumerate(row):
-            if a:
-                i0, j0 = i, j
-                break
-        if i0 is not None:
-            break
-    pivot = A[i0][j0]
-    alpha = [A[i][j0] / pivot for i in range(len(gm.row_words))]
-    beta = A[i0]
-    for i in range(len(alpha)):
-        for j in range(len(beta)):
-            if A[i][j] != alpha[i] * beta[j]:
+    if order is None:
+        order = MonomialOrder(p.g)
+    rows = {}  # row word -> {column word: entry}
+    cols = set()
+    for w, c in p.terms.items():
+        rows.setdefault(word_star(w[:d1]), {})[w[d1:]] = c
+        cols.add(w[d1:])
+    if len(p.terms) != len(rows) * len(cols):
+        return None  # a rank-one matrix fills every (nonzero row, nonzero column) pair
+    # so every row is full, and the pivot is the first column of the first row
+    row_words = sorted(rows, key=order.key)
+    col_words = sorted(cols, key=order.key)
+    beta = rows[row_words[0]]
+    j0 = col_words[0]
+    pivot = beta[j0]
+    alpha = {u: row[j0] / pivot for u, row in rows.items()}
+    for u, row in rows.items():
+        a = alpha[u]
+        for v, c in row.items():
+            if c != a * beta[v]:
                 return None
-    p1 = Poly(p.g, {word_star(u): a for u, a in zip(gm.row_words, alpha) if a})
-    p2 = Poly(p.g, {v: b for v, b in zip(gm.col_words, beta) if b})
+    p1 = Poly(p.g, {word_star(u): alpha[u] for u in row_words})
+    p2 = Poly(p.g, {v: beta[v] for v in col_words})
     if p1 * p2 != p:
         raise AssertionError("internal error: rank-one split does not multiply back")
     return p1, p2

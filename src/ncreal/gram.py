@@ -8,8 +8,11 @@ the word bases W_{d1} (rows) and W_{d2} (columns):
 Uniqueness holds because in the free algebra the products (u)^* v are
 pairwise distinct words.  For d1 = d2 = d, p is a sum of hermitian squares
 sum_k r_k^* r_k iff p = p^* and the (d, d)-Gram matrix is positive
-semidefinite; an exact LDL^T factorization then yields the squares, and a
-rational witness vector certifies the negative case.
+semidefinite.  The test runs on the rows that p's support touches, the
+words (w[:d])^* of its terms; every other row and column is zero, and for
+symmetric p the touched columns are the same words.  An exact LDL^T
+factorization of that block yields the squares, and a rational witness
+vector, zero-padded onto W_d, certifies the negative case.
 """
 
 from fractions import Fraction
@@ -70,10 +73,14 @@ class SosCertificate:
             if g is None:
                 raise ValueError("empty certificate needs an explicit g to expand")
             return Poly.zero(g)
-        total = Poly.zero(self.polys[0].g)
+        total = {}
         for w, r in zip(self.weights, self.polys):
-            total = total + w * (r.star() * r)
-        return total
+            for u, cu in r.terms.items():
+                us, wcu = word_star(u), w * cu
+                for v, cv in r.terms.items():
+                    key = us + v
+                    total[key] = total.get(key, 0) + wcu * cv
+        return Poly(self.polys[0].g, total)
 
     def __len__(self):
         return len(self.polys)
@@ -83,7 +90,7 @@ class SosCheckResult:
     def __init__(self, is_sos, certificate=None, witness=None, reason=""):
         self.is_sos = is_sos
         self.certificate = certificate
-        self.witness = witness  # rational vector v with v^T A v < 0, over the degree-d basis
+        self.witness = witness  # rational v with v^T A v < 0, over words_of_degree(g, d)
         self.reason = reason
 
     def __bool__(self):
@@ -108,12 +115,19 @@ def is_sos_homogeneous(p, order=None):
         return SosCheckResult(False, reason="odd degree")
     if not p.is_symmetric():
         return SosCheckResult(False, reason="not symmetric")
-    gm = gram_matrix(p, d // 2, d // 2, order)
-    res = psd_check_exact(gm.entries)
+    h = d // 2
+    words = sorted({word_star(w[:h]) for w in p.terms}, key=order.key)
+    index = {u: i for i, u in enumerate(words)}
+    block = [[Fraction(0)] * len(words) for _ in words]
+    for w, c in p.terms.items():
+        block[index[word_star(w[:h])]][index[w[h:]]] = c
+    res = psd_check_exact(block)
     if not res.is_psd:
-        return SosCheckResult(False, witness=res.witness, reason="gram matrix not psd")
+        witness = dict(zip(words, res.witness))
+        witness = [witness.get(u, Fraction(0)) for u in words_of_degree(p.g, h, order)]
+        return SosCheckResult(False, witness=witness, reason="gram matrix not psd")
     # Read the squares off the permuted LDL^T factorization.
-    n = len(gm.row_words)
+    n = len(words)
     weights, polys = [], []
     for k in range(n):
         if not res.diag[k]:
@@ -121,7 +135,7 @@ def is_sos_homogeneous(p, order=None):
         terms = {}
         for i in range(n):
             if res.lower[i][k]:
-                terms[gm.row_words[res.perm[i]]] = res.lower[i][k]
+                terms[words[res.perm[i]]] = res.lower[i][k]
         weights.append(res.diag[k])
         polys.append(Poly(p.g, terms))
     cert = SosCertificate(weights, polys)

@@ -24,7 +24,8 @@ that converge without one are Inconclusive.  Its exact check runs at any
 problem size.
 
 verify_nonreal_certificate(gens, cert, basis=None) forms the defect,
-lhs - rhs, as one coefficient dict and accepts only an empty defect,
+lhs - rhs, as one coefficient dict on the canonical words w <= w^* (both
+sides are symmetric, so these decide it) and accepts only an empty defect,
 positive weights, rational numbers throughout and some member of nonzero
 normal form; basis= takes a precomputed left Groebner basis.  The
 closed-form deciders return unchecked certificates against their own
@@ -38,15 +39,13 @@ route with exact rational post-processing.
 """
 
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 
 from .algebra import (
     MonomialOrder,
     Poly,
     shrink_length,
-    word_dict_add,
-    word_dict_mul,
-    word_dict_star,
     word_star,
     word_str,
 )
@@ -151,22 +150,66 @@ def _terms(p):
     return p.terms if isinstance(p, Poly) else p
 
 
+def _integral(coeffs):
+    """(L, {word: L * c}) for a dict of rationals, L the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return den, {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}
+
+
 def _defect(gens, multipliers, weights, members):
-    """sum_t (q_t gen_t + gen_t^* q_t^*) - sum_k w_k r_k^* r_k as one coefficient dict."""
-    acc = {}
+    """sum_t (q_t gen_t + gen_t^* q_t^*) - sum_k w_k r_k^* r_k as one coefficient dict.
+
+    Both sides are symmetric, so the defect vanishes iff its coefficients
+    on the canonical words, w <= w^* as tuples, do; only those are kept.  A
+    summand c w of Y + Y^* lands on the canonical word min(w, w^*), with 2c
+    when w = w^*.  Y is q_t gen_t on the left, and on the right the pairs
+    u^* v of member terms with u before v (r^* r = Y + Y^* + the diagonal
+    sum of c_u^2 u^* u).  Neither product is formed.  The numbers must be
+    rational: every summand is scaled by one common denominator M, so the
+    sums are kept in integers and divided by M at the end.
+    """
+    left = []
     for q, p in zip(multipliers, gens):
-        qp = word_dict_mul(q, p.terms)
-        acc = word_dict_add(word_dict_add(acc, qp), word_dict_star(qp))
-    for w, r in zip(weights, members):
-        acc = word_dict_add(acc, word_dict_mul(word_dict_star(r), r), -w)
-    return acc
+        q_den, q_int = _integral(q)
+        p_den, p_int = _integral(p.terms)
+        left.append((q_den * p_den, q_int, p_int))
+    right = []
+    for wk, r in zip(weights, members):
+        r_den, r_int = _integral(r)
+        right.append((wk.denominator * r_den * r_den, -wk.numerator, r_int))
+    M = lcm(*(den for den, _, _ in left + right))
+    acc = {}
+
+    def add(w, ws, c):
+        if w < ws:
+            acc[w] = acc.get(w, 0) + c
+        elif w == ws:
+            acc[w] = acc.get(w, 0) + 2 * c
+        else:
+            acc[ws] = acc.get(ws, 0) + c
+
+    for den, q_int, p_int in left:
+        gen_terms = [(b, word_star(b), cb) for b, cb in p_int.items()]
+        for a, ca in q_int.items():
+            a_star, scaled = word_star(a), (M // den) * ca
+            for b, b_star, cb in gen_terms:
+                add(a + b, b_star + a_star, scaled * cb)
+    for den, sign_w, r_int in right:
+        terms = [(u, word_star(u), cu) for u, cu in r_int.items()]
+        for i, (u, u_star, cu) in enumerate(terms):
+            scaled = sign_w * (M // den) * cu
+            diag = u_star + u  # symmetric, hence canonical
+            acc[diag] = acc.get(diag, 0) + scaled * cu
+            for v, v_star, cv in terms[i + 1:]:
+                add(u_star + v, v_star + u, scaled * cv)
+    return {w: Fraction(c, M) for w, c in acc.items() if c}
 
 
 def verify_nonreal_certificate(gens, cert, tol=None, basis=None):
     """Check a NonRealCertificate against the generators it claims to refute.
 
     The certificate must hold rational numbers only, its defect (lhs - rhs
-    of the identity, as one coefficient dict) must be empty, its weights
+    of the identity, on the canonical words) must be empty, its weights
     positive, and some member must have a nonzero normal form.  basis, when
     given, is a left Groebner basis of the ideal generated by gens;
     otherwise one is computed.  tol is accepted for compatibility and
@@ -435,8 +478,12 @@ def _realign(multipliers, reps, ngens):
     out = [{} for _ in range(ngens)]
     for i, q in multipliers.items():
         for t, r in enumerate(reps[i]):
-            out[t] = word_dict_add(out[t], word_dict_mul(_terms(q), _terms(r)))
-    return out
+            acc = out[t]
+            for u, cu in _terms(q).items():
+                for v, cv in _terms(r).items():
+                    key = u + v
+                    acc[key] = acc.get(key, 0) + cu * cv
+    return [{w: c for w, c in acc.items() if c} for acc in out]
 
 
 def _checked(verdict, gens, reps, basis=None):

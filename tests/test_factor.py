@@ -11,7 +11,15 @@ from ncreal.factor import (
 )
 from ncreal.parsing import parse_poly
 
-from util import rand_coeff, rand_irreducible, rand_linear_factor, scalar_multiple_of
+from util import (
+    dense_factor_homogeneous,
+    dense_rank_one_split,
+    rand_coeff,
+    rand_homogeneous,
+    rand_irreducible,
+    rand_linear_factor,
+    scalar_multiple_of,
+)
 
 
 def test_rank_one_split_basic():
@@ -112,3 +120,59 @@ def test_scalar_multiple_of():
     assert scalar_multiple_of(p, p + Poly.one(2)) is None
     assert scalar_multiple_of(Poly.zero(2), p) == 0
     assert scalar_multiple_of(Poly.zero(2), Poly.zero(2)) == 1
+
+
+def _random_homogeneous_cases(rng, count):
+    """Seeded homogeneous polynomials, g in {1, 2, 3}, degree 2-6 (2-5 at
+    g = 3, where one dense degree-6 Gram matrix has 46,656 entries): random
+    sums of terms and scaled products of irreducibles, some starting with f f*."""
+    out = []
+    for case in range(count):
+        g = rng.randint(1, 3)
+        d = rng.randint(2, 6 if g < 3 else 5)
+        if case % 3 == 0:
+            out.append(rand_homogeneous(rng, g, d, nterms=rng.randint(1, 5)))
+            continue
+        factors = []
+        if case % 3 == 2:
+            f = rand_linear_factor(rng, g)
+            factors = [f, f.star()]
+        while sum(f.degree() for f in factors) < d:
+            left = d - sum(f.degree() for f in factors)
+            factors.append(rand_irreducible(rng, g, rng.randint(1, min(2, left))))
+        p = Poly.constant(g, rand_coeff(rng))
+        for f in factors:
+            p = p * f
+        out.append(p)
+    return out
+
+
+def _same_fractions(p, q):
+    return p.terms == q.terms and all(type(c) is Fraction for c in (*p.terms.values(), *q.terms.values()))
+
+
+def test_rank_one_split_matches_the_dense_gram_oracle():
+    rng = random.Random(97)
+    splits = 0
+    for p in _random_homogeneous_cases(rng, 90):
+        for d1 in range(1, p.degree()):
+            got, want = rank_one_split(p, d1), dense_rank_one_split(p, d1)
+            assert (got is None) == (want is None), (str(p), d1)
+            if got is not None:
+                splits += 1
+                assert _same_fractions(got[0], want[0]) and _same_fractions(got[1], want[1])
+    assert splits > 100
+
+
+def test_factor_homogeneous_matches_the_dense_gram_oracle():
+    rng = random.Random(101)
+    # a degree-6 product at g = 3 as well: the dense oracle's largest Gram matrix is 6 x 7,776
+    cases = _random_homogeneous_cases(rng, 60) + [
+        rand_linear_factor(rng, 3) ** 2 * rand_irreducible(rng, 3, 2) * rand_irreducible(rng, 3, 2)
+    ]
+    for p in cases:
+        fac = factor_homogeneous(p)
+        scalar, factors = dense_factor_homogeneous(p)
+        assert fac.scalar == scalar and type(fac.scalar) is Fraction
+        assert len(fac.factors) == len(factors)
+        assert all(_same_fractions(f, h) for f, h in zip(fac.factors, factors))

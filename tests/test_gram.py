@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from ncreal.gram import (
 )
 from ncreal.parsing import parse_poly
 
-from util import rand_homogeneous, rand_poly
+from util import dense_pm_sos_kind, rand_homogeneous, rand_poly
 
 
 def test_gram_matrix_reconstructs():
@@ -173,3 +174,62 @@ def test_non_sos_quadratic_refuted_at_a_matrix_point():
             found = True
             break
     assert found
+
+
+def _symmetric_cases(rng, count):
+    """Seeded symmetric homogeneous polynomials, g in {1, 2, 3}, degree 2-6:
+    signed sums of hermitian squares, their differences, and P + P^*."""
+    out = []
+    for case in range(count):
+        g = rng.randint(1, 3)
+        h = rng.randint(1, 3 if g < 3 else 2)
+        squares = [rand_homogeneous(rng, g, h, nterms=rng.randint(1, 4)) for _ in range(2)]
+        sos = [q.star() * q for q in squares]
+        kind = case % 4
+        if kind == 0:
+            out.append(sos[0] + Fraction(rng.randint(1, 3)) * sos[1])
+        elif kind == 1:
+            out.append(-sos[0])
+        elif kind == 2:
+            out.append(sos[0] - sos[1])
+        else:
+            p = rand_homogeneous(rng, g, 2 * h, nterms=rng.randint(1, 6))
+            out.append(p + p.star())
+    return out
+
+
+def _full_gram_value(p, witness):
+    h = p.degree() // 2
+    A = gram_matrix(p, h, h).entries
+    n = len(A)
+    return sum(witness[i] * A[i][j] * witness[j] for i in range(n) for j in range(n))
+
+
+def test_sos_kinds_match_the_dense_gram_oracle():
+    rng = random.Random(103)
+    kinds = Counter()
+    for p in _symmetric_cases(rng, 120) + [parse_poly("x1 x2* + x2 x1*", g=2)]:
+        kind, cert = pm_sos_kind(p)
+        assert kind == dense_pm_sos_kind(p), str(p)
+        kinds[kind] += 1
+        if kind == "plus":
+            assert cert.expand(p.g) == p
+        elif kind == "minus":
+            assert cert.expand(p.g) == -p
+        for s in (p, -p):
+            res = is_sos_homogeneous(s)
+            if not res:
+                assert len(res.witness) == len(words_of_degree(p.g, p.degree() // 2))
+                assert _full_gram_value(s, res.witness) < 0
+    assert min(kinds[k] for k in ("plus", "minus", "neither")) >= 15, kinds
+
+
+def test_zero_diagonal_in_a_nonzero_row_is_refuted_on_the_full_gram_matrix():
+    # the Gram rows of x1 x2* + x2 x1* are x1* and x2*, with zero diagonal
+    p = parse_poly("x1 x2* + x2 x1*", g=2)
+    res = is_sos_homogeneous(p)
+    assert not res and res.reason == "gram matrix not psd"
+    words = words_of_degree(2, 1)
+    assert len(res.witness) == len(words)
+    assert all(not c for u, c in zip(words, res.witness) if u not in {(1,), (3,)})
+    assert _full_gram_value(p, res.witness) < 0

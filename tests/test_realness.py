@@ -3,11 +3,12 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ncreal import realness
-from ncreal.algebra import Poly
+from ncreal.algebra import Poly, word_star
 from ncreal.parsing import parse_generators, parse_poly
 from ncreal.realness import (
     INCONCLUSIVE,
@@ -24,6 +25,10 @@ from ncreal.realness import (
     realness_prefilter_principal,
     verify_nonreal_certificate,
 )
+
+from util import copying_defect, rand_coeff, rand_irreducible, rand_linear_factor, rand_poly
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _gens(text):
@@ -205,6 +210,32 @@ def test_principal_homogeneous():
     assert real_principal_homogeneous(parse_poly("x1^2 + x1*^2")).status == REAL
     with pytest.raises(ValueError):
         real_principal_homogeneous(parse_poly("x1 + 1"))
+
+
+def _degree_8_product(rng, star_pair):
+    """A scaled product of random irreducibles of degree 1-2 at g = 3, total degree 8."""
+    factors = []
+    if star_pair:
+        f = rand_linear_factor(rng, 3)
+        factors = [f, f.star()]
+    while sum(f.degree() for f in factors) < 8:
+        left = 8 - sum(f.degree() for f in factors)
+        factors.append(rand_irreducible(rng, 3, rng.randint(1, min(2, left))))
+    p = Poly.constant(3, rand_coeff(rng))
+    for f in factors:
+        p = p * f
+    return p
+
+
+def test_principal_homogeneous_at_three_variables_and_degree_8():
+    # expected statuses as the dense Gram matrix code decided them, at 9-23 s per ideal
+    rng = random.Random(8)
+    for star_pair, status in [(True, NOT_REAL), (False, REAL), (False, REAL)]:
+        p = _degree_8_product(rng, star_pair)
+        v = real_test([p])
+        assert (v.status, v.method) == (status, "principal-homogeneous")
+        if status == NOT_REAL:
+            assert verify_nonreal_certificate([p], v.certificate)
 
 
 def test_prefilter():
@@ -414,3 +445,109 @@ def test_real_test_rejects_a_tampered_decider_certificate(monkeypatch):
     monkeypatch.setattr(realness, "real_linear", tampered)
     with pytest.raises(AssertionError):
         real_test([parse_poly("x1 - x1* + 1")])
+
+
+# ---------------------------------------------------------------------------
+# the canonical-word defect against the copying oracle
+# ---------------------------------------------------------------------------
+
+def _canonical(defect):
+    return {w: c for w, c in defect.items() if w <= word_star(w)}
+
+
+def _defect_pair(gens, multipliers, weights, members):
+    """(library defect, copying oracle's defect); asserts they agree on canonical words."""
+    qs = [q.terms for q in multipliers]
+    rs = [r.terms for r in members]
+    got = realness._defect(gens, qs, weights, rs)
+    want = copying_defect(gens, qs, weights, rs)
+    assert got == _canonical(want)
+    return got, want
+
+
+def test_defect_matches_the_copying_oracle_on_random_input():
+    rng = random.Random(109)
+    for _ in range(150):
+        g = rng.randint(1, 2)
+        gens = [rand_poly(rng, g, 3) or Poly.one(g) for _ in range(rng.randint(1, 2))]
+        qs = [rand_poly(rng, g, 2) for _ in gens]
+        weights = [rng.choice([1, 2, Fraction(1, 3), Fraction(-5, 2)])
+                   for _ in range(rng.randint(0, 3))]
+        members = [rand_poly(rng, g, 2, nterms=rng.randint(1, 6)) for _ in weights]
+        _defect_pair(gens, qs, weights, members)
+
+
+def test_defect_sums_symmetric_words_reached_from_distinct_terms():
+    # u = 1 and v = x1 x1* give u^* v = v^* u = x1 x1*, a symmetric word, twice
+    r = parse_poly("1 + x1 x1*")
+    got, _ = _defect_pair([], [], [Fraction(1)], [r])
+    assert got[(0, 1)] == -2
+    gens = [Fraction(1, 2) * (r.star() * r)]
+    cert = NonRealCertificate([Poly.one(1)], [Fraction(1)], [r])
+    assert verify_nonreal_certificate(gens, cert)
+    assert _defect_pair(gens, cert.multipliers, cert.weights, cert.members)[0] == {}
+    bad = NonRealCertificate([Poly.one(1)], [Fraction(1, 2)], [r])
+    assert not verify_nonreal_certificate(gens, bad)
+
+
+def _monomial_certificate():
+    # q = x2*/2 against x1 x1* x2: q gen = x2* x1 x1* x2 / 2 is a symmetric word
+    gens = _gens("x1 x1* x2\nx3")
+    v = real_test(gens)
+    assert v.status == NOT_REAL and v.method == "monomial"
+    (q, _), cert = v.certificate.multipliers, v.certificate
+    (w, c), = (q * gens[0]).terms.items()
+    assert w == word_star(w) and c == Fraction(1, 2)
+    return gens, cert
+
+
+def test_defect_doubles_multiplier_terms_on_symmetric_words():
+    gens, cert = _monomial_certificate()
+    assert _defect_pair(gens, cert.multipliers, cert.weights, cert.members)[0] == {}
+    q = Fraction(1, 3) * parse_poly("x2*", g=3)
+    got, _ = _defect_pair(gens, [q, Poly.zero(3)], cert.weights, cert.members)
+    assert got == {(3, 0, 1, 2): 2 * (Fraction(1, 3) - Fraction(1, 2))}
+
+
+@pytest.mark.parametrize("extra, canonical", [("x2", True), ("x3", False)])
+def test_tampered_multiplier_is_rejected_on_either_side_of_the_star(extra, canonical):
+    gens, cert = _monomial_certificate()
+    delta = Fraction(2, 7) * parse_poly(extra, g=3)
+    mult = [cert.multipliers[0] + delta, cert.multipliers[1]]
+    (w, c), = (delta * gens[0]).terms.items()
+    assert (w < word_star(w)) == canonical
+    got, want = _defect_pair(gens, mult, cert.weights, cert.members)
+    assert want == {w: c, word_star(w): c}
+    assert got == {min(w, word_star(w)): c}
+    assert not verify_nonreal_certificate(gens, NonRealCertificate(mult, cert.weights, cert.members))
+
+
+def test_tampered_member_is_rejected():
+    gens, cert = _monomial_certificate()
+    member = cert.members[0] + parse_poly("x3 x1", g=3)
+    got, _ = _defect_pair(gens, cert.multipliers, cert.weights, [member])
+    assert got
+    assert not verify_nonreal_certificate(gens, NonRealCertificate(
+        cert.multipliers, cert.weights, [member]))
+
+
+@pytest.mark.parametrize("name", ["closed_form", "sdp_small", "sdp_large"])
+def test_every_benchmark_certificate_verifies(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import corpora
+
+    workload = corpora.WORKLOADS[name]
+    not_real = certified = 0
+    for ideal in corpora.build_corpus(workload, 1):
+        gens = ideal.parse()
+        v = real_test(gens, method=workload.method, max_iter=workload.max_iter)
+        not_real += v.status == NOT_REAL
+        if v.certificate is not None:
+            certified += 1
+            cert = v.certificate
+            assert verify_nonreal_certificate(gens, cert), ideal.ident
+            qs = [q.terms for q in cert.multipliers]
+            rs = [r.terms for r in cert.members]
+            assert copying_defect(gens, qs, cert.weights, rs) == {}, ideal.ident
+    assert certified == not_real
+    assert certified > 0 or name == "sdp_large"

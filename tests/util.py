@@ -5,16 +5,29 @@ reproducible.  The references (eigen_sym, project_psd, project_affine,
 rank_exact, truncated_basis, scalar_multiple_of) are plain-definition
 oracles that only the tests need.  problem_from_dense and dense_rows move an
 SdpProblem's affine system between a dense A and the coordinate form the
-library keeps.
+library keeps.  dense_rank_one_split, dense_factor_homogeneous,
+dense_is_sos and dense_pm_sos_kind fill the whole Gram matrix of a degree,
+and copying_defect forms the certificate defect on every word with a fresh
+dict per sum: the library's support-only versions are checked against them.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from ncreal.algebra import MonomialOrder, Poly, iter_words, words_up_to
-from ncreal.exactla import to_fraction_matrix
+from ncreal.algebra import (
+    MonomialOrder,
+    Poly,
+    iter_words,
+    word_dict_add,
+    word_dict_mul,
+    word_dict_star,
+    word_star,
+    words_up_to,
+)
+from ncreal.exactla import psd_check_exact, to_fraction_matrix
 from ncreal.factor import is_irreducible_homogeneous
+from ncreal.gram import gram_matrix
 from ncreal.sdp import SdpProblem, svec, svec_inverse
 
 
@@ -211,3 +224,67 @@ def scalar_multiple_of(p, q):
     w = next(iter(q.terms))
     c = p.coefficient(w) / q.terms[w]
     return c if p == c * q else None
+
+
+def dense_rank_one_split(p, d1, order=None):
+    """rank_one_split over the full (d1, d - d1)-Gram matrix: the pivot is the
+    first nonzero entry in row-major order, and every entry is compared."""
+    d = p.degree()
+    gm = gram_matrix(p, d1, d - d1, order)
+    A = gm.entries
+    i0, j0 = next((i, j) for i, row in enumerate(A) for j, a in enumerate(row) if a)
+    alpha = [A[i][j0] / A[i0][j0] for i in range(len(gm.row_words))]
+    beta = A[i0]
+    for i in range(len(alpha)):
+        for j in range(len(beta)):
+            if A[i][j] != alpha[i] * beta[j]:
+                return None
+    p1 = Poly(p.g, {word_star(u): a for u, a in zip(gm.row_words, alpha) if a})
+    p2 = Poly(p.g, {v: b for v, b in zip(gm.col_words, beta) if b})
+    return p1, p2
+
+
+def dense_factor_homogeneous(p, order=None):
+    """(scalar, factors) of factor_homogeneous, split by dense_rank_one_split."""
+    order = order or MonomialOrder(p.g)
+    scalar, factors, current = Fraction(1), [], p
+    while True:
+        split = next((s for s in (dense_rank_one_split(current, d1, order)
+                                  for d1 in range(1, current.degree())) if s), None)
+        head = current if split is None else split[0]
+        c = head.leading_coeff(order)
+        scalar *= c
+        factors.append((Fraction(1) / c) * head)
+        if split is None:
+            return scalar, factors
+        current = split[1]
+
+
+def dense_is_sos(p, order=None):
+    """is_sos_homogeneous's answer from the PSD test of the full (h, h)-Gram matrix."""
+    if not p:
+        return True
+    d = p.degree()
+    if d % 2 or not p.is_symmetric():
+        return False
+    return psd_check_exact(gram_matrix(p, d // 2, d // 2, order).entries).is_psd
+
+
+def dense_pm_sos_kind(p, order=None):
+    """pm_sos_kind's kind from dense_is_sos."""
+    if not p:
+        return "zero"
+    if dense_is_sos(p, order):
+        return "plus"
+    return "minus" if dense_is_sos(-p, order) else "neither"
+
+
+def copying_defect(gens, multipliers, weights, members):
+    """The certificate defect on every word, each sum a fresh dict."""
+    acc = {}
+    for q, p in zip(multipliers, gens):
+        qp = word_dict_mul(q, p.terms)
+        acc = word_dict_add(word_dict_add(acc, qp), word_dict_star(qp))
+    for w, r in zip(weights, members):
+        acc = word_dict_add(acc, word_dict_mul(word_dict_star(r), r), -w)
+    return acc
