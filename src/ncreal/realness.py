@@ -39,7 +39,6 @@ route with exact rational post-processing.
 """
 
 from fractions import Fraction
-from math import lcm
 from numbers import Rational
 
 from .algebra import (
@@ -150,12 +149,6 @@ def _terms(p):
     return p.terms if isinstance(p, Poly) else p
 
 
-def _integral(coeffs):
-    """(L, {word: L * c}) for a dict of rationals, L the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return den, {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}
-
-
 def _defect(gens, multipliers, weights, members):
     """sum_t (q_t gen_t + gen_t^* q_t^*) - sum_k w_k r_k^* r_k as one coefficient dict.
 
@@ -164,20 +157,8 @@ def _defect(gens, multipliers, weights, members):
     summand c w of Y + Y^* lands on the canonical word min(w, w^*), with 2c
     when w = w^*.  Y is q_t gen_t on the left, and on the right the pairs
     u^* v of member terms with u before v (r^* r = Y + Y^* + the diagonal
-    sum of c_u^2 u^* u).  Neither product is formed.  The numbers must be
-    rational: every summand is scaled by one common denominator M, so the
-    sums are kept in integers and divided by M at the end.
+    sum of c_u^2 u^* u).  Neither product is formed.
     """
-    left = []
-    for q, p in zip(multipliers, gens):
-        q_den, q_int = _integral(q)
-        p_den, p_int = _integral(p.terms)
-        left.append((q_den * p_den, q_int, p_int))
-    right = []
-    for wk, r in zip(weights, members):
-        r_den, r_int = _integral(r)
-        right.append((wk.denominator * r_den * r_den, -wk.numerator, r_int))
-    M = lcm(*(den for den, _, _ in left + right))
     acc = {}
 
     def add(w, ws, c):
@@ -188,21 +169,21 @@ def _defect(gens, multipliers, weights, members):
         else:
             acc[ws] = acc.get(ws, 0) + c
 
-    for den, q_int, p_int in left:
-        gen_terms = [(b, word_star(b), cb) for b, cb in p_int.items()]
-        for a, ca in q_int.items():
-            a_star, scaled = word_star(a), (M // den) * ca
+    for q, p in zip(multipliers, gens):
+        gen_terms = [(b, word_star(b), cb) for b, cb in p.terms.items()]
+        for a, ca in q.items():
+            a_star = word_star(a)
             for b, b_star, cb in gen_terms:
-                add(a + b, b_star + a_star, scaled * cb)
-    for den, sign_w, r_int in right:
-        terms = [(u, word_star(u), cu) for u, cu in r_int.items()]
+                add(a + b, b_star + a_star, ca * cb)
+    for wk, r in zip(weights, members):
+        terms = [(u, word_star(u), cu) for u, cu in r.items()]
         for i, (u, u_star, cu) in enumerate(terms):
-            scaled = sign_w * (M // den) * cu
+            scaled = -wk * cu
             diag = u_star + u  # symmetric, hence canonical
             acc[diag] = acc.get(diag, 0) + scaled * cu
             for v, v_star, cv in terms[i + 1:]:
                 add(u_star + v, v_star + u, scaled * cv)
-    return {w: Fraction(c, M) for w, c in acc.items() if c}
+    return {w: c for w, c in acc.items() if c}
 
 
 def verify_nonreal_certificate(gens, cert, tol=None, basis=None):

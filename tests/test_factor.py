@@ -18,6 +18,7 @@ from util import (
     rand_homogeneous,
     rand_irreducible,
     rand_linear_factor,
+    rand_product,
     scalar_multiple_of,
 )
 
@@ -132,18 +133,8 @@ def _random_homogeneous_cases(rng, count):
         d = rng.randint(2, 6 if g < 3 else 5)
         if case % 3 == 0:
             out.append(rand_homogeneous(rng, g, d, nterms=rng.randint(1, 5)))
-            continue
-        factors = []
-        if case % 3 == 2:
-            f = rand_linear_factor(rng, g)
-            factors = [f, f.star()]
-        while sum(f.degree() for f in factors) < d:
-            left = d - sum(f.degree() for f in factors)
-            factors.append(rand_irreducible(rng, g, rng.randint(1, min(2, left))))
-        p = Poly.constant(g, rand_coeff(rng))
-        for f in factors:
-            p = p * f
-        out.append(p)
+        else:
+            out.append(rand_product(rng, g, d, star_pair=case % 3 == 2))
     return out
 
 

@@ -26,7 +26,7 @@ from ncreal.realness import (
     verify_nonreal_certificate,
 )
 
-from util import copying_defect, rand_coeff, rand_irreducible, rand_linear_factor, rand_poly
+from util import copying_defect, rand_poly, rand_product
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -212,26 +212,12 @@ def test_principal_homogeneous():
         real_principal_homogeneous(parse_poly("x1 + 1"))
 
 
-def _degree_8_product(rng, star_pair):
-    """A scaled product of random irreducibles of degree 1-2 at g = 3, total degree 8."""
-    factors = []
-    if star_pair:
-        f = rand_linear_factor(rng, 3)
-        factors = [f, f.star()]
-    while sum(f.degree() for f in factors) < 8:
-        left = 8 - sum(f.degree() for f in factors)
-        factors.append(rand_irreducible(rng, 3, rng.randint(1, min(2, left))))
-    p = Poly.constant(3, rand_coeff(rng))
-    for f in factors:
-        p = p * f
-    return p
-
-
 def test_principal_homogeneous_at_three_variables_and_degree_8():
-    # expected statuses as the dense Gram matrix code decided them, at 9-23 s per ideal
+    # the statuses that filling every Gram entry gave, at 9-23 s per ideal (2-core host);
+    # an f f* start is NotReal by construction
     rng = random.Random(8)
     for star_pair, status in [(True, NOT_REAL), (False, REAL), (False, REAL)]:
-        p = _degree_8_product(rng, star_pair)
+        p = rand_product(rng, 3, 8, star_pair)
         v = real_test([p])
         assert (v.status, v.method) == (status, "principal-homogeneous")
         if status == NOT_REAL:

@@ -87,6 +87,22 @@ def rand_irreducible(rng, g, d, order=None, tries=40):
     return Poly(g, {w1: Fraction(1), w2: Fraction(1)})
 
 
+def rand_product(rng, g, d, star_pair=False):
+    """A random scalar times monic irreducibles of degree 1-2, total degree d;
+    with star_pair the product starts with f f* for a linear f."""
+    factors = []
+    if star_pair:
+        f = rand_linear_factor(rng, g)
+        factors = [f, f.star()]
+    while sum(f.degree() for f in factors) < d:
+        left = d - sum(f.degree() for f in factors)
+        factors.append(rand_irreducible(rng, g, rng.randint(1, min(2, left))))
+    p = Poly.constant(g, rand_coeff(rng))
+    for f in factors:
+        p = p * f
+    return p
+
+
 def brute_shrinkable(w):
     """Definition-level scan: w = u u* v with u nonempty."""
     for k in range(1, len(w) // 2 + 1):
