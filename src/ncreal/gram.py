@@ -123,8 +123,8 @@ def is_sos_homogeneous(p, order=None):
         block[index[word_star(w[:h])]][index[w[h:]]] = c
     res = psd_check_exact(block)
     if not res.is_psd:
-        witness = dict(zip(words, res.witness))
-        witness = [witness.get(u, Fraction(0)) for u in words_of_degree(p.g, h, order)]
+        by_word = dict(zip(words, res.witness))
+        witness = [by_word.get(u, Fraction(0)) for u in words_of_degree(p.g, h, order)]
         return SosCheckResult(False, witness=witness, reason="gram matrix not psd")
     # Read the squares off the permuted LDL^T factorization.
     n = len(words)

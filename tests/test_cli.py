@@ -49,6 +49,10 @@ def test_sos_command(capsys):
     code, data = _run_json(capsys, "sos", "-e", "x1^2 + x1*^2")
     assert code == 0 and data["sos"] is False
     assert "witness" in data
+    # one witness entry per degree-1 word, also for the rows the support leaves out
+    code, data = _run_json(capsys, "sos", "-e", "x1 x2* + x2 x1*")
+    assert code == 0 and data["sos"] is False
+    assert data["witness"] == ["0", "1", "0", "-1"]
 
 
 def test_unshrinkable_command(capsys):
