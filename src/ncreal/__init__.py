@@ -26,10 +26,8 @@ from .factor import (
     rank_one_split,
 )
 from .gram import (
-    GramMatrix,
     SosCertificate,
     decompose_quadratic_univariate,
-    gram_matrix,
     is_sos_homogeneous,
     pm_sos_kind,
     quad_coeffs,
@@ -66,8 +64,8 @@ __all__ = [
     "psd_check_exact",
     "Factorization", "factor_homogeneous", "is_irreducible_homogeneous",
     "rank_one_split",
-    "GramMatrix", "SosCertificate", "decompose_quadratic_univariate",
-    "gram_matrix", "is_sos_homogeneous", "pm_sos_kind", "quad_coeffs",
+    "SosCertificate", "decompose_quadratic_univariate",
+    "is_sos_homogeneous", "pm_sos_kind", "quad_coeffs",
     "quad_poly", "sos_quadratic_univariate",
     "LeftGroebnerBasis", "left_groebner",
     "ParseError", "parse_generators", "parse_poly", "parse_word", "poly_str",

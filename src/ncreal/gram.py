@@ -21,46 +21,6 @@ from .algebra import MonomialOrder, Poly, word_star, words_of_degree
 from .exactla import psd_check_exact
 
 
-class GramMatrix:
-    """Exact (d1, d2)-Gram matrix of a homogeneous polynomial."""
-
-    def __init__(self, row_words, col_words, entries, g):
-        self.row_words = row_words
-        self.col_words = col_words
-        self.entries = entries  # list of rows of Fractions
-        self.g = g
-
-    def reconstruct(self):
-        """Return sum A[i][j] * (row_i)^* col_j, which must equal the input."""
-        terms = {}
-        for i, u in enumerate(self.row_words):
-            for j, v in enumerate(self.col_words):
-                c = self.entries[i][j]
-                if c:
-                    terms[word_star(u) + v] = c
-        return Poly(self.g, terms)
-
-
-def gram_matrix(p, d1, d2, order=None):
-    """Gram matrix of p with row degree d1 and column degree d2.
-
-    p must be zero or homogeneous of degree d1 + d2.
-    """
-    if order is None:
-        order = MonomialOrder(p.g)
-    if p and (not p.is_homogeneous() or p.degree() != d1 + d2):
-        raise ValueError("polynomial is not homogeneous of degree %d" % (d1 + d2))
-    rows = words_of_degree(p.g, d1, order)
-    cols = words_of_degree(p.g, d2, order)
-    col_index = {w: j for j, w in enumerate(cols)}
-    row_index = {w: i for i, w in enumerate(rows)}
-    entries = [[Fraction(0)] * len(cols) for _ in rows]
-    for w, c in p.terms.items():
-        u, v = w[:d1], w[d1:]
-        entries[row_index[word_star(u)]][col_index[v]] = c
-    return GramMatrix(rows, cols, entries, p.g)
-
-
 class SosCertificate:
     """Weighted sum of hermitian squares: sum_k weights[k] * polys[k]^* polys[k]."""
 

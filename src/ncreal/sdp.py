@@ -2,26 +2,32 @@
 
 The feasibility set is the intersection of the PSD cone with an affine
 subspace of symmetric matrices, described in scaled vector coordinates
-(svec) by an orthonormal-row system A x = b, so the affine projection is
+(svec: the upper triangle, off-diagonal entries times sqrt(2)) by an
+orthonormal-row system A x = b, so the affine projection is
 x - A^T (A x - b).  A is kept sparse, as coordinate triples (rows, cols,
 vals): build_real_sdp makes it from one small QR per component of the
 exact system, so it is block-diagonal up to a permutation of the
-coordinates, and A x and A^T r are one np.bincount each.  Alternating
-projections converge to a point of the intersection when it is nonempty;
-when it is empty the gap between the two projections stabilizes at the
-positive distance between the sets, which is what the stall detector looks
-for.
+coordinates.  Alternating projections converge to a point of the
+intersection when it is nonempty; when it is empty the gap between the two
+projections stabilizes at the positive distance between the sets, which is
+what the stall detector looks for.
 
-The svec layout of each side length n (upper-triangle indices and the
-sqrt(2) off-diagonal scale) is built once and cached by _svec_index.  Each
-step of solve_feasibility keeps the PSD iterate G in svec coordinates x
-together with its residual r = A x - b, and that one residual serves twice:
-||r|| <= tol is the feasibility test for G, and x - A^T r is the next
-affine projection.
+solve_feasibility works on the n x n iterate itself and never forms svec.
+Once per solve it maps each nonzero of A to the flat index of its entry in
+the lower triangle and folds the svec scale into two copies of the values,
+so A x and A^T r are one np.bincount each, read from and written to that
+triangle.  np.linalg.eigh reads only the lower triangle, so the upper one
+is left stale between steps.  The PSD projection is built from the
+nonnegative eigenpairs, and the gap between the two projections is the
+norm of the negative eigenvalues.  The residual r = A x - b of the PSD
+iterate serves twice: ||r|| <= tol is the feasibility test for G, and it
+gives the next affine projection.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import hypot, sqrt
 
 import numpy as np
 
@@ -40,22 +46,19 @@ def _svec_index(n):
     return iu, scale
 
 
-def svec(S):
-    """Upper-triangle vectorization with sqrt(2) on off-diagonal entries.
+@lru_cache(maxsize=None)
+def _lower_flat_index(n):
+    """For each svec coordinate of n x n matrices, the flat index of its
+    lower-triangle entry in a C-ordered array.  Shared and read-only."""
+    iu, _ = _svec_index(n)
+    flat = iu[1] * n + iu[0]
+    flat.flags.writeable = False
+    return flat
 
-    Preserves inner products: <svec(S), svec(T)> == trace(S T).
-    """
-    iu, scale = _svec_index(S.shape[0])
-    return S[iu] * scale
 
-
-def svec_inverse(x, n):
-    iu, scale = _svec_index(n)
-    vals = x / scale
-    S = np.empty((n, n))
-    S[iu] = vals
-    S.T[iu] = vals
-    return S
+def _from_lower(S):
+    """The symmetric matrix with S's lower triangle on both sides."""
+    return np.tril(S) + np.tril(S, -1).T
 
 
 @dataclass(eq=False)
@@ -120,29 +123,34 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000, stall_window=500):
             "likely_infeasible", None, 0, problem.affine_residual, []
         )
     n = problem.n
-    rows, cols, vals, b = problem.rows, problem.cols, problem.vals, problem.b
-    m, N = len(b), n * (n + 1) // 2
+    rows, cols, b = problem.rows, problem.cols, problem.b
+    m = len(b)
+    _, scale = _svec_index(n)
+    flat = _lower_flat_index(n)[cols]
+    # A x = sum a_in * G[flat], and A^T r lands on G[flat] as a_out * r[rows]
+    a_in = problem.vals * scale[cols]
+    a_out = problem.vals / scale[cols]
 
-    def residual(x):  # A x - b
-        return np.bincount(rows, vals * x[cols], minlength=m) - b
+    def residual(G):  # A svec(G) - b, read from the lower triangle
+        return np.bincount(rows, a_in * G.ravel()[flat], minlength=m) - b
 
     G = np.eye(n) / n
-    x = svec(G)
-    r = residual(x)  # with no rows, r is empty: norm 0 and A^T r == 0
+    r = residual(G)  # with no rows, r is empty: norm 0 and A^T r == 0
     gaps = []
     for it in range(1, max_iter + 1):
-        # H is assembled exactly symmetric, so eigh needs no symmetrisation
-        H = svec_inverse(x - np.bincount(cols, vals * r[rows], minlength=N), n)
+        # only the lower triangle of H is updated, and only it is read by eigh
+        H = G - np.bincount(flat, a_out * r[rows], minlength=n * n).reshape(n, n)
         w, V = np.linalg.eigh(H)
-        if w[0] >= -tol:
-            return FeasibilityResult("feasible", H, it, 0.0, gaps)
-        G = (V * np.clip(w, 0.0, None)) @ V.T
-        G = (G + G.T) / 2.0
-        x = svec(G)
-        r = residual(x)
-        if np.linalg.norm(r) <= tol:
-            return FeasibilityResult("feasible", G, it, 0.0, gaps)
-        gaps.append(np.linalg.norm(H - G))
+        ws = w.tolist()  # n floats: cheaper to search and sum than w itself
+        if ws[0] >= -tol:
+            return FeasibilityResult("feasible", _from_lower(H), it, 0.0, gaps)
+        k = bisect_left(ws, 0.0)  # w[k:] are the nonnegative eigenvalues
+        V = V[:, k:]
+        G = (V * w[k:]) @ V.T
+        r = residual(G)
+        if sqrt(r.dot(r)) <= tol:
+            return FeasibilityResult("feasible", _from_lower(G), it, 0.0, gaps)
+        gaps.append(hypot(*ws[:k]))  # ||H - G||_F
         if len(gaps) > stall_window:
             old, new = gaps[-stall_window - 1], gaps[-1]
             if new > 10.0 * tol and abs(new - old) <= tol * old:

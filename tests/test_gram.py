@@ -8,7 +8,6 @@ import pytest
 from ncreal.algebra import MonomialOrder, Poly, words_of_degree
 from ncreal.gram import (
     decompose_quadratic_univariate,
-    gram_matrix,
     is_sos_homogeneous,
     pm_sos_kind,
     quad_coeffs,
@@ -17,7 +16,7 @@ from ncreal.gram import (
 )
 from ncreal.parsing import parse_poly
 
-from util import dense_pm_sos_kind, rand_homogeneous, rand_poly
+from util import dense_pm_sos_kind, gram_matrix, rand_homogeneous, rand_poly
 
 
 def test_gram_matrix_reconstructs():

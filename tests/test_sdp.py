@@ -14,7 +14,7 @@ from ncreal.exactla import ExactAffineSystem
 from ncreal.groebner import left_groebner
 from ncreal.parsing import parse_poly
 from ncreal.realness import NOT_REAL, REAL, real_test
-from ncreal.sdp import solve_feasibility, svec, svec_inverse
+from ncreal.sdp import solve_feasibility
 from ncreal.sdp_build import (
     build_real_sdp,
     exact_infeasibility_check,
@@ -22,7 +22,15 @@ from ncreal.sdp_build import (
     recover_multipliers,
 )
 
-from util import dense_rows, eigen_sym, problem_from_dense, project_affine, project_psd
+from util import (
+    dense_rows,
+    eigen_sym,
+    problem_from_dense,
+    project_affine,
+    project_psd,
+    svec,
+    svec_inverse,
+)
 
 
 def _rand_sym(rng, n, scale=2.0):
@@ -283,6 +291,18 @@ def test_solve_feasibility_matches_reference_loop_exactly():
         else:
             assert np.abs(res.G - G).max() <= 1e-10, name
     assert statuses == {"feasible", "likely_infeasible", "max_iterations"}
+
+
+def test_feasible_exits_return_an_exactly_symmetric_G():
+    # the loop updates and reads only the lower triangle of its iterate;
+    # recover_multipliers and exact_lift read the upper one
+    feasible = 0
+    for name, problem, kwargs in _differential_cases():
+        res = solve_feasibility(problem, **kwargs)
+        if res.status == "feasible":
+            feasible += 1
+            assert np.array_equal(res.G, res.G.T), name
+    assert feasible >= 3
 
 
 def test_svec_layout_is_built_once_per_side(monkeypatch):

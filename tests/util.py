@@ -3,10 +3,13 @@
 The generators take an explicit random.Random so individual tests stay
 reproducible.  The references (eigen_sym, project_psd, project_affine,
 rank_exact, truncated_basis, scalar_multiple_of) are plain-definition
-oracles that only the tests need.  problem_from_dense and dense_rows move an
-SdpProblem's affine system between a dense A and the coordinate form the
-library keeps.  dense_rank_one_split, dense_factor_homogeneous,
-dense_is_sos and dense_pm_sos_kind fill the whole Gram matrix of a degree,
+oracles that only the tests need.  svec and svec_inverse are the scaled
+vector coordinates an SdpProblem's affine system is written in, and
+problem_from_dense and dense_rows move that system between a dense A and
+the coordinate form the library keeps.  gram_matrix fills the whole
+(d1, d2)-Gram matrix of a homogeneous polynomial, and
+dense_rank_one_split, dense_factor_homogeneous, dense_is_sos and
+dense_pm_sos_kind work on it,
 and copying_defect forms the certificate defect on every word with a fresh
 dict per sum: the library's support-only versions are checked against them.
 """
@@ -23,12 +26,12 @@ from ncreal.algebra import (
     word_dict_mul,
     word_dict_star,
     word_star,
+    words_of_degree,
     words_up_to,
 )
 from ncreal.exactla import psd_check_exact, to_fraction_matrix
 from ncreal.factor import is_irreducible_homogeneous
-from ncreal.gram import gram_matrix
-from ncreal.sdp import SdpProblem, svec, svec_inverse
+from ncreal.sdp import SdpProblem, _svec_index
 
 
 def rand_word(rng, g, d):
@@ -169,6 +172,24 @@ def project_psd(S):
     return (out + out.T) / 2.0
 
 
+def svec(S):
+    """Upper-triangle vectorization with sqrt(2) on off-diagonal entries.
+
+    Preserves inner products: <svec(S), svec(T)> == trace(S T).
+    """
+    iu, scale = _svec_index(S.shape[0])
+    return S[iu] * scale
+
+
+def svec_inverse(x, n):
+    iu, scale = _svec_index(n)
+    vals = x / scale
+    S = np.empty((n, n))
+    S[iu] = vals
+    S.T[iu] = vals
+    return S
+
+
 def problem_from_dense(n, A, b):
     """The SdpProblem of side n whose affine system is A svec(G) = b, with the
     nonzeros of the dense A stored in coordinate form."""
@@ -240,6 +261,46 @@ def scalar_multiple_of(p, q):
     w = next(iter(q.terms))
     c = p.coefficient(w) / q.terms[w]
     return c if p == c * q else None
+
+
+class GramMatrix:
+    """Exact (d1, d2)-Gram matrix of a homogeneous polynomial."""
+
+    def __init__(self, row_words, col_words, entries, g):
+        self.row_words = row_words
+        self.col_words = col_words
+        self.entries = entries  # list of rows of Fractions
+        self.g = g
+
+    def reconstruct(self):
+        """Return sum A[i][j] * (row_i)^* col_j, which must equal the input."""
+        terms = {}
+        for i, u in enumerate(self.row_words):
+            for j, v in enumerate(self.col_words):
+                c = self.entries[i][j]
+                if c:
+                    terms[word_star(u) + v] = c
+        return Poly(self.g, terms)
+
+
+def gram_matrix(p, d1, d2, order=None):
+    """Gram matrix of p with row degree d1 and column degree d2.
+
+    p must be zero or homogeneous of degree d1 + d2.
+    """
+    if order is None:
+        order = MonomialOrder(p.g)
+    if p and (not p.is_homogeneous() or p.degree() != d1 + d2):
+        raise ValueError("polynomial is not homogeneous of degree %d" % (d1 + d2))
+    rows = words_of_degree(p.g, d1, order)
+    cols = words_of_degree(p.g, d2, order)
+    col_index = {w: j for j, w in enumerate(cols)}
+    row_index = {w: i for i, w in enumerate(rows)}
+    entries = [[Fraction(0)] * len(cols) for _ in rows]
+    for w, c in p.terms.items():
+        u, v = w[:d1], w[d1:]
+        entries[row_index[word_star(u)]][col_index[v]] = c
+    return GramMatrix(rows, cols, entries, p.g)
 
 
 def dense_rank_one_split(p, d1, order=None):
