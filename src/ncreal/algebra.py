@@ -271,9 +271,6 @@ class Poly:
     def constant_coeff(self) -> Fraction:
         return self.terms.get(EMPTY_WORD, Fraction(0))
 
-    def support(self) -> list[Word]:
-        return list(self.terms)
-
     def is_constant(self) -> bool:
         return all(not w for w in self.terms)
 
@@ -305,7 +302,7 @@ class Poly:
     def leading_coeff(self, order: MonomialOrder) -> Fraction:
         return self.terms[self.leading_word(order)]
 
-    def leading_part(self, order: MonomialOrder | None = None) -> "Poly":
+    def leading_part(self) -> "Poly":
         """Top-degree homogeneous part (the 'leading polynomial')."""
         d = self.degree()
         if d is None:

@@ -113,6 +113,20 @@ def psd_check_exact(A) -> PsdResult:
     return PsdResult(True, perm, L, diag, None)
 
 
+def ldl_squares(res: PsdResult, labels) -> tuple[list[Fraction], list[list]]:
+    """The weighted squares of a PSD result: A = sum_k weights[k] r_k r_k^T.
+
+    labels names the rows of A.  Each r_k is a list of (label, coefficient)
+    pairs, the nonzero entries of column k of L with labels[perm[i]] on row
+    i; pivots with a zero diagonal are left out.
+    """
+    n = len(res.diag)
+    keep = [k for k in range(n) if res.diag[k]]
+    rows = [[(labels[res.perm[i]], res.lower[i][k]) for i in range(n) if res.lower[i][k]]
+            for k in keep]
+    return [res.diag[k] for k in keep], rows
+
+
 # ---------------------------------------------------------------------------
 # sparse exact affine systems
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ vector, zero-padded onto W_d, certifies the negative case.
 from fractions import Fraction
 
 from .algebra import MonomialOrder, Poly, word_star, words_of_degree
-from .exactla import psd_check_exact
+from .exactla import ldl_squares, psd_check_exact
 
 
 class SosCertificate:
@@ -86,19 +86,8 @@ def is_sos_homogeneous(p, order=None):
         by_word = dict(zip(words, res.witness))
         witness = [by_word.get(u, Fraction(0)) for u in words_of_degree(p.g, h, order)]
         return SosCheckResult(False, witness=witness, reason="gram matrix not psd")
-    # Read the squares off the permuted LDL^T factorization.
-    n = len(words)
-    weights, polys = [], []
-    for k in range(n):
-        if not res.diag[k]:
-            continue
-        terms = {}
-        for i in range(n):
-            if res.lower[i][k]:
-                terms[words[res.perm[i]]] = res.lower[i][k]
-        weights.append(res.diag[k])
-        polys.append(Poly(p.g, terms))
-    cert = SosCertificate(weights, polys)
+    weights, rows = ldl_squares(res, words)
+    cert = SosCertificate(weights, [Poly(p.g, dict(r)) for r in rows])
     if cert.expand(p.g) != p:
         raise AssertionError("internal error: SOS certificate does not expand to the input")
     return SosCheckResult(True, cert)
@@ -197,24 +186,16 @@ def decompose_quadratic_univariate(b0, b1, b2, b3, b4):
         # b3*b4 >= b2^2 and b3 + b4 = -2 b2 force b1 = 0 via the last condition.
         mu = Fraction(0)
         const = b0
-    weights, polys = [], []
-    if const:
-        weights.append(const)
-        polys.append(Poly.one(1))
     hom = psd_check_exact([[b4, b2], [b2, b3]])
     if not hom.is_psd:
         raise AssertionError("internal error: homogeneous block not psd")
     x = Poly.gen(1, 1)
     shifted = [x + mu, x.star() + mu]  # rows (x, x^*) of the homogeneous Gram matrix
-    for k in range(2):
-        if not hom.diag[k]:
-            continue
-        r = Poly.zero(1)
-        for i in range(2):
-            if hom.lower[i][k]:
-                r = r + hom.lower[i][k] * shifted[hom.perm[i]]
-        weights.append(hom.diag[k])
-        polys.append(r)
+    weights, rows = ldl_squares(hom, shifted)
+    polys = [sum((c * s for s, c in r), Poly.zero(1)) for r in rows]
+    if const:
+        weights.insert(0, const)
+        polys.insert(0, Poly.one(1))
     cert = SosCertificate(weights, polys)
     if cert.expand(1) != quad_poly(b0, b1, b2, b3, b4):
         raise AssertionError("internal error: quadratic decomposition mismatch")

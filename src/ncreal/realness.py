@@ -27,10 +27,13 @@ verify_nonreal_certificate(gens, cert, basis=None) forms the defect,
 lhs - rhs, as one coefficient dict on the canonical words w <= w^* (both
 sides are symmetric, so these decide it) and accepts only an empty defect,
 positive weights, rational numbers throughout and some member of nonzero
-normal form; basis= takes a precomputed left Groebner basis.  The
-closed-form deciders return unchecked certificates against their own
-input; real_test realigns each onto its generators and verifies it once,
-and direct callers use the verifier.
+normal form; basis= takes a precomputed left Groebner basis.  Every
+decider returns an unchecked certificate against what it was given: the
+closed forms against their own input, the SDP route against the Groebner
+basis, with the squares read off the exact LDL^T of its rational G.
+real_test realigns each onto its generators and verifies it once, at one
+site, and an SDP certificate that fails is an internal error there just
+as a closed-form one is.  Direct callers of a decider use the verifier.
 
 Dispatch tries exact closed forms first -- monomial ideals, purely
 analytic generators, linear, univariate quadratic, homogeneous principal,
@@ -48,18 +51,13 @@ from .algebra import (
     word_star,
     word_str,
 )
-from .exactla import psd_check_exact
+from .exactla import ldl_squares, psd_check_exact
 from .factor import factor_homogeneous
 from .gram import decompose_quadratic_univariate, pm_sos_kind, quad_coeffs
 from .groebner import left_groebner
 from .parsing import parse_poly, poly_str
 from .sdp import solve_feasibility
-from .sdp_build import (
-    build_real_sdp,
-    exact_infeasibility_check,
-    exact_lift,
-    recover_multipliers,
-)
+from .sdp_build import build_real_sdp, exact_infeasibility_check, exact_lift
 
 REAL = "Real"
 NOT_REAL = "NotReal"
@@ -468,7 +466,12 @@ def _realign(multipliers, reps, ngens):
 
 
 def _checked(verdict, gens, reps, basis=None):
-    """Realign a closed-form verdict's certificate onto gens and verify it once."""
+    """Realign a verdict's certificate onto gens and verify it once.
+
+    reps[i][t] writes the i-th polynomial the certificate's multipliers
+    refer to as a combination of gens.  A certificate that fails is an
+    internal error, whichever route built it.
+    """
     cert = verdict.certificate
     if cert is not None:
         mult = _realign(dict(enumerate(cert.multipliers)), reps, len(gens))
@@ -485,50 +488,30 @@ def _checked(verdict, gens, reps, basis=None):
 # SDP route
 # ---------------------------------------------------------------------------
 
-def _exact_sdp_certificate(basis, problem, G, qdicts):
-    res = psd_check_exact(G)
-    if not res.is_psd:
-        return None
-    weights, members = [], []
-    for k in range(problem.n):
-        if not res.diag[k]:
-            continue
-        weights.append(res.diag[k])
-        members.append(Poly(basis.g, {
-            problem.words[res.perm[i]]: res.lower[i][k] for i in range(problem.n)
-        }))
-    mult = [Poly(basis.g, q) for q in _realign(qdicts, basis.reps, basis.ngens)]
-    return NonRealCertificate(mult, weights, members)
-
-
-def _sdp_route(gens, basis, tol, max_iter, stall_window):
+def _sdp_route(basis, tol, max_iter, stall_window):
+    """The feasibility route; a certificate is against basis.elements."""
     problem = build_real_sdp(basis)
     result = solve_feasibility(problem, tol=tol, max_iter=max_iter, stall_window=stall_window)
 
-    if result.status == "feasible":
-        qnum = recover_multipliers(problem, result.G)
-        lifted = exact_lift(problem, result.G, qnum)
-        if lifted is not None:
-            cert = _exact_sdp_certificate(basis, problem, *lifted)
-            if cert is not None and verify_nonreal_certificate(gens, cert, basis=basis):
-                return RealnessVerdict(
-                    NOT_REAL, "sdp-exact", cert,
-                    detail="numeric solution lifted to an exact rational witness",
-                )
-
-    exact_status, data = exact_infeasibility_check(problem)
-    if exact_status == "infeasible":
-        return RealnessVerdict(
-            REAL, "sdp-exact",
-            detail="exact elimination refutes the feasibility system",
-        )
-    if exact_status == "feasible":
-        cert = _exact_sdp_certificate(basis, problem, *data)
-        if cert is not None and verify_nonreal_certificate(gens, cert, basis=basis):
+    point = exact_lift(problem, result.G) if result.status == "feasible" else None
+    if point is not None:
+        detail = "numeric solution lifted to an exact rational witness"
+    else:
+        exact_status, point = exact_infeasibility_check(problem)
+        if exact_status == "infeasible":
             return RealnessVerdict(
-                NOT_REAL, "sdp-exact", cert,
-                detail="exact elimination produced a feasible witness",
+                REAL, "sdp-exact",
+                detail="exact elimination refutes the feasibility system",
             )
+        detail = "exact elimination produced a feasible witness"
+    if point is not None:
+        G, qdicts = point
+        weights, rows = ldl_squares(psd_check_exact(G), problem.words)
+        cert = NonRealCertificate(
+            [Poly(basis.g, qdicts.get(j, {})) for j in range(len(basis.elements))],
+            weights, [Poly(basis.g, dict(r)) for r in rows],
+        )
+        return RealnessVerdict(NOT_REAL, "sdp-exact", cert, detail=detail)
     if result.status == "likely_infeasible":
         return RealnessVerdict(
             NUMERICALLY_REAL, "sdp-numeric", residual=result.final_gap,
@@ -633,4 +616,4 @@ def real_test(gens, order=None, method="auto", tol=1e-8, max_iter=20000,
             INCONCLUSIVE, "exact",
             detail="no exact closed form applies to these generators",
         )
-    return _sdp_route(gens, basis, tol, max_iter, stall_window)
+    return _checked(_sdp_route(basis, tol, max_iter, stall_window), gens, basis.reps, basis)

@@ -76,11 +76,10 @@ class SdpProblem:
     affine_residual -- for inconsistent constraints, the size of the
                     contradiction they imply
 
-    build_real_sdp also records the number of variables g and the word
-    order, the exact rows (gdict, qdict, const), the G and q unknowns, and
-    system: the rows solved exactly with the multipliers q eliminated
-    first (an ExactAffineSystem), from whose components A and b were
-    derived.  The exact post-checks and multiplier recovery read that one
+    build_real_sdp also records the exact rows (gdict, qdict, const), the
+    G and q unknowns, and system: the rows solved exactly with the
+    multipliers q eliminated first (an ExactAffineSystem), from whose
+    components A and b were derived.  The exact post-checks read that one
     system.
     """
 
@@ -92,8 +91,6 @@ class SdpProblem:
     b: np.ndarray
     inconsistent: bool = False
     affine_residual: float = 0.0
-    g: int | None = None
-    order: object = None
     exact_rows: list = field(default_factory=list)
     gvars: list = field(default_factory=list)
     qvars: list = field(default_factory=list)

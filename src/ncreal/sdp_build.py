@@ -33,10 +33,13 @@ The solved system is stored on the problem and serves the rest:
   forces its row and column to zero), at any problem size.  When the
   system pins G completely, an exact PSD test decides feasibility
   outright.
-* exact_lift: rounds a numeric solution to small rationals along the free
-  variables of the solved system, producing an exactly feasible pair (G, q)
-  when the rounding verifies.
-* recover_multipliers: the solved multiplier expressions at a numeric G.
+* exact_lift: rounds a numeric G to small rationals along the free G
+  unknowns of the solved system and sets the free multipliers to 0,
+  producing an exactly feasible pair (G, q) when the rounded G is PSD.
+
+Both read their point through one routine, _exact_point: evaluate the
+solved system at an assignment of its free unknowns, keep it when G passes
+the exact PSD test.
 """
 
 from fractions import Fraction
@@ -106,13 +109,13 @@ def build_real_sdp(basis):
         empty = np.zeros(0, dtype=np.intp)
         return SdpProblem(
             m, words, empty, empty, np.zeros(0), np.zeros(0),
-            True, float(abs(exc.const)), g=g, order=order,
+            True, float(abs(exc.const)),
             exact_rows=exact_rows, gvars=gvars, qvars=qvars, system=system,
         )
 
     rows, cols, vals, b = _component_rows(system, gvars, m)
     return SdpProblem(
-        m, words, rows, cols, vals, b, g=g, order=order,
+        m, words, rows, cols, vals, b,
         exact_rows=exact_rows, gvars=gvars, qvars=qvars, system=system,
     )
 
@@ -176,22 +179,6 @@ def _component_rows(system, gvars, m):
     return rows[keep], cols[keep], vals[keep], np.concatenate(b)
 
 
-def recover_multipliers(problem, G):
-    """Multipliers for a numeric G: the solved q expressions at G, free q = 0.
-
-    One float word-dict per basis element.
-    """
-    out = {}
-    for j, v in problem.qvars:
-        expr, c0 = problem.system.expression(("q", j, v))
-        val = float(c0) + sum(
-            float(e) * float(G[f[1], f[2]]) for f, e in expr.items() if f[0] == "g"
-        )
-        if val:
-            out.setdefault(j, {})[v] = val
-    return out
-
-
 def _exact_system(problem):
     """A copy of the problem's solved exact system, free to take more rows."""
     return problem.system.copy()
@@ -239,50 +226,47 @@ def exact_infeasibility_check(problem):
                     progress = True
         if not progress:
             break
-    values = {}
-    for i, j in problem.gvars:
-        v = sys.pinned_value(("g", i, j))
-        if v is None:
-            return "unknown", None
-        values[(i, j)] = v
+    if any(sys.pinned_value(("g",) + v) is None for v in problem.gvars):
+        return "unknown", None
+    point = _exact_point(problem, sys, {v: Fraction(0) for v in sys.free_variables()})
+    return ("infeasible", None) if point is None else ("feasible", point)
+
+
+def exact_lift(problem, G_num, denominators=(10, 100, 10**4, 10**6)):
+    """Round a numeric G to an exactly feasible rational (G, q), or None.
+
+    The free G unknowns of the solved system take the entries of G_num,
+    rounded to each denominator in turn; the free multipliers are 0.
+    """
+    if problem.inconsistent:
+        return None
+    sys = problem.system
+    numeric = {
+        v: float(G_num[v[1]][v[2]]) if v[0] == "g" else 0.0 for v in sys.free_variables()
+    }
+    for den in denominators:
+        assignment = {v: Fraction(x).limit_denominator(den) for v, x in numeric.items()}
+        point = _exact_point(problem, sys, assignment)
+        if point is not None:
+            return point
+    return None
+
+
+def _exact_point(problem, sys, assignment):
+    """The point of sys at an assignment of its free unknowns, when G is PSD.
+
+    Returns (G, qdicts): G the rational Gram matrix and qdicts, per basis
+    element index, the word-dict of its nonzero multiplier coefficients.
+    Returns None when G is not PSD.
+    """
+    m = problem.n
+    values = {(i, j): sys.evaluate(("g", i, j), assignment) for i, j in problem.gvars}
     G = [[values[(min(i, j), max(i, j))] for j in range(m)] for i in range(m)]
-    res = psd_check_exact(G)
-    if not res.is_psd:
-        return "infeasible", None
-    assignment = {v: Fraction(0) for v in sys.free_variables()}
+    if not psd_check_exact(G).is_psd:
+        return None
     qdicts = {}
     for j, v in problem.qvars:
         c = sys.evaluate(("q", j, v), assignment)
         if c:
             qdicts.setdefault(j, {})[v] = c
-    return "feasible", (G, qdicts)
-
-
-def exact_lift(problem, G_num, q_num, denominators=(10, 100, 10**4, 10**6)):
-    """Round a numeric solution to an exactly feasible rational (G, q), or None."""
-    if problem.inconsistent:
-        return None
-    sys = problem.system
-    free = sys.free_variables()
-    numeric = {}
-    for var in free:
-        if var[0] == "g":
-            numeric[var] = float(G_num[var[1]][var[2]])
-        else:
-            numeric[var] = q_num.get(var[1], {}).get(var[2], 0.0)
-    m = problem.n
-    for den in denominators:
-        assignment = {v: Fraction(numeric[v]).limit_denominator(den) for v in free}
-        values = {
-            (i, j): sys.evaluate(("g", i, j), assignment) for i, j in problem.gvars
-        }
-        G = [[values[(min(i, j), max(i, j))] for j in range(m)] for i in range(m)]
-        if not psd_check_exact(G).is_psd:
-            continue
-        qdicts = {}
-        for j, v in problem.qvars:
-            c = sys.evaluate(("q", j, v), assignment)
-            if c:
-                qdicts.setdefault(j, {})[v] = c
-        return G, qdicts
-    return None
+    return G, qdicts

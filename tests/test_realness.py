@@ -316,6 +316,76 @@ def test_sdp_route_never_contradicts_the_quadratic_closed_form():
     assert {REAL, NOT_REAL} <= seen
 
 
+def test_sdp_route_never_contradicts_the_principal_homogeneous_closed_form():
+    # g = 2 at degree 4 is left out: its n = 85 Gram side costs seconds per ideal
+    rng = random.Random(1)
+    seen = set()
+    kept = 0
+    while kept < 30:
+        g, d = rng.choice([(1, 3), (1, 4), (2, 2), (2, 3)])
+        gens = [rand_product(rng, g, d, star_pair=rng.random() < 0.5)]
+        exact = real_test(gens)
+        if exact.method != "principal-homogeneous":
+            continue
+        kept += 1
+        sdp = real_test(gens, method="sdp", max_iter=2000)
+        assert {exact.status, sdp.status} != {REAL, NOT_REAL}, gens
+        for v in (exact, sdp):
+            if v.status == NOT_REAL:
+                assert verify_nonreal_certificate(gens, v.certificate)
+        seen.add((exact.status, sdp.status))
+    assert {(REAL, REAL), (NOT_REAL, NOT_REAL)} <= seen
+
+
+# (generators, number of variables, the function whose point the route lifts)
+SDP_ROUTES = {
+    "lift": ("x2 x1* x1\nx1* x1", 2, "exact_lift"),
+    "exact check": ("x1 x1* - x1*^2 + 2 x1 + 4", 1, "exact_infeasibility_check"),
+}
+
+
+def _doubled_multipliers(point):
+    G, qdicts = point
+    return G, {j: {v: 2 * c for v, c in q.items()} for j, q in qdicts.items()}
+
+
+@pytest.mark.parametrize("route", SDP_ROUTES)
+def test_sdp_certificate_is_verified_once_against_the_generators(monkeypatch, route):
+    text, g, _ = SDP_ROUTES[route]
+    gens = parse_generators(text, g)
+    calls = []
+    verify = realness.verify_nonreal_certificate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(realness, "verify_nonreal_certificate", counting)
+    v = real_test(gens, method="sdp")
+    assert v.status == NOT_REAL and v.method == "sdp-exact"
+    assert v.detail.startswith("numeric" if route == "lift" else "exact")
+    assert len(calls) == 1
+    assert len(v.certificate.multipliers) == len(gens)
+
+
+@pytest.mark.parametrize("route", SDP_ROUTES)
+def test_sdp_certificate_that_fails_verification_is_an_internal_error(monkeypatch, route):
+    text, g, name = SDP_ROUTES[route]
+    found = getattr(realness, name)
+    if name == "exact_lift":
+        def broken(*args, **kwargs):
+            point = found(*args, **kwargs)
+            return None if point is None else _doubled_multipliers(point)
+    else:
+        def broken(*args, **kwargs):
+            status, point = found(*args, **kwargs)
+            return status, None if point is None else _doubled_multipliers(point)
+
+    monkeypatch.setattr(realness, name, broken)
+    with pytest.raises(AssertionError, match="sdp-exact certificate failed to verify"):
+        real_test(parse_generators(text, g), method="sdp")
+
+
 def test_sdp_agrees_with_monomial_decider():
     gens = [parse_poly("x1* x1^3")]
     exact = real_test(gens)

@@ -15,12 +15,7 @@ from ncreal.groebner import left_groebner
 from ncreal.parsing import parse_poly
 from ncreal.realness import NOT_REAL, REAL, real_test
 from ncreal.sdp import solve_feasibility
-from ncreal.sdp_build import (
-    build_real_sdp,
-    exact_infeasibility_check,
-    exact_lift,
-    recover_multipliers,
-)
+from ncreal.sdp_build import build_real_sdp, exact_infeasibility_check, exact_lift
 
 from util import (
     dense_rows,
@@ -28,6 +23,7 @@ from util import (
     problem_from_dense,
     project_affine,
     project_psd,
+    recover_multipliers,
     svec,
     svec_inverse,
 )
@@ -295,7 +291,7 @@ def test_solve_feasibility_matches_reference_loop_exactly():
 
 def test_feasible_exits_return_an_exactly_symmetric_G():
     # the loop updates and reads only the lower triangle of its iterate;
-    # recover_multipliers and exact_lift read the upper one
+    # exact_lift reads the upper one
     feasible = 0
     for name, problem, kwargs in _differential_cases():
         res = solve_feasibility(problem, **kwargs)
@@ -442,7 +438,7 @@ def test_inconsistent_constraints_are_found_exactly():
     assert problem.inconsistent and problem.affine_residual == 1.0
     assert dense_rows(problem).shape == (0, 1)
     assert exact_infeasibility_check(problem) == ("infeasible", None)
-    assert exact_lift(problem, np.eye(1), {}) is None
+    assert exact_lift(problem, np.eye(1)) is None
 
 
 def test_multiplier_unknowns_are_eliminated_first():

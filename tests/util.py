@@ -6,7 +6,8 @@ rank_exact, truncated_basis, scalar_multiple_of) are plain-definition
 oracles that only the tests need.  svec and svec_inverse are the scaled
 vector coordinates an SdpProblem's affine system is written in, and
 problem_from_dense and dense_rows move that system between a dense A and
-the coordinate form the library keeps.  gram_matrix fills the whole
+the coordinate form the library keeps; recover_multipliers reads the
+multipliers that go with a numeric G off the solved system.  gram_matrix fills the whole
 (d1, d2)-Gram matrix of a homogeneous polynomial, and
 dense_rank_one_split, dense_factor_homogeneous, dense_is_sos and
 dense_pm_sos_kind work on it,
@@ -203,6 +204,22 @@ def dense_rows(problem):
     A = np.zeros((len(problem.b), problem.n * (problem.n + 1) // 2))
     A[problem.rows, problem.cols] = problem.vals
     return A
+
+
+def recover_multipliers(problem, G):
+    """Multipliers for a numeric G: the solved q expressions at G, free q = 0.
+
+    One float word-dict per basis element.
+    """
+    out = {}
+    for j, v in problem.qvars:
+        expr, c0 = problem.system.expression(("q", j, v))
+        val = float(c0) + sum(
+            float(e) * float(G[f[1], f[2]]) for f, e in expr.items() if f[0] == "g"
+        )
+        if val:
+            out.setdefault(j, {})[v] = val
+    return out
 
 
 def project_affine(problem, S):
