@@ -27,12 +27,6 @@ def letter(var: int, star: bool = False) -> int:
 def letter_var(code: int) -> int:
     return code // 2 + 1
 
-def letter_is_star(code: int) -> bool:
-    return bool(code & 1)
-
-def star_letter(code: int) -> int:
-    return code ^ 1
-
 
 def letter_str(code: int) -> str:
     return f"x{letter_var(code)}" + ("*" if code & 1 else "")

@@ -214,10 +214,9 @@ def _build_parser():
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, file_input=True):
+    def common(p):
         p.add_argument("-e", "--expr", action="append", help="polynomial expression")
-        if file_input:
-            p.add_argument("-f", "--file", help="file with one polynomial per line")
+        p.add_argument("-f", "--file", help="file with one polynomial per line")
         p.add_argument("--vars", type=int, help="number of variables g")
         p.add_argument("--order", help="letter ranking, e.g. 'x1,x1*,x2,x2*'")
         p.add_argument("--json", action="store_true", help="machine readable output")

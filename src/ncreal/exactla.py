@@ -240,7 +240,6 @@ class ExactAffineSystem:
         expr, c0 = self.expression(var)
         return c0 + sum((assignment[fv] * fc for fv, fc in expr.items()), Fraction(0))
 
-    def free_variables(self, variables=None) -> list:
-        if variables is None:
-            variables = self._order  # every variable ever mentioned, insertion order
-        return [v for v in variables if v not in self.solved]
+    def free_variables(self) -> list:
+        """Every variable ever mentioned and not solved, in order of mention."""
+        return [v for v in self._order if v not in self.solved]

@@ -28,11 +28,7 @@ class SosCertificate:
         self.weights = list(weights)
         self.polys = list(polys)
 
-    def expand(self, g=None):
-        if not self.polys:
-            if g is None:
-                raise ValueError("empty certificate needs an explicit g to expand")
-            return Poly.zero(g)
+    def expand(self, g):
         total = {}
         for w, r in zip(self.weights, self.polys):
             for u, cu in r.terms.items():
@@ -40,10 +36,7 @@ class SosCertificate:
                 for v, cv in r.terms.items():
                     key = us + v
                     total[key] = total.get(key, 0) + wcu * cv
-        return Poly(self.polys[0].g, total)
-
-    def __len__(self):
-        return len(self.polys)
+        return Poly(g, total)
 
 
 class SosCheckResult:
@@ -60,7 +53,7 @@ class SosCheckResult:
 def is_sos_homogeneous(p, order=None):
     """Decide whether a homogeneous symmetric p is a sum of hermitian squares.
 
-    Returns an SosCheckResult; .certificate satisfies certificate.expand() == p
+    Returns an SosCheckResult; .certificate satisfies certificate.expand(p.g) == p
     when the answer is yes, .witness refutes PSD-ness of the Gram matrix when
     the answer is no.
     """
@@ -169,7 +162,7 @@ def sos_quadratic_univariate(b0, b1, b2, b3, b4):
 def decompose_quadratic_univariate(b0, b1, b2, b3, b4):
     """Constructive SOS decomposition of a univariate symmetric quadratic.
 
-    Returns an SosCertificate with expand() == quad_poly(b0,...,b4), or None
+    Returns an SosCertificate with expand(1) == quad_poly(b0,...,b4), or None
     when the closed-form test fails.  The decomposition shifts x by
     mu = b1 / (2 b2 + b3 + b4), splitting off the constant square, and
     factors the homogeneous part through its 2x2 Gram matrix

@@ -21,16 +21,12 @@ from .algebra import MonomialOrder, Poly, word_dict_add, word_dict_mul
 class LeftGroebnerBasis:
     """Monic basis of a left ideal with suffix-reduction normal forms."""
 
-    def __init__(self, g, order, elements, reps, ngens):
+    def __init__(self, g, order, elements, reps):
         self.g = g
         self.order = order
         self.elements = elements
         self.leads = [p.leading_word(order) for p in elements]
         self.reps = reps  # reps[i][t]: elements[i] == sum_t reps[i][t] * gens[t]
-        self.ngens = ngens
-
-    def __len__(self):
-        return len(self.elements)
 
     def _find_reduction(self, terms):
         """Largest reducible word of terms together with the reducing element."""
@@ -40,11 +36,10 @@ class LeftGroebnerBasis:
                     return w, idx
         return None
 
-    def reduce(self, terms, cofactors=None):
+    def reduce(self, terms):
         """Suffix-reduce a {word: coeff} dict of any number type; returns the remainder.
 
-        Repeatedly cancels the largest reducible word w = omega * lead_i.  When
-        cofactors (one dict per element) is given, each omega is added to it.
+        Repeatedly cancels the largest reducible word w = omega * lead_i.
         """
         work = terms
         while True:
@@ -54,16 +49,10 @@ class LeftGroebnerBasis:
             w, idx = hit
             omega = {w[: len(w) - len(self.leads[idx])]: work[w]}
             work = word_dict_add(work, word_dict_mul(omega, self.elements[idx].terms), -1)
-            if cofactors is not None:
-                cofactors[idx] = word_dict_add(cofactors[idx], omega)
 
-    def normal_form(self, p, with_cofactors=False):
-        """Reduce p; returns nf, or (nf, cofactors) with p == sum cof[i]*elements[i] + nf."""
-        cof = [{} for _ in self.elements] if with_cofactors else None
-        nf = Poly(self.g, self.reduce(p.terms, cof))
-        if with_cofactors:
-            return nf, [Poly(self.g, c) for c in cof]
-        return nf
+    def normal_form(self, p):
+        """The remainder of p after suffix reduction by the basis."""
+        return Poly(self.g, self.reduce(p.terms))
 
     def contains(self, p):
         return not self.normal_form(p)
@@ -72,10 +61,6 @@ class LeftGroebnerBasis:
         return not any(
             len(lw) <= len(w) and w[len(w) - len(lw):] == lw for lw in self.leads
         )
-
-    def represent(self, idx):
-        """Cofactors of elements[idx] over the original generators."""
-        return self.reps[idx]
 
 
 def left_groebner(gens, order=None):
@@ -131,4 +116,4 @@ def left_groebner(gens, order=None):
             changed = True
             break
 
-    return LeftGroebnerBasis(g, order, elements, reps, len(gens))
+    return LeftGroebnerBasis(g, order, elements, reps)

@@ -180,10 +180,6 @@ def parse_generators(text: str, g: int | None = None) -> list[Poly]:
     return [Poly(shared, p.terms) for p in polys]
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c)
-
-
 def poly_str(p: Poly, order: MonomialOrder | None = None) -> str:
     """Canonical form: descending monomial order, explicit signs."""
     if not p.terms:
@@ -195,11 +191,11 @@ def poly_str(p: Poly, order: MonomialOrder | None = None) -> str:
         c = p.terms[w]
         mag = -c if c < 0 else c
         if not w:
-            body = _coeff_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = word_str(w)
         else:
-            body = f"{_coeff_str(mag)} {word_str(w)}"
+            body = f"{mag} {word_str(w)}"
         pieces.append(("-" if c < 0 else "+", body))
     sign, body = pieces[0]
     out = ("-" if sign == "-" else "") + body

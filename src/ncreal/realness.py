@@ -215,7 +215,7 @@ def verify_nonreal_certificate(gens, cert, tol=None, basis=None):
 # exact deciders
 # ---------------------------------------------------------------------------
 
-def real_monomial_ideal(gens, order=None):
+def real_monomial_ideal(gens):
     """Realness of an ideal generated by (nonconstant) monomials.
 
     After discarding generators that are left multiples of others, the
@@ -488,10 +488,10 @@ def _checked(verdict, gens, reps, basis=None):
 # SDP route
 # ---------------------------------------------------------------------------
 
-def _sdp_route(basis, tol, max_iter, stall_window):
+def _sdp_route(basis, tol, max_iter):
     """The feasibility route; a certificate is against basis.elements."""
     problem = build_real_sdp(basis)
-    result = solve_feasibility(problem, tol=tol, max_iter=max_iter, stall_window=stall_window)
+    result = solve_feasibility(problem, tol=tol, max_iter=max_iter)
 
     point = exact_lift(problem, result.G) if result.status == "feasible" else None
     if point is not None:
@@ -557,8 +557,7 @@ def _decide_single_exact(p, order):
     return realness_prefilter_principal(p, order)
 
 
-def real_test(gens, order=None, method="auto", tol=1e-8, max_iter=20000,
-              stall_window=500):
+def real_test(gens, order=None, method="auto", tol=1e-8, max_iter=20000):
     """Decide realness of the left ideal generated by gens.
 
     method: "auto" (closed forms, then SDP), "exact" (closed forms only;
@@ -590,7 +589,7 @@ def real_test(gens, order=None, method="auto", tol=1e-8, max_iter=20000,
         # reps[i] writes the i-th nonzero generator as a combination of gens
         reps = [[{(): 1} if s == t else {} for s in range(len(gens))] for t, _ in live]
         if all(p.is_monomial() for _, p in live):
-            return _checked(real_monomial_ideal([p for _, p in live], order), gens, reps)
+            return _checked(real_monomial_ideal([p for _, p in live]), gens, reps)
         if all(p.is_analytic() for _, p in live):
             return RealnessVerdict(
                 REAL, "analytic", detail="analytic generators always give a real ideal",
@@ -616,4 +615,4 @@ def real_test(gens, order=None, method="auto", tol=1e-8, max_iter=20000,
             INCONCLUSIVE, "exact",
             detail="no exact closed form applies to these generators",
         )
-    return _checked(_sdp_route(basis, tol, max_iter, stall_window), gens, basis.reps, basis)
+    return _checked(_sdp_route(basis, tol, max_iter), gens, basis.reps, basis)

@@ -76,11 +76,13 @@ class SdpProblem:
     affine_residual -- for inconsistent constraints, the size of the
                     contradiction they imply
 
-    build_real_sdp also records the exact rows (gdict, qdict, const), the
-    G and q unknowns, and system: the rows solved exactly with the
-    multipliers q eliminated first (an ExactAffineSystem), from whose
-    components A and b were derived.  The exact post-checks read that one
-    system.
+    build_real_sdp also records exact_rows, the rows as (row, const) pairs,
+    each row a dict over the unknowns; gvars and qvars, those unknowns,
+    ("g", i, j) for G[i][j] with i <= j and ("q", j, v) for the coefficient
+    of the word v in the multiplier of basis element j; and system: the
+    rows solved exactly with the multipliers eliminated first (an
+    ExactAffineSystem), from whose components A and b were derived.  The
+    exact post-checks read that one system.
     """
 
     n: int
@@ -97,6 +99,9 @@ class SdpProblem:
     system: object = None
 
 
+STALL_WINDOW = 500  # steps over which a stalled gap changes by at most tol
+
+
 class FeasibilityResult:
     def __init__(self, status, G, iterations, final_gap, gaps):
         self.status = status  # "feasible" | "likely_infeasible" | "max_iterations"
@@ -106,12 +111,12 @@ class FeasibilityResult:
         self.gaps = gaps
 
 
-def solve_feasibility(problem, tol=1e-8, max_iter=20000, stall_window=500):
+def solve_feasibility(problem, tol=1e-8, max_iter=20000):
     """Alternate affine and PSD projections from G0 = I/n.
 
     feasible          -- an iterate satisfies both constraints to tol
     likely_infeasible -- the projection gap stabilizes above 10*tol
-                         (relative change below tol across stall_window
+                         (relative change below tol across STALL_WINDOW
                          iterations)
     max_iterations    -- neither happened within max_iter
     """
@@ -148,8 +153,8 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000, stall_window=500):
         if sqrt(r.dot(r)) <= tol:
             return FeasibilityResult("feasible", _from_lower(G), it, 0.0, gaps)
         gaps.append(hypot(*ws[:k]))  # ||H - G||_F
-        if len(gaps) > stall_window:
-            old, new = gaps[-stall_window - 1], gaps[-1]
+        if len(gaps) > STALL_WINDOW:
+            old, new = gaps[-STALL_WINDOW - 1], gaps[-1]
             if new > 10.0 * tol and abs(new - old) <= tol * old:
                 return FeasibilityResult("likely_infeasible", None, it, new, gaps)
     return FeasibilityResult(

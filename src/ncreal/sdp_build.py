@@ -12,7 +12,9 @@ where M is the column vector of the indexing words.  Matching coefficients
 word by word gives exact linear constraints, one row per pair {w, w^*}
 (the rows of w and w^* are the same row).
 
-build_real_sdp feeds these rows, as fractions, into one sparse exact
+build_real_sdp writes each row once, as a dict over the unknowns of the
+system, ("g", i, j) for G[i][j] with i <= j and ("q", j, v) for the
+coefficient of the word v in q_j, and feeds the rows into one sparse exact
 elimination (ExactAffineSystem) that pivots on multiplier unknowns first.
 Every solved G unknown is then an expression G_p - sum_f e_f G_f = c over
 free G unknowns alone: these rows cut out exactly the G for which some
@@ -62,49 +64,41 @@ def build_real_sdp(basis):
     d = max(p.degree() for p in basis.elements)
     words = [w for w in words_up_to(g, d - 1, order) if basis.is_irreducible_word(w)]
     m = len(words)
+    gvars = [("g", i, j) for i in range(m) for j in range(i, m)]
     qvars = [
-        (j, v)
+        ("q", j, v)
         for j, p in enumerate(basis.elements)
         for v in words_up_to(g, 2 * d - 1 - p.degree(), order)
     ]
 
-    # Exact rows: one per pair {w, w*}, kept under w <= w*,
-    # sum gcoef * G[i][j]  -  sum qcoef * q = rhs.
+    # Exact rows: one per pair {w, w*}, kept under w <= w*, as dicts over
+    # the system's unknowns; a row's G unknowns precede its q unknowns,
+    # since the elimination breaks pivot ties by first mention.
     rows = {}
-
-    def row(w):
-        if w not in rows:
-            rows[w] = ({}, {})
-        return rows[w]
-
     for a in range(m):
         wa = word_star(words[a])
         for b in range(m):
             w = wa + words[b]
             if w <= word_star(w):
-                gdict, _ = row(w)
-                key = (min(a, b), max(a, b))
-                gdict[key] = gdict.get(key, Fraction(0)) + 1
-    for j, v in qvars:
+                row = rows.setdefault(w, {})
+                var = ("g", min(a, b), max(a, b))
+                row[var] = row.get(var, 0) + 1
+    for var in qvars:
+        _, j, v = var
         for u, c in basis.elements[j].terms.items():
             for w in (v + u, word_star(v + u)):
                 if w <= word_star(w):
-                    _, qdict = row(w)
-                    qdict[(j, v)] = qdict.get((j, v), Fraction(0)) + c
+                    row = rows.setdefault(w, {})
+                    row[var] = row.get(var, 0) - c
 
-    word_order = sorted(rows, key=order.key)
-    exact_rows = [({(i, i): Fraction(1) for i in range(m)}, {}, Fraction(1))]
-    exact_rows += [(rows[w][0], rows[w][1], Fraction(0)) for w in word_order]
+    exact_rows = [({("g", i, i): 1 for i in range(m)}, 1)]
+    exact_rows += [(rows[w], 0) for w in sorted(rows, key=order.key)]
 
     # Eliminate the multipliers first: what is left on G pivots involves G only.
     system = ExactAffineSystem(priority=lambda var: 0 if var[0] == "q" else 1)
-    gvars = [(i, j) for i in range(m) for j in range(i, m)]
     try:
-        for gdict, qdict, const in exact_rows:
-            rowvars = {("g",) + key: c for key, c in gdict.items()}
-            for key, c in qdict.items():
-                rowvars[("q",) + key] = -c
-            system.add_row(rowvars, const)
+        for row, const in exact_rows:
+            system.add_row(row, const)
     except Inconsistent as exc:
         empty = np.zeros(0, dtype=np.intp)
         return SdpProblem(
@@ -132,7 +126,7 @@ def _component_rows(system, gvars, m):
     and the stacked b.
     """
     # gvars runs through the upper triangle row by row, as svec does.
-    gindex = {("g",) + v: k for k, v in enumerate(gvars)}
+    gindex = {v: k for k, v in enumerate(gvars)}
     _, scale = _svec_index(m)
     parent = list(range(len(gvars)))
 
@@ -144,7 +138,7 @@ def _component_rows(system, gvars, m):
 
     pivots = sorted(gindex[var] for var in system.solved if var[0] == "g")
     for p in pivots:
-        for f in system.solved[("g",) + gvars[p]][0]:
+        for f in system.solved[gvars[p]][0]:
             parent[find(gindex[f])] = find(p)
     components = {}
     for p in pivots:
@@ -156,7 +150,7 @@ def _component_rows(system, gvars, m):
     vals, b = [np.zeros(0)], [np.zeros(0)]
     nrows = 0
     for cpivots in components.values():
-        exprs = [system.solved[("g",) + gvars[p]] for p in cpivots]
+        exprs = [system.solved[gvars[p]] for p in cpivots]
         coords = sorted({*cpivots, *(gindex[f] for expr, _ in exprs for f in expr)})
         local = {k: i for i, k in enumerate(coords)}
         B = np.zeros((len(cpivots), len(coords)))
@@ -226,17 +220,18 @@ def exact_infeasibility_check(problem):
                     progress = True
         if not progress:
             break
-    if any(sys.pinned_value(("g",) + v) is None for v in problem.gvars):
+    if any(sys.pinned_value(v) is None for v in problem.gvars):
         return "unknown", None
     point = _exact_point(problem, sys, {v: Fraction(0) for v in sys.free_variables()})
     return ("infeasible", None) if point is None else ("feasible", point)
 
 
-def exact_lift(problem, G_num, denominators=(10, 100, 10**4, 10**6)):
+def exact_lift(problem, G_num):
     """Round a numeric G to an exactly feasible rational (G, q), or None.
 
     The free G unknowns of the solved system take the entries of G_num,
-    rounded to each denominator in turn; the free multipliers are 0.
+    rounded to denominators 10, 100, 10^4 and 10^6 in turn; the free
+    multipliers are 0.
     """
     if problem.inconsistent:
         return None
@@ -244,7 +239,7 @@ def exact_lift(problem, G_num, denominators=(10, 100, 10**4, 10**6)):
     numeric = {
         v: float(G_num[v[1]][v[2]]) if v[0] == "g" else 0.0 for v in sys.free_variables()
     }
-    for den in denominators:
+    for den in (10, 100, 10**4, 10**6):
         assignment = {v: Fraction(x).limit_denominator(den) for v, x in numeric.items()}
         point = _exact_point(problem, sys, assignment)
         if point is not None:
@@ -259,14 +254,16 @@ def _exact_point(problem, sys, assignment):
     element index, the word-dict of its nonzero multiplier coefficients.
     Returns None when G is not PSD.
     """
-    m = problem.n
-    values = {(i, j): sys.evaluate(("g", i, j), assignment) for i, j in problem.gvars}
-    G = [[values[(min(i, j), max(i, j))] for j in range(m)] for i in range(m)]
+    G = [[None] * problem.n for _ in range(problem.n)]
+    for var in problem.gvars:
+        _, i, j = var
+        G[i][j] = G[j][i] = sys.evaluate(var, assignment)
     if not psd_check_exact(G).is_psd:
         return None
     qdicts = {}
-    for j, v in problem.qvars:
-        c = sys.evaluate(("q", j, v), assignment)
+    for var in problem.qvars:
+        c = sys.evaluate(var, assignment)
         if c:
+            _, j, v = var
             qdicts.setdefault(j, {})[v] = c
     return G, qdicts

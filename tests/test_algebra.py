@@ -9,11 +9,9 @@ from ncreal.algebra import (
     is_left_unshrinkable,
     iter_words,
     letter,
-    letter_is_star,
     letter_str,
     letter_var,
     shrink_length,
-    star_letter,
     word_star,
     word_str,
     words_of_degree,
@@ -27,9 +25,7 @@ def test_letter_codes():
     assert letter(1) == 0 and letter(1, True) == 1
     assert letter(2) == 2 and letter(2, True) == 3
     for code in range(8):
-        assert letter(letter_var(code), letter_is_star(code)) == code
-        assert star_letter(star_letter(code)) == code
-        assert star_letter(code) == code ^ 1
+        assert letter(letter_var(code), bool(code & 1)) == code
     assert letter_str(0) == "x1" and letter_str(3) == "x2*"
 
 

@@ -191,7 +191,7 @@ def test_affine_system_random_consistency():
             rhs = sum(c * target[v] for v, c in row.items())
             rows.append((row, rhs))
             sys.add_row(dict(row), rhs)  # consistent by construction
-        free = sys.free_variables(names)
+        free = [v for v in names if v not in sys.solved]
         assign = {v: target[v] for v in free}
         sol = {v: sys.evaluate(v, assign) for v in names}
         for row, rhs in rows:

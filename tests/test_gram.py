@@ -153,7 +153,7 @@ def test_decompose_matches_closed_form_on_random_coeffs():
             hits += 1
             assert cert is not None
             assert cert.expand(1) == quad_poly(*b)
-            assert len(cert) <= 3
+            assert len(cert.polys) <= 3
         else:
             assert cert is None
     assert 20 < hits < 180

@@ -70,25 +70,12 @@ def test_basis_elements_represented_over_generators():
     gens = parse_generators(CUBIC_GENS)
     basis = left_groebner(gens)
     for i, elt in enumerate(basis.elements):
-        rep = basis.represent(i)
+        rep = basis.reps[i]
         assert len(rep) == len(gens)
         combo = Poly.zero(1)
         for c, b in zip(rep, gens):
             combo = combo + c * b
         assert combo == elt
-
-
-def test_cofactor_identity():
-    gens = parse_generators(CUBIC_GENS)
-    basis = left_groebner(gens)
-    rng = random.Random(33)
-    for _ in range(20):
-        p = rand_poly(rng, 1, 5, nterms=6)
-        nf, cof = basis.normal_form(p, with_cofactors=True)
-        combo = nf
-        for c, b in zip(cof, basis.elements):
-            combo = combo + c * b
-        assert combo == p
 
 
 def test_irreducible_words_are_normal_forms():
@@ -132,14 +119,14 @@ def test_truncation_below_basis_degree_rejected():
 
 def test_unit_ideal_collapses_to_one():
     basis = _basis_for("x1\nx1 + 1")
-    assert len(basis) == 1
+    assert len(basis.elements) == 1
     assert basis.elements[0] == Poly.constant(1, Fraction(1))
     assert basis.contains(parse_poly("x1* x1 - 7"))
 
 
 def test_zero_generators_give_zero_ideal():
     basis = left_groebner([Poly.zero(1), Poly.zero(1)])
-    assert len(basis) == 0
+    assert len(basis.elements) == 0
     p = parse_poly("x1 + 2")
     assert basis.normal_form(p) == p
     assert not basis.contains(p)

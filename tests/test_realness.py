@@ -26,7 +26,7 @@ from ncreal.realness import (
     verify_nonreal_certificate,
 )
 
-from util import copying_defect, rand_poly, rand_product
+from util import copying_defect, rand_coeff, rand_poly, rand_product
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -328,6 +328,38 @@ def test_sdp_route_never_contradicts_the_principal_homogeneous_closed_form():
         if exact.method != "principal-homogeneous":
             continue
         kept += 1
+        sdp = real_test(gens, method="sdp", max_iter=2000)
+        assert {exact.status, sdp.status} != {REAL, NOT_REAL}, gens
+        for v in (exact, sdp):
+            if v.status == NOT_REAL:
+                assert verify_nonreal_certificate(gens, v.certificate)
+        seen.add((exact.status, sdp.status))
+    assert {(REAL, REAL), (NOT_REAL, NOT_REAL)} <= seen
+
+
+def _analytic(rng, g, d):
+    """A nonzero analytic polynomial of degree 1 to d without constant term."""
+    terms = {
+        tuple(2 * rng.randrange(g) for _ in range(rng.randint(1, d))): rand_coeff(rng)
+        for _ in range(rng.randint(1, 3))
+    }
+    return Poly(g, terms)
+
+
+@pytest.mark.parametrize("method,degree", [("linear", 1), ("analytic-antianalytic", 2)])
+def test_sdp_route_never_contradicts_the_analytic_antianalytic_closed_forms(method, degree):
+    # p = a + b + c: a analytic, b = -a* or a random antianalytic, c mostly nonzero
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(60):
+        g = rng.choice([1, 2])
+        a = _analytic(rng, g, degree)
+        b = -a.star() if rng.random() < 0.5 else _analytic(rng, g, degree).star()
+        c = rand_coeff(rng) if rng.random() < 0.75 else 0
+        gens = [a + b + Poly.constant(g, c)]
+        exact = real_test(gens)
+        if exact.method != method:
+            continue
         sdp = real_test(gens, method="sdp", max_iter=2000)
         assert {exact.status, sdp.status} != {REAL, NOT_REAL}, gens
         for v in (exact, sdp):

@@ -12,7 +12,7 @@ from ncreal import realness
 from ncreal.algebra import word_star, words_up_to
 from ncreal.exactla import ExactAffineSystem
 from ncreal.groebner import left_groebner
-from ncreal.parsing import parse_poly
+from ncreal.parsing import parse_generators, parse_poly
 from ncreal.realness import NOT_REAL, REAL, real_test
 from ncreal.sdp import solve_feasibility
 from ncreal.sdp_build import build_real_sdp, exact_infeasibility_check, exact_lift
@@ -451,9 +451,10 @@ def test_multiplier_unknowns_are_eliminated_first():
     # at a point of the affine slice, the recovered multipliers meet every row
     G = svec_inverse(A.T @ problem.b, problem.n)
     q = recover_multipliers(problem, G)
-    for gdict, qdict, const in problem.exact_rows:
-        lhs = sum(float(c) * G[i, j] for (i, j), c in gdict.items())
-        lhs -= sum(float(c) * q.get(j, {}).get(v, 0.0) for (j, v), c in qdict.items())
+    for row, const in problem.exact_rows:
+        lhs = 0.0
+        for (kind, a, b), c in row.items():
+            lhs += float(c) * (G[a, b] if kind == "g" else q.get(a, {}).get(b, 0.0))
         assert abs(lhs - float(const)) <= 1e-9
 
 
@@ -479,7 +480,7 @@ def test_affine_rows_are_factored_per_component(monkeypatch):
         AAt[np.ix_(rows[at], rows[at])] += np.outer(vals[at], vals[at])
     assert np.abs(AAt - np.eye(len(problem.b))).max() <= 1e-12
     # each row's support lies inside one component of the solved system
-    gindex = {("g",) + v: k for k, v in enumerate(problem.gvars)}
+    gindex = {v: k for k, v in enumerate(problem.gvars)}
     parent = list(range(N))
 
     def find(k):
@@ -510,20 +511,27 @@ def _count_systems(monkeypatch):
 
 @pytest.mark.parametrize("text,route", [
     ("x1 x1* - x1* x1 - 1", "exact check"),
-    ("x1 x1* - x1*^2 + 2 x1 + 4", "lift"),
+    ("x2 x1* x1\nx1* x1", "lift"),
 ])
 def test_one_exact_system_per_problem(monkeypatch, text, route):
     built = _count_systems(monkeypatch)
-    problems = []
+    problems, lifts = [], []
 
     def recording(basis):
         problems.append(build_real_sdp(basis))
         return problems[-1]
 
+    def lifting(problem, G_num):
+        lifts.append(exact_lift(problem, G_num))
+        return lifts[-1]
+
     monkeypatch.setattr(realness, "build_real_sdp", recording)
-    verdict = real_test([parse_poly(text)], method="sdp")
+    monkeypatch.setattr(realness, "exact_lift", lifting)
+    verdict = real_test(parse_generators(text), method="sdp")
     assert verdict.method == "sdp-exact"
     assert verdict.status == (REAL if route == "exact check" else NOT_REAL)
+    # only the lift case reaches the lift, and the lift gives its witness
+    assert (route == "lift") == any(point is not None for point in lifts)
     # the one system is the problem's own; the check and the lift build none
     assert len(problems) == 1 and built == [problems[0].system]
 

@@ -212,12 +212,13 @@ def recover_multipliers(problem, G):
     One float word-dict per basis element.
     """
     out = {}
-    for j, v in problem.qvars:
-        expr, c0 = problem.system.expression(("q", j, v))
+    for var in problem.qvars:
+        expr, c0 = problem.system.expression(var)
         val = float(c0) + sum(
             float(e) * float(G[f[1], f[2]]) for f, e in expr.items() if f[0] == "g"
         )
         if val:
+            _, j, v = var
             out.setdefault(j, {})[v] = val
     return out
 
