@@ -12,7 +12,10 @@ intersection when it is nonempty; when it is empty the gap between the two
 projections stabilizes at the positive distance between the sets, which is
 what the stall detector looks for.
 
-solve_feasibility works on the n x n iterate itself and never forms svec.
+G is 0 off a face of k of its n words (build_real_sdp's facial
+reduction), and A is written in the svec coordinates of the k x k block
+on the face.  solve_feasibility works on that k x k iterate itself, never
+forms svec, and returns a feasible G zero-padded to n x n.
 Once per solve it maps each nonzero of A to the flat index of its entry in
 the lower triangle and folds the svec scale into two copies of the values,
 so A x and A^T r are one np.bincount each, read from and written to that
@@ -61,32 +64,46 @@ def _from_lower(S):
     return np.tril(S) + np.tril(S, -1).T
 
 
+def _padded(problem, G):
+    """The n x n matrix over all words that is G on the face and 0 off it."""
+    out = np.zeros((problem.n, problem.n))
+    out[np.ix_(problem.face, problem.face)] = G
+    return out
+
+
 @dataclass(eq=False)
 class SdpProblem:
-    """Feasibility problem: find G psd with A svec(G) = b.
+    """Feasibility problem: find G psd, 0 off the face, with A svec(G_F) = b
+    for its block G_F on the face.
 
     n            -- side length of G
     words        -- labels of the rows/columns of G
+    face         -- the indices of the k words G may be nonzero on,
+                    ascending
     rows, cols, vals -- the nonzeros of A, whose rows are orthonormal, in
-                    svec coordinates: A[rows[k], cols[k]] = vals[k]; the
-                    index arrays are integer-typed even when empty
+                    the svec coordinates of the k x k block G_F:
+                    A[rows[k], cols[k]] = vals[k]; the index arrays are
+                    integer-typed even when empty
     b            -- right-hand side, one entry per row of A
-    inconsistent -- True when the constraints admit no solution at all;
-                    solve_feasibility then stops at once
+    inconsistent -- True when the constraints admit no solution on the
+                    face; solve_feasibility then stops at once
     affine_residual -- for inconsistent constraints, the size of the
                     contradiction they imply
 
-    build_real_sdp also records exact_rows, the rows as (row, const) pairs,
-    each row a dict over the unknowns; gvars and qvars, those unknowns,
-    ("g", i, j) for G[i][j] with i <= j and ("q", j, v) for the coefficient
-    of the word v in the multiplier of basis element j; and system: the
-    rows solved exactly with the multipliers eliminated first (an
-    ExactAffineSystem), from whose components A and b were derived.  The
-    exact post-checks read that one system.
+    build_real_sdp also records exact_rows, the rows as (row, const) pairs
+    in the order they were solved, each row a dict over the unknowns;
+    gvars, the G unknowns ("g", i, j) on the face, i <= j, in svec order;
+    qvars, the multiplier unknowns ("q", j, v), the coefficient of the word
+    v in the multiplier of basis element j; and system: the rows solved
+    exactly with the multipliers eliminated first (an ExactAffineSystem),
+    from whose components A and b were derived.  The exact post-checks read
+    that one system.  The names index the full word list; the system holds
+    a G unknown off the face only when it pins it to 0.
     """
 
     n: int
     words: list
+    face: list
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
@@ -112,7 +129,9 @@ class FeasibilityResult:
 
 
 def solve_feasibility(problem, tol=1e-8, max_iter=20000):
-    """Alternate affine and PSD projections from G0 = I/n.
+    """Alternate affine and PSD projections on the face from G0 = I/k.
+
+    A feasible G is returned zero-padded to n x n.
 
     feasible          -- an iterate satisfies both constraints to tol
     likely_infeasible -- the projection gap stabilizes above 10*tol
@@ -124,7 +143,7 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000):
         return FeasibilityResult(
             "likely_infeasible", None, 0, problem.affine_residual, []
         )
-    n = problem.n
+    n = len(problem.face)  # the iterate is the k x k block on the face
     rows, cols, b = problem.rows, problem.cols, problem.b
     m = len(b)
     _, scale = _svec_index(n)
@@ -145,13 +164,13 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000):
         w, V = np.linalg.eigh(H)
         ws = w.tolist()  # n floats: cheaper to search and sum than w itself
         if ws[0] >= -tol:
-            return FeasibilityResult("feasible", _from_lower(H), it, 0.0, gaps)
+            return FeasibilityResult("feasible", _padded(problem, _from_lower(H)), it, 0.0, gaps)
         k = bisect_left(ws, 0.0)  # w[k:] are the nonnegative eigenvalues
         V = V[:, k:]
         G = (V * w[k:]) @ V.T
         r = residual(G)
         if sqrt(r.dot(r)) <= tol:
-            return FeasibilityResult("feasible", _from_lower(G), it, 0.0, gaps)
+            return FeasibilityResult("feasible", _padded(problem, _from_lower(G)), it, 0.0, gaps)
         gaps.append(hypot(*ws[:k]))  # ||H - G||_F
         if len(gaps) > STALL_WINDOW:
             old, new = gaps[-STALL_WINDOW - 1], gaps[-1]

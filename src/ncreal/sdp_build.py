@@ -1,4 +1,5 @@
-"""Assembly of the realness feasibility SDP and its exact rational post-checks.
+"""Assembly of the realness feasibility SDP on its face, and its exact
+rational post-checks.
 
 For a left ideal with monic basis p_1, .., p_s of maximal degree d, index a
 symmetric matrix G by the words of degree < d that are irreducible for the
@@ -15,10 +16,26 @@ word by word gives exact linear constraints, one row per pair {w, w^*}
 build_real_sdp writes each row once, as a dict over the unknowns of the
 system, ("g", i, j) for G[i][j] with i <= j and ("q", j, v) for the
 coefficient of the word v in q_j, and feeds the rows into one sparse exact
-elimination (ExactAffineSystem) that pivots on multiplier unknowns first.
-Every solved G unknown is then an expression G_p - sum_f e_f G_f = c over
-free G unknowns alone: these rows cut out exactly the G for which some
-multipliers exist.  In svec coordinates they form a full-row-rank matrix
+elimination (ExactAffineSystem) that pivots on multiplier unknowns first,
+top-down by decreasing word length.  Once every row of length >= 2t is
+in, PSD propagation over the words of length t (t = d - 1 first) finds the
+words whose diagonal entry the rows pin to 0.  Such a word z leaves the
+face: G_zz = 0 forces its whole row and column of a psd G to 0, so every
+later row, and the trace row, which comes last, leaves out the G unknowns
+of z.  The build descends to layer t - 1 only when all of layer t left.
+Rows are only ever added, and a subset of the rows implies nothing the
+whole system does not, so the reduction is sound.  It is a degree-layered
+partial facial reduction: the free-algebra analogue of the Newton chip
+method (Burgdorf, Klep and Povh, Optimization of Polynomials in
+Non-Commuting Variables, 2016) and of Permenter and Parrilo's partial
+facial reduction.  The k words that stay are the face; problem.words,
+problem.n and the names ("g", i, j) still index the full word list, and G
+is 0 off the face.
+
+Every solved G unknown on the face is then an expression
+G_p - sum_f e_f G_f = c over free G unknowns of the face alone: these rows
+cut out exactly the G on the face for which some multipliers exist.  In
+the svec coordinates of the k x k face they form a full-row-rank matrix
 B = [I | -E], which is almost empty: joining each pivot with the free
 unknowns of its expression splits the coordinates into many small
 independent components.  One QR factorization B_c^T = Q_c R_c per
@@ -26,13 +43,15 @@ component gives the orthonormal rows A_c = Q_c^T and b_c = R_c^-T c_c of
 the alternating-projection solver, kept in coordinate form; no dense A and
 no QR over all of B is ever formed.  The rank is the number of G pivots;
 no float threshold decides it.  A row that reduces to 0 = c proves the
-constraints inconsistent.
+constraints inconsistent on the face; the trace row over an empty face
+does so with c = 1.
 
 The solved system is stored on the problem and serves the rest:
 
-* exact_infeasibility_check: PSD propagation on a copy of the system (a
-  pinned negative diagonal kills feasibility; a pinned zero diagonal
-  forces its row and column to zero), at any problem size.  When the
+* exact_infeasibility_check: PSD propagation over the face on a copy of
+  the system, by the routine the build descends with (a pinned negative
+  diagonal kills feasibility; a pinned zero diagonal forces its row and
+  column to zero), at any problem size.  When the
   system pins G completely, an exact PSD test decides feasibility
   outright.
 * exact_lift: rounds a numeric G to small rationals along the free G
@@ -54,7 +73,7 @@ from .sdp import SdpProblem, _svec_index
 
 
 def build_real_sdp(basis):
-    """Build the feasibility SDP for the ideal of a left Groebner basis."""
+    """Build the feasibility SDP for the ideal of a left Groebner basis, on its face."""
     if not basis.elements:
         raise ValueError("empty basis: the zero ideal needs no SDP")
     if any(p.degree() == 0 for p in basis.elements):
@@ -63,8 +82,8 @@ def build_real_sdp(basis):
     order = basis.order
     d = max(p.degree() for p in basis.elements)
     words = [w for w in words_up_to(g, d - 1, order) if basis.is_irreducible_word(w)]
+    stars = [word_star(w) for w in words]
     m = len(words)
-    gvars = [("g", i, j) for i in range(m) for j in range(i, m)]
     qvars = [
         ("q", j, v)
         for j, p in enumerate(basis.elements)
@@ -76,10 +95,9 @@ def build_real_sdp(basis):
     # since the elimination breaks pivot ties by first mention.
     rows = {}
     for a in range(m):
-        wa = word_star(words[a])
         for b in range(m):
-            w = wa + words[b]
-            if w <= word_star(w):
+            w = stars[a] + words[b]
+            if w <= stars[b] + words[a]:  # the right side is w*
                 row = rows.setdefault(w, {})
                 var = ("g", min(a, b), max(a, b))
                 row[var] = row.get(var, 0) + 1
@@ -91,31 +109,53 @@ def build_real_sdp(basis):
                     row = rows.setdefault(w, {})
                     row[var] = row.get(var, 0) - c
 
-    exact_rows = [({("g", i, i): 1 for i in range(m)}, 1)]
-    exact_rows += [(rows[w], 0) for w in sorted(rows, key=order.key)]
-
-    # Eliminate the multipliers first: what is left on G pivots involves G only.
+    # Feed the rows by decreasing word length, multipliers eliminated
+    # first.  Once the rows of length >= 2t are in, propagation over the
+    # words of length t drops those whose diagonal is pinned to 0; later
+    # rows and the trace row leave their G unknowns out.  Every row but the
+    # trace row is homogeneous, so until it comes, every pinned value is 0:
+    # the descent meets neither a negative diagonal nor a contradiction.
     system = ExactAffineSystem(priority=lambda var: 0 if var[0] == "q" else 1)
+    exact_rows = []
+    dropped = set()
+
+    def feed(row, const):
+        row = {v: c for v, c in row.items()
+               if v[0] == "q" or (v[1] not in dropped and v[2] not in dropped)}
+        exact_rows.append((row, const))
+        system.add_row(row, const)
+
+    pending = sorted(rows, key=order.key)  # longest words first
+    fed = 0
+    for t in range(d - 1, -1, -1):
+        while fed < len(pending) and len(pending[fed]) >= 2 * t:
+            feed(rows[pending[fed]], 0)
+            fed += 1
+        layer = [i for i in range(m) if len(words[i]) == t]
+        zeros = _propagate(system, layer)
+        dropped |= zeros
+        if len(zeros) < len(layer):
+            break
+    for w in pending[fed:]:
+        feed(rows[w], 0)
+    face = [i for i in range(m) if i not in dropped]
+    gvars = [("g", i, j) for a, i in enumerate(face) for j in face[a:]]
+    common = dict(exact_rows=exact_rows, gvars=gvars, qvars=qvars, system=system)
     try:
-        for row, const in exact_rows:
-            system.add_row(row, const)
+        feed({("g", i, i): 1 for i in face}, 1)
     except Inconsistent as exc:
         empty = np.zeros(0, dtype=np.intp)
         return SdpProblem(
-            m, words, empty, empty, np.zeros(0), np.zeros(0),
-            True, float(abs(exc.const)),
-            exact_rows=exact_rows, gvars=gvars, qvars=qvars, system=system,
+            m, words, face, empty, empty, np.zeros(0), np.zeros(0),
+            True, float(abs(exc.const)), **common,
         )
-
-    rows, cols, vals, b = _component_rows(system, gvars, m)
-    return SdpProblem(
-        m, words, rows, cols, vals, b,
-        exact_rows=exact_rows, gvars=gvars, qvars=qvars, system=system,
-    )
+    rows, cols, vals, b = _component_rows(system, gvars, len(face))
+    return SdpProblem(m, words, face, rows, cols, vals, b, **common)
 
 
-def _component_rows(system, gvars, m):
-    """The orthonormal rows of the solved G pivots, one QR per component.
+def _component_rows(system, gvars, side):
+    """The orthonormal rows of the solved G pivots of the face, one QR per
+    component, in the svec coordinates of G on the face (side x side).
 
     A G pivot's expression holds free G unknowns only, so joining each pivot
     with the unknowns of its expression splits the svec coordinates into
@@ -125,9 +165,9 @@ def _component_rows(system, gvars, m):
     rows.  Returns the rows of all A_c in coordinate form (rows, cols, vals)
     and the stacked b.
     """
-    # gvars runs through the upper triangle row by row, as svec does.
+    # gvars runs through the upper triangle of the face row by row, as svec does.
     gindex = {v: k for k, v in enumerate(gvars)}
-    _, scale = _svec_index(m)
+    _, scale = _svec_index(side)
     parent = list(range(len(gvars)))
 
     def find(k):
@@ -136,7 +176,8 @@ def _component_rows(system, gvars, m):
             k = parent[k]
         return k
 
-    pivots = sorted(gindex[var] for var in system.solved if var[0] == "g")
+    # a G pivot off the face is pinned to the 0 it has in G
+    pivots = sorted(gindex[var] for var in system.solved if var in gindex)
     for p in pivots:
         for f in system.solved[gvars[p]][0]:
             parent[find(gindex[f])] = find(p)
@@ -178,6 +219,37 @@ def _exact_system(problem):
     return problem.system.copy()
 
 
+def _propagate(sys, indices):
+    """PSD propagation over the G unknowns among indices, to a fixed point.
+
+    A diagonal entry pinned to 0 forces the rest of its row and column
+    among indices to 0, which may pin more diagonal entries.  Returns the
+    set of indices whose diagonal is pinned to 0, or None as soon as a
+    diagonal entry is pinned negative.  Raises Inconsistent when a forced
+    zero contradicts sys.
+    """
+    zeros = set()
+    progress = True
+    while progress:
+        progress = False
+        for i in indices:
+            if i in zeros:
+                continue
+            val = sys.pinned_value(("g", i, i))
+            if val is None:
+                continue
+            if val < 0:
+                return None
+            if val == 0:
+                zeros.add(i)
+                progress = True
+                for j in indices:
+                    key = ("g", min(i, j), max(i, j))
+                    if j != i and sys.pinned_value(key) != 0:
+                        sys.add_row({key: Fraction(1)}, Fraction(0))
+    return zeros
+
+
 def exact_infeasibility_check(problem):
     """Decide feasibility exactly, by PSD propagation on the solved system.
 
@@ -187,39 +259,16 @@ def exact_infeasibility_check(problem):
     PSD propagation, a contradiction met while forcing zeros, or a fully
     pinned non-PSD G), "feasible" returns an exactly verified point.  Runs
     in rational arithmetic at any problem size, on a copy of the problem's
-    system, which is not changed.
+    system, which is not changed, and over the face alone: G is zero off it.
     """
     if problem.inconsistent:
         return "infeasible", None
     sys = _exact_system(problem)
-    m = problem.n
-    forced = set()
-    while True:
-        progress = False
-        for i in range(m):
-            val = sys.pinned_value(("g", i, i))
-            if val is None:
-                continue
-            if val < 0:
-                return "infeasible", None
-            if val == 0:
-                # psd forces the whole row and column to vanish
-                for j in range(m):
-                    if j == i:
-                        continue
-                    key = ("g", min(i, j), max(i, j))
-                    if key in forced:
-                        continue
-                    forced.add(key)
-                    if sys.pinned_value(key) == 0:
-                        continue
-                    try:
-                        sys.add_row({key: Fraction(1)}, Fraction(0))
-                    except Inconsistent:
-                        return "infeasible", None
-                    progress = True
-        if not progress:
-            break
+    try:
+        if _propagate(sys, problem.face) is None:
+            return "infeasible", None
+    except Inconsistent:
+        return "infeasible", None
     if any(sys.pinned_value(v) is None for v in problem.gvars):
         return "unknown", None
     point = _exact_point(problem, sys, {v: Fraction(0) for v in sys.free_variables()})
@@ -250,11 +299,12 @@ def exact_lift(problem, G_num):
 def _exact_point(problem, sys, assignment):
     """The point of sys at an assignment of its free unknowns, when G is PSD.
 
-    Returns (G, qdicts): G the rational Gram matrix and qdicts, per basis
-    element index, the word-dict of its nonzero multiplier coefficients.
+    Returns (G, qdicts): G the rational Gram matrix over all n words, zero
+    off the face, and qdicts, per basis element index, the word-dict of its
+    nonzero multiplier coefficients.
     Returns None when G is not PSD.
     """
-    G = [[None] * problem.n for _ in range(problem.n)]
+    G = [[Fraction(0)] * problem.n for _ in range(problem.n)]
     for var in problem.gvars:
         _, i, j = var
         G[i][j] = G[j][i] = sys.evaluate(var, assignment)

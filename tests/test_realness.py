@@ -372,7 +372,7 @@ def test_sdp_route_never_contradicts_the_analytic_antianalytic_closed_forms(meth
 # (generators, number of variables, the function whose point the route lifts)
 SDP_ROUTES = {
     "lift": ("x2 x1* x1\nx1* x1", 2, "exact_lift"),
-    "exact check": ("x1 x1* - x1*^2 + 2 x1 + 4", 1, "exact_infeasibility_check"),
+    "exact check": ("-1/2 x1* x1 x1*", 1, "exact_infeasibility_check"),
 }
 
 
@@ -416,6 +416,25 @@ def test_sdp_certificate_that_fails_verification_is_an_internal_error(monkeypatc
     monkeypatch.setattr(realness, name, broken)
     with pytest.raises(AssertionError, match="sdp-exact certificate failed to verify"):
         real_test(parse_generators(text, g), method="sdp")
+
+
+@pytest.mark.parametrize("text,g,n", [
+    ("x1 x2 x1* x2* - x2 x1 + 2", 2, 85),
+    ("x1 x2 x3* x1* - x3 x2 + 2", 3, 259),
+])
+def test_degree_4_frontier_is_real_on_a_smaller_face(monkeypatch, text, g, n):
+    problems = []
+    build = realness.build_real_sdp
+
+    def recording(basis):
+        problems.append(build(basis))
+        return problems[-1]
+
+    monkeypatch.setattr(realness, "build_real_sdp", recording)
+    v = real_test(parse_generators(text, g), method="sdp")
+    assert v.status == REAL and v.method == "sdp-exact"
+    (problem,) = problems
+    assert problem.n == n and len(problem.face) < n
 
 
 def test_sdp_agrees_with_monomial_decider():

@@ -20,12 +20,14 @@ from ncreal.sdp_build import build_real_sdp, exact_infeasibility_check, exact_li
 from util import (
     dense_rows,
     eigen_sym,
+    full_sdp_rows,
     problem_from_dense,
     project_affine,
     project_psd,
     recover_multipliers,
     svec,
     svec_inverse,
+    zero_diagonals,
 )
 
 
@@ -227,8 +229,8 @@ def _random_affine_problem(rng, n, k):
 
 
 def _differential_cases():
-    def built(text):
-        return build_real_sdp(left_groebner([parse_poly(text)]))
+    def built(text, g=1):
+        return build_real_sdp(left_groebner(parse_generators(text, g)))
 
     n = 3
     E = np.zeros((n, n))
@@ -246,6 +248,7 @@ def _differential_cases():
     cases = [
         ("criterion 1", built("x1 x1* - x1* x1 - 1"), {}),
         ("quartic, n = 15", built("x1^2 x1*^2 + x1* x1 - 1"), {"max_iter": 300}),
+        ("face 2 of n = 5", built("x2 x1* x1\nx1* x1", 2), {}),
         ("trace only", _trace_only_problem(4), {}),
         ("pinned near a psd point", pinned, {}),
         ("negative diagonal stalls", negative, {}),
@@ -260,9 +263,10 @@ def _differential_cases():
 
 
 def _dense_view(problem):
-    """The problem with its affine system as the dense A the reference reads."""
+    """The problem on its face, with its affine system as the dense A the
+    reference reads."""
     return SimpleNamespace(
-        n=problem.n, A=dense_rows(problem), b=problem.b,
+        n=len(problem.face), A=dense_rows(problem), b=problem.b,
         inconsistent=problem.inconsistent, affine_residual=problem.affine_residual,
     )
 
@@ -285,7 +289,12 @@ def test_solve_feasibility_matches_reference_loop_exactly():
         if G is None:
             assert res.G is None, name
         else:
-            assert np.abs(res.G - G).max() <= 1e-10, name
+            # the loop returns G on the face, zero-padded to every word
+            face = np.ix_(problem.face, problem.face)
+            assert np.abs(res.G[face] - G).max() <= 1e-10, name
+            off = res.G.copy()
+            off[face] = 0.0
+            assert not off.any(), name
     assert statuses == {"feasible", "likely_infeasible", "max_iterations"}
 
 
@@ -321,10 +330,11 @@ def test_svec_layout_is_built_once_per_side(monkeypatch):
 # the exact elimination against the dense SVD assembly it replaced
 # ---------------------------------------------------------------------------
 
-def _reference_build(basis):
-    """build_real_sdp as first written: one exact row per word, the
-    multipliers removed by an SVD of C_q and the rank of the rest read off
-    a second SVD.  Returns (A, b, inconsistent, residual, row words)."""
+def _reference_build(basis, face):
+    """build_real_sdp as first written, with G zero off the face words: one
+    exact row per word, the multipliers removed by an SVD of C_q and the
+    rank of the rest read off a second SVD.  A is in the svec coordinates
+    of G on the face.  Returns (A, b, inconsistent, residual, row words)."""
     g = basis.g
     order = basis.order
     d = max(p.degree() for p in basis.elements)
@@ -348,8 +358,9 @@ def _reference_build(basis):
         wa = word_star(words[a])
         for b in range(m):
             gdict, _ = row(wa + words[b])
-            key = (min(a, b), max(a, b))
-            gdict[key] = gdict.get(key, Fraction(0)) + 1
+            if a in face and b in face:
+                key = (min(a, b), max(a, b))
+                gdict[key] = gdict.get(key, Fraction(0)) + 1
     for j, v in qvars:
         for u, c in basis.elements[j].terms.items():
             for w in (v + u, word_star(v + u)):
@@ -357,10 +368,10 @@ def _reference_build(basis):
                 qdict[(j, v)] = qdict.get((j, v), Fraction(0)) + c
 
     word_order = sorted(rows, key=order.key)
-    exact_rows = [({(i, i): Fraction(1) for i in range(m)}, {}, Fraction(1))]
+    exact_rows = [({(i, i): Fraction(1) for i in face}, {}, Fraction(1))]
     exact_rows += [(rows[w][0], rows[w][1], Fraction(0)) for w in word_order]
 
-    gvars = [(i, j) for i in range(m) for j in range(i, m)]
+    gvars = [(i, j) for a, i in enumerate(face) for j in face[a:]]
     gindex = {v: k for k, v in enumerate(gvars)}
     qindex = {v: k for k, v in enumerate(qvars)}
     sqrt2 = np.sqrt(2.0)
@@ -421,7 +432,7 @@ def test_exact_assembly_matches_svd_assembly(name):
     texts, g = ASSEMBLY_CASES[name]
     basis = left_groebner([parse_poly(t, g) for t in texts])
     problem = build_real_sdp(basis)
-    A_ref, b_ref, inconsistent, _, word_order = _reference_build(basis)
+    A_ref, b_ref, inconsistent, _, word_order = _reference_build(basis, problem.face)
     assert not inconsistent and not problem.inconsistent
     A = dense_rows(problem)
     assert A.shape == A_ref.shape
@@ -432,11 +443,42 @@ def test_exact_assembly_matches_svd_assembly(name):
     assert len(problem.exact_rows) == 1 + len(pairs) < 1 + len(word_order)
 
 
+# (generators, number of variables, face size)
+FACE_CASES = {
+    "criterion 1": (["x1 x1* - x1* x1 - 1"], 1, 3),
+    "quartic15": (["x1^2 x1*^2 + x1* x1 - 1"], 1, 4),
+    "mixed21": (["x1 x2 x1* - x2 + 2", "x2* x2 x1 + x1*"], 2, 6),
+    "large n = 48": (ASSEMBLY_CASES["large n = 48"][0], 1, 2),
+    "large n = 31": (ASSEMBLY_CASES["large n = 31"][0], 1, 16),
+    "large n = 63": ([
+        "-1/2 x1^2 x1* x1 x1* x1 - 3/2 x1 x1* x1 x1* x1 x1* - 1/2 x1* x1 x1* + 2 x1 x1*",
+    ], 1, 0),
+    "g = 2, d = 4": (["x1 x2 x1* x2* - x2 x1 + 2"], 2, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACE_CASES))
+def test_face_build_drops_only_words_the_full_system_pins_to_zero(name):
+    texts, g, k = FACE_CASES[name]
+    basis = left_groebner([parse_poly(t, g) for t in texts])
+    problem = build_real_sdp(basis)
+    assert len(problem.face) == k and problem.inconsistent == (k == 0)
+    words, exact_rows = full_sdp_rows(basis)
+    assert words == problem.words
+    # the cone over every word: all rows but the trace row, which only scales G
+    system = ExactAffineSystem()
+    for row, const in exact_rows[1:]:
+        system.add_row(row, const)
+    dropped = set(range(problem.n)) - set(problem.face)
+    assert dropped <= zero_diagonals(system, problem.n)
+
+
 def test_inconsistent_constraints_are_found_exactly():
-    # x1 in I: the constant coefficient pins G = 0 against trace G = 1
+    # x1 in I: the constant coefficient pins G = 0, so the face is empty
+    # and the trace row over it reads 0 = 1
     problem = build_real_sdp(left_groebner([parse_poly("x1")]))
     assert problem.inconsistent and problem.affine_residual == 1.0
-    assert dense_rows(problem).shape == (0, 1)
+    assert problem.face == [] and dense_rows(problem).shape == (0, 0)
     assert exact_infeasibility_check(problem) == ("infeasible", None)
     assert exact_lift(problem, np.eye(1)) is None
 
@@ -444,12 +486,18 @@ def test_inconsistent_constraints_are_found_exactly():
 def test_multiplier_unknowns_are_eliminated_first():
     problem = build_real_sdp(left_groebner([parse_poly("x1^2 x1*^2 + x1* x1 - 1")]))
     solved = problem.system.solved
-    gpivots = [var for var in solved if var[0] == "g"]
+    on_face = set(problem.gvars)
+    gpivots = [var for var in solved if var in on_face]
     A = dense_rows(problem)
     assert len(gpivots) == A.shape[0] > 0
-    assert all(f[0] == "g" and f not in solved for var in gpivots for f in solved[var][0])
+    assert all(f in on_face and f not in solved for var in gpivots for f in solved[var][0])
+    # a G unknown off the face is never free, and pinned to 0 when solved
+    assert all(var in on_face for var in problem.system.free_variables() if var[0] == "g")
+    assert all(solved[var] == ({}, 0) for var in solved if var[0] == "g" and var not in on_face)
     # at a point of the affine slice, the recovered multipliers meet every row
-    G = svec_inverse(A.T @ problem.b, problem.n)
+    face = np.ix_(problem.face, problem.face)
+    G = np.zeros((problem.n, problem.n))
+    G[face] = svec_inverse(A.T @ problem.b, len(problem.face))
     q = recover_multipliers(problem, G)
     for row, const in problem.exact_rows:
         lhs = 0.0
@@ -467,12 +515,12 @@ def test_affine_rows_are_factored_per_component(monkeypatch):
         return qr(M, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", recording)
-    problem = build_real_sdp(left_groebner([parse_poly("x1 x2 x1* x2* - x2 x1 + 2", 2)]))
+    problem = build_real_sdp(left_groebner([parse_poly("-3 x1* x1 x1* x1 - 2 x2^2 x1 - 3 x1", 2)]))
     monkeypatch.setattr(np.linalg, "qr", qr)
     N = len(problem.gvars)
-    assert (problem.n, N, len(problem.b)) == (85, 3655, 2753)
-    # no factorization is wider than the largest component, 68 coordinates
-    assert shapes and max(max(shape) for shape in shapes) == 68
+    assert (problem.n, len(problem.face), N, len(problem.b)) == (85, 22, 253, 194)
+    # one factorization per component, none wider than the largest, 16 coordinates
+    assert len(shapes) == 184 and max(max(shape) for shape in shapes) == 16
     rows, cols, vals = problem.rows, problem.cols, problem.vals
     AAt = np.zeros((len(problem.b), len(problem.b)))
     for k in range(N):
@@ -489,7 +537,7 @@ def test_affine_rows_are_factored_per_component(monkeypatch):
         return k
 
     for var, (expr, _) in problem.system.solved.items():
-        if var[0] == "g":
+        if var in gindex:
             for f in expr:
                 parent[find(gindex[f])] = find(gindex[var])
     roots = np.array([find(k) for k in cols])

@@ -7,7 +7,10 @@ oracles that only the tests need.  svec and svec_inverse are the scaled
 vector coordinates an SdpProblem's affine system is written in, and
 problem_from_dense and dense_rows move that system between a dense A and
 the coordinate form the library keeps; recover_multipliers reads the
-multipliers that go with a numeric G off the solved system.  gram_matrix fills the whole
+multipliers that go with a numeric G off the solved system.  full_sdp_rows
+is the realness SDP's row assembly over every Gram word, and zero_diagonals
+the PSD propagation run on it: the oracle for the words the face build
+drops.  gram_matrix fills the whole
 (d1, d2)-Gram matrix of a homogeneous polynomial, and
 dense_rank_one_split, dense_factor_homogeneous, dense_is_sos and
 dense_pm_sos_kind work on it,
@@ -192,18 +195,74 @@ def svec_inverse(x, n):
 
 
 def problem_from_dense(n, A, b):
-    """The SdpProblem of side n whose affine system is A svec(G) = b, with the
-    nonzeros of the dense A stored in coordinate form."""
+    """The SdpProblem of side n, on the face of all n words, whose affine
+    system is A svec(G) = b, with the nonzeros of the dense A stored in
+    coordinate form."""
     A = np.asarray(A, dtype=float)
     rows, cols = np.nonzero(A)
-    return SdpProblem(n, list(range(n)), rows, cols, A[rows, cols], np.asarray(b, dtype=float))
+    return SdpProblem(n, list(range(n)), list(range(n)), rows, cols, A[rows, cols],
+                      np.asarray(b, dtype=float))
 
 
 def dense_rows(problem):
-    """The dense A of a problem's affine system A svec(G) = b."""
-    A = np.zeros((len(problem.b), problem.n * (problem.n + 1) // 2))
+    """The dense A of a problem's affine system A svec(G) = b, in the svec
+    coordinates of G on the face."""
+    k = len(problem.face)
+    A = np.zeros((len(problem.b), k * (k + 1) // 2))
     A[problem.rows, problem.cols] = problem.vals
     return A
+
+
+def full_sdp_rows(basis):
+    """The realness SDP's exact rows over every Gram word, as build_real_sdp
+    wrote them before it moved to the face.
+
+    Returns (words, exact_rows): the irreducible words of degree < d, and
+    the trace row {("g", i, i): 1} = 1 followed by one homogeneous row per
+    pair {w, w*}, kept under w <= w* and sorted by the basis order, each a
+    dict over ("g", i, j) with i <= j and ("q", j, v).
+    """
+    g, order = basis.g, basis.order
+    d = max(p.degree() for p in basis.elements)
+    words = [w for w in words_up_to(g, d - 1, order) if basis.is_irreducible_word(w)]
+    m = len(words)
+    rows = {}
+    for a in range(m):
+        wa = word_star(words[a])
+        for b in range(m):
+            w = wa + words[b]
+            if w <= word_star(w):
+                row = rows.setdefault(w, {})
+                var = ("g", min(a, b), max(a, b))
+                row[var] = row.get(var, 0) + 1
+    for j, p in enumerate(basis.elements):
+        for v in words_up_to(g, 2 * d - 1 - p.degree(), order):
+            var = ("q", j, v)
+            for u, c in p.terms.items():
+                for w in (v + u, word_star(v + u)):
+                    if w <= word_star(w):
+                        row = rows.setdefault(w, {})
+                        row[var] = row.get(var, 0) - c
+    exact_rows = [({("g", i, i): 1 for i in range(m)}, 1)]
+    exact_rows += [(rows[w], 0) for w in sorted(rows, key=order.key)]
+    return words, exact_rows
+
+
+def zero_diagonals(sys, m):
+    """The indices i < m whose G[i][i] sys pins to 0 once PSD forces every
+    row and column of a zero diagonal entry to 0, repeated to a fixed
+    point.  Rows are added to sys."""
+    zeros = set()
+    while True:
+        new = {i for i in range(m) if i not in zeros and sys.pinned_value(("g", i, i)) == 0}
+        if not new:
+            return zeros
+        zeros |= new
+        for i in new:
+            for j in range(m):
+                key = ("g", min(i, j), max(i, j))
+                if sys.pinned_value(key) != 0:
+                    sys.add_row({key: Fraction(1)}, Fraction(0))
 
 
 def recover_multipliers(problem, G):
@@ -224,12 +283,13 @@ def recover_multipliers(problem, G):
 
 
 def project_affine(problem, S):
-    """Project S onto the affine subspace {G : A svec(G) = b}."""
+    """Project S, a matrix on the face, onto the affine subspace
+    {G : A svec(G) = b}."""
     A = dense_rows(problem)
     x = svec(S)
     if A.shape[0]:
         x = x - A.T @ (A @ x - problem.b)
-    return svec_inverse(x, problem.n)
+    return svec_inverse(x, len(problem.face))
 
 
 def rank_exact(A):
