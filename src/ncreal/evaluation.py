@@ -48,12 +48,17 @@ class MatrixPoint:
     def from_json(cls, text: str) -> "MatrixPoint":
         """Load {"n": ..., "X": [matrix, ...], "v": [...]} (v optional)."""
         data = json.loads(text)
-        mats = [np.array(X, dtype=float) for X in data["X"]]
-        n = int(data.get("n", mats[0].shape[0] if mats else 0))
+        if not isinstance(data, dict) or not isinstance(data.get("X"), list):
+            raise ValueError('malformed point: need an object with a list "X" of matrices')
+        try:
+            mats = [np.array(X, dtype=float) for X in data["X"]]
+            n = int(data.get("n", mats[0].shape[0] if mats else 0))
+            v = np.array(data["v"], dtype=float) if "v" in data else None
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ValueError(f"malformed point: {exc}") from None
         for X in mats:
             if X.shape != (n, n):
                 raise ValueError(f"point says n={n} but a matrix is {X.shape}")
-        v = np.array(data["v"], dtype=float) if "v" in data else None
         return cls(mats, v)
 
 

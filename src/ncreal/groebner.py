@@ -72,6 +72,8 @@ def left_groebner(gens, order=None):
         raise ValueError("generators live in algebras with different numbers of variables")
     if order is None:
         order = MonomialOrder(g)
+    elif order.g < g:
+        raise ValueError(f"the order ranks {order.g} variable(s), the generators use {g}")
     elements, reps = [], []
     for t, p in enumerate(gens):
         if not p:

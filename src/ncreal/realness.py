@@ -28,16 +28,21 @@ lhs - rhs, as one coefficient dict on the canonical words w <= w^* (both
 sides are symmetric, so these decide it) and accepts only an empty defect,
 positive weights, rational numbers throughout and some member of nonzero
 normal form; basis= takes a precomputed left Groebner basis.  Every
-decider returns an unchecked certificate against what it was given: the
-closed forms against their own input, the SDP route against the Groebner
-basis, with the squares read off the exact LDL^T of its rational G.
-real_test realigns each onto its generators and verifies it once, at one
-site, and an SDP certificate that fails is an internal error there just
-as a closed-form one is.  Direct callers of a decider use the verifier.
+decider returns an unchecked certificate against what it was given.
+real_test computes the left Groebner basis of its generators once and
+decides from it: the closed forms and the SDP route all read
+basis.elements, the SDP route with the squares read off the exact LDL^T of
+its rational G.  real_test realigns each certificate onto its generators
+through basis.reps and verifies it once, at one site, and a certificate
+that fails is an internal error there whichever route built it.  Direct
+callers of a closed form use the verifier.
 
-Dispatch tries exact closed forms first -- monomial ideals, purely
-analytic generators, linear, univariate quadratic, homogeneous principal,
-analytic + antianalytic -- and falls back to the semidefinite feasibility
+Dispatch first answers the zero ideal (an empty basis) and the unit ideal
+(a constant element).  It then tries the exact closed forms on the basis,
+in one place -- a monomial basis, whose words are the monomial decider's
+survivors; an analytic basis; and for a single element, linear, univariate
+quadratic, homogeneous principal, analytic + antianalytic and the
+principal prefilter -- and falls back to the semidefinite feasibility
 route with exact rational post-processing.
 """
 
@@ -218,54 +223,43 @@ def verify_nonreal_certificate(gens, cert, tol=None, basis=None):
 def real_monomial_ideal(gens):
     """Realness of an ideal generated by (nonconstant) monomials.
 
-    After discarding generators that are left multiples of others, the
-    ideal is real iff every surviving word w avoids the shape w = u u* v
-    with u nonempty.  A shrinkable survivor yields the certificate
-    q = v^*/(2c) against c*w, with member u^* v:
-    q (c w) + (c w)^* q^* = v^* w = (u^* v)^* (u^* v).
+    The survivors are the words of the left Groebner basis: the generating
+    words that no other generating word is a proper suffix of, each once,
+    in generator order.  The ideal is real iff every survivor w avoids the
+    shape w = u u* v with u nonempty.  The first shrinkable survivor yields
+    the certificate q = v^*/2 against the basis element w, with member
+    u^* v: q w + w^* q^* = v^* w = (u^* v)^* (u^* v); realigned through
+    basis.reps, q is v^*/(2c) against the generator c*w.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    g = gens[0].g
-    words = []
-    for p in gens:
-        if not p.is_monomial() or p.is_constant():
-            raise ValueError("generators must be nonconstant monomials")
-        (w, _), = p.terms.items()
-        words.append(w)
-    survivors = []
-    for i, w in enumerate(words):
-        redundant = False
-        for j, u in enumerate(words):
-            if j == i:
-                continue
-            if len(u) < len(w) and w[len(w) - len(u):] == u:
-                redundant = True
-                break
-            if u == w and j < i:
-                redundant = True
-                break
-        if not redundant:
-            survivors.append(i)
-    for i in survivors:
-        w = words[i]
+    if any(not p.is_monomial() or p.is_constant() for p in gens):
+        raise ValueError("generators must be nonconstant monomials")
+    basis = left_groebner(gens)
+    verdict = _real_monomial_basis(basis)
+    if verdict.certificate is not None:
+        verdict.certificate = _realigned(verdict.certificate, basis, len(gens))
+    return verdict
+
+
+def _real_monomial_basis(basis):
+    """real_monomial_ideal on a monomial basis; a certificate is against basis.elements."""
+    g = basis.g
+    for i, w in enumerate(basis.leads):
         k = shrink_length(w)
         if k is None:
             continue
-        v = w[2 * k:]
-        member = Poly.from_word(g, w[k:])
-        c = gens[i].terms[w]
-        mult = [Poly.zero(g) for _ in gens]
-        mult[i] = Poly.from_word(g, word_star(v), Fraction(1, 2) / c)
-        cert = NonRealCertificate(mult, [Fraction(1)], [member])
+        mult = [Poly.zero(g) for _ in basis.elements]
+        mult[i] = Poly.from_word(g, word_star(w[2 * k:]), Fraction(1, 2))
+        cert = NonRealCertificate(mult, [Fraction(1)], [Poly.from_word(g, w[k:])])
         return RealnessVerdict(
             NOT_REAL, "monomial", cert,
-            detail=f"generator {word_str(w)} shrinks at length {k}",
+            detail=f"basis word {word_str(w)} shrinks at length {k}",
         )
     return RealnessVerdict(
         REAL, "monomial",
-        detail="all minimal generating words are left unshrinkable",
+        detail="all basis words are left unshrinkable",
     )
 
 
@@ -377,13 +371,21 @@ def _quadratic_certificate(p, q):
     return NonRealCertificate([q], sos.weights, sos.polys)
 
 
-def _prefix_products(fac, g):
-    prods = []
-    cur = Poly.constant(g, fac.scalar)
-    for f in fac.factors:
-        cur = cur * f
-        prods.append(cur)
-    return prods
+def _signed_prefix(p, order, kinds):
+    """First prefix of p's factorization whose symmetrization has a kind in kinds.
+
+    With p = c f_1 ... f_k homogeneous, scans P_l = c f_1 ... f_l for
+    l = 1..k and returns (l, kind, sos, [f_{l+1}, ..., f_k]) for the first
+    P_l + P_l^* whose pm_sos_kind is in kinds, or None.
+    """
+    fac = factor_homogeneous(p, order)
+    prod = Poly.constant(p.g, fac.scalar)
+    for ell, f in enumerate(fac.factors, start=1):
+        prod = prod * f
+        kind, sos = pm_sos_kind(prod + prod.star(), order)
+        if kind in kinds:
+            return ell, kind, sos, fac.factors[ell:]
+    return None
 
 
 def real_principal_homogeneous(p, order=None):
@@ -397,28 +399,23 @@ def real_principal_homogeneous(p, order=None):
     if not p or not p.is_homogeneous() or p.degree() < 1:
         raise ValueError("generator must be nonzero homogeneous of degree >= 1")
     g = p.g
-    if order is None:
-        order = MonomialOrder(g)
-    fac = factor_homogeneous(p, order)
-    for ell, prod in enumerate(_prefix_products(fac, g), start=1):
-        kind, sos = pm_sos_kind(prod + prod.star(), order)
-        if kind not in ("plus", "minus"):
-            continue
-        sign = Fraction(1 if kind == "plus" else -1)
-        q = Poly.constant(g, sign)
-        for f in reversed(fac.factors[ell:]):
-            q = q * f.star()
-        tail = Poly.one(g)
-        for f in fac.factors[ell:]:
-            tail = tail * f
-        cert = NonRealCertificate([q], sos.weights, [r * tail for r in sos.polys])
+    hit = _signed_prefix(p, order or MonomialOrder(g), ("plus", "minus"))
+    if hit is None:
         return RealnessVerdict(
-            NOT_REAL, "principal-homogeneous", cert,
-            detail=f"prefix product of the first {ell} factor(s) has a signed SOS symmetrization",
+            REAL, "principal-homogeneous",
+            detail="no signed prefix symmetrization is a nonzero sum of squares",
         )
+    ell, kind, sos, tail_factors = hit
+    q = Poly.constant(g, Fraction(1 if kind == "plus" else -1))
+    for f in reversed(tail_factors):
+        q = q * f.star()
+    tail = Poly.one(g)
+    for f in tail_factors:
+        tail = tail * f
+    cert = NonRealCertificate([q], sos.weights, [r * tail for r in sos.polys])
     return RealnessVerdict(
-        REAL, "principal-homogeneous",
-        detail="no signed prefix symmetrization is a nonzero sum of squares",
+        NOT_REAL, "principal-homogeneous", cert,
+        detail=f"prefix product of the first {ell} factor(s) has a signed SOS symmetrization",
     )
 
 
@@ -431,13 +428,9 @@ def realness_prefilter_principal(p, order=None):
     """
     if not p or p.is_constant():
         raise ValueError("generator must be nonconstant")
-    if order is None:
-        order = MonomialOrder(p.g)
-    fac = factor_homogeneous(p.leading_part(), order)
-    for prod in _prefix_products(fac, p.g):
-        kind, _ = pm_sos_kind(prod + prod.star(), order)
-        if kind != "neither":
-            return None
+    order = order or MonomialOrder(p.g)
+    if _signed_prefix(p.leading_part(), order, ("zero", "plus", "minus")) is not None:
+        return None
     return RealnessVerdict(
         REAL, "prefilter",
         detail="no signed symmetrized prefix of the leading part is a sum of squares",
@@ -448,36 +441,31 @@ def realness_prefilter_principal(p, order=None):
 # realignment
 # ---------------------------------------------------------------------------
 
-def _realign(multipliers, reps, ngens):
-    """{i: q_i} against h_i = sum_t reps[i][t] gens[t] -> [q_t] against gens.
+def _realigned(cert, basis, ngens):
+    """cert with multipliers q_i against basis.elements -> [q_t] against the gens.
 
-    out[t] = sum_i q_i reps[i][t], on coefficient dicts of any number type;
-    q_i and reps[i][t] may be Polys or dicts.
+    basis.elements[i] = sum_t basis.reps[i][t] gens[t], so the multiplier of
+    gens[t] is sum_i q_i basis.reps[i][t].
     """
     out = [{} for _ in range(ngens)]
-    for i, q in multipliers.items():
-        for t, r in enumerate(reps[i]):
-            acc = out[t]
-            for u, cu in _terms(q).items():
-                for v, cv in _terms(r).items():
-                    key = u + v
-                    acc[key] = acc.get(key, 0) + cu * cv
-    return [{w: c for w, c in acc.items() if c} for acc in out]
+    for q, rep in zip(cert.multipliers, basis.reps):
+        for acc, r in zip(out, rep):
+            for u, cu in q.terms.items():
+                for v, cv in r.terms.items():
+                    acc[u + v] = acc.get(u + v, 0) + cu * cv
+    mult = [Poly(basis.g, {w: c for w, c in acc.items() if c}) for acc in out]
+    return NonRealCertificate(mult, cert.weights, cert.members)
 
 
-def _checked(verdict, gens, reps, basis=None):
-    """Realign a verdict's certificate onto gens and verify it once.
+def _checked(verdict, gens, basis):
+    """Realign a verdict's certificate onto gens through basis.reps and verify it once.
 
-    reps[i][t] writes the i-th polynomial the certificate's multipliers
-    refer to as a combination of gens.  A certificate that fails is an
-    internal error, whichever route built it.
+    The certificate's multipliers refer to basis.elements, a left Groebner
+    basis of gens.  A certificate that fails is an internal error,
+    whichever route built it.
     """
-    cert = verdict.certificate
-    if cert is not None:
-        mult = _realign(dict(enumerate(cert.multipliers)), reps, len(gens))
-        cert = NonRealCertificate(
-            [Poly(gens[0].g, q) for q in mult], cert.weights, cert.members,
-        )
+    if verdict.certificate is not None:
+        cert = _realigned(verdict.certificate, basis, len(gens))
         if not verify_nonreal_certificate(gens, cert, basis=basis):
             raise AssertionError(f"internal error: {verdict.method} certificate failed to verify")
         verdict.certificate = cert
@@ -530,7 +518,7 @@ def _sdp_route(basis, tol, max_iter):
 # ---------------------------------------------------------------------------
 
 def _decide_single_exact(p, order):
-    """Closed-form chain for one nonconstant generator; None when none applies.
+    """Closed-form chain for a one-element basis {p}; None when none applies.
 
     Certificates are against [p] and unverified; real_test checks them.
     """
@@ -560,59 +548,43 @@ def _decide_single_exact(p, order):
 def real_test(gens, order=None, method="auto", tol=1e-8, max_iter=20000):
     """Decide realness of the left ideal generated by gens.
 
-    method: "auto" (closed forms, then SDP), "exact" (closed forms only;
-    Inconclusive when none applies), or "sdp" (the feasibility route
-    directly).  Certificate multipliers always align with the gens list as
-    given, including zero entries, and every returned certificate has
-    passed verify_nonreal_certificate against gens.
+    Everything is decided from the left Groebner basis of gens: the zero
+    ideal has an empty basis, the unit ideal a constant element.  method:
+    "auto" (closed forms on the basis, then SDP), "exact" (closed forms
+    only; Inconclusive when none applies), or "sdp" (the feasibility route
+    directly).  The closed forms run on basis.elements: monomial, analytic,
+    then the single-element chain.  Every certificate is realigned onto gens
+    through basis.reps, so its multipliers align with the gens list as
+    given, including zero entries, and it has passed
+    verify_nonreal_certificate against gens.
     """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    g = gens[0].g
-    if any(p.g != g for p in gens):
-        raise ValueError("generators live in algebras with different numbers of variables")
     if method not in ("auto", "exact", "sdp"):
         raise ValueError(f"unknown method {method!r}")
-    if order is None:
-        order = MonomialOrder(g)
-
-    live = [(t, p) for t, p in enumerate(gens) if p]
-    if not live:
-        return RealnessVerdict(REAL, "zero-ideal", detail="every generator is zero")
-    if any(p.is_constant() for _, p in live):
-        return RealnessVerdict(
-            REAL, "unit-ideal", detail="a generator is a nonzero constant",
-        )
-
-    if method in ("auto", "exact"):
-        # reps[i] writes the i-th nonzero generator as a combination of gens
-        reps = [[{(): 1} if s == t else {} for s in range(len(gens))] for t, _ in live]
-        if all(p.is_monomial() for _, p in live):
-            return _checked(real_monomial_ideal([p for _, p in live]), gens, reps)
-        if all(p.is_analytic() for _, p in live):
-            return RealnessVerdict(
-                REAL, "analytic", detail="analytic generators always give a real ideal",
-            )
-        if len(live) == 1:
-            verdict = _decide_single_exact(live[0][1], order)
-            if verdict is not None:
-                return _checked(verdict, gens, reps)
-
+    gens = list(gens)
     basis = left_groebner(gens, order)
-    if any(p.is_constant() for p in basis.elements):
+    elements = basis.elements
+    if not elements:
+        return RealnessVerdict(REAL, "zero-ideal", detail="every generator is zero")
+    if any(p.is_constant() for p in elements):
         return RealnessVerdict(
             REAL, "unit-ideal", detail="the basis contains a nonzero constant",
         )
-    if method in ("auto", "exact") and len(basis.elements) == 1 and len(gens) > 1:
-        # several generators collapsed to a principal ideal
-        verdict = _decide_single_exact(basis.elements[0], order)
-        if verdict is not None:
-            return _checked(verdict, gens, basis.reps, basis)
 
-    if method == "exact":
-        return RealnessVerdict(
-            INCONCLUSIVE, "exact",
-            detail="no exact closed form applies to these generators",
-        )
-    return _checked(_sdp_route(basis, tol, max_iter), gens, basis.reps, basis)
+    if method != "sdp":
+        verdict = None
+        if all(p.is_monomial() for p in elements):
+            verdict = _real_monomial_basis(basis)
+        elif all(p.is_analytic() for p in elements):
+            verdict = RealnessVerdict(
+                REAL, "analytic", detail="an analytic basis always gives a real ideal",
+            )
+        elif len(elements) == 1:
+            verdict = _decide_single_exact(elements[0], basis.order)
+        if verdict is not None:
+            return _checked(verdict, gens, basis)
+        if method == "exact":
+            return RealnessVerdict(
+                INCONCLUSIVE, "exact",
+                detail="no exact closed form applies to this basis",
+            )
+    return _checked(_sdp_route(basis, tol, max_iter), gens, basis)

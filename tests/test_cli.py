@@ -163,3 +163,11 @@ def test_verify_malformed_certificate_exits_1(capsys, tmp_path, text):
     cert.write_text(text)
     code, _, err = _run(capsys, "verify", "-e", "x1* x1", "-c", str(cert))
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("text", ['{"n": 2}', "[1, 2]"])
+def test_eval_malformed_point_exits_1(capsys, tmp_path, text):
+    point = tmp_path / "point.json"
+    point.write_text(text)
+    code, _, err = _run(capsys, "eval", "-e", "x1", "-p", str(point))
+    assert code == 1 and err.startswith("error: malformed point")

@@ -151,3 +151,12 @@ def test_generator_validation():
         left_groebner([])
     with pytest.raises(ValueError):
         left_groebner([parse_poly("x1"), Poly.gen(2, 1)])
+
+
+def test_order_over_fewer_variables_is_rejected():
+    gens = [parse_poly("x1 x2* + x2 x1* + 1")]
+    with pytest.raises(ValueError, match="order ranks 1 variable"):
+        left_groebner(gens, order=MonomialOrder(1))
+    # an order over more variables ranks every letter the generators use
+    wide = left_groebner(gens, order=MonomialOrder(3))
+    assert wide.elements == left_groebner(gens).elements

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ncreal import realness
-from ncreal.algebra import Poly, word_star
+from ncreal.algebra import MonomialOrder, Poly, word_star
 from ncreal.parsing import parse_generators, parse_poly
 from ncreal.realness import (
     INCONCLUSIVE,
@@ -26,7 +26,14 @@ from ncreal.realness import (
     verify_nonreal_certificate,
 )
 
-from util import copying_defect, rand_coeff, rand_poly, rand_product
+from util import (
+    copying_defect,
+    monomial_oracle,
+    rand_coeff,
+    rand_poly,
+    rand_product,
+    rand_word,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,6 +65,14 @@ def test_input_validation():
         real_test([parse_poly("x1"), Poly.gen(2, 2)])
     with pytest.raises(ValueError):
         real_test([parse_poly("x1")], method="fancy")
+
+
+@pytest.mark.parametrize("method", ["auto", "sdp"])
+def test_order_over_fewer_variables_is_rejected(method):
+    p = parse_poly("x1 x2* + x2 x1* + 1")
+    with pytest.raises(ValueError, match="order ranks 1 variable"):
+        real_test([p], order=MonomialOrder(1), method=method)
+    assert real_test([p], order=MonomialOrder(3), method=method).status == REAL
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +107,60 @@ def test_monomial_certificate_alignment_and_json():
     back = NonRealCertificate.from_json(json.loads(json.dumps(cert.to_json())), 2)
     assert back.exact
     assert verify_nonreal_certificate(gens, back)
+
+
+def _random_monomial_gens(rng):
+    """1-3 words of length 1-4 over g in {1, 2}, then maybe a left multiple
+    of one of them (still of length <= 4) and maybe a duplicate word."""
+    g = rng.choice([1, 2])
+    words = [rand_word(rng, g, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+    w = rng.choice(words)
+    if len(w) < 4 and rng.random() < 0.5:
+        words.append(rand_word(rng, g, rng.randint(1, 4 - len(w))) + w)
+    if rng.random() < 0.5:
+        words.append(rng.choice(words))
+    rng.shuffle(words)
+    return [Poly.from_word(g, w, rand_coeff(rng)) for w in words]
+
+
+def test_monomial_dispatch_matches_the_survivor_scan():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(60):
+        gens = _random_monomial_gens(rng)
+        status, mult = monomial_oracle(gens)
+        direct = real_monomial_ideal(gens)
+        auto = real_test(gens)
+        sdp = real_test(gens, method="sdp", max_iter=2000)
+        assert direct.status == auto.status == status, gens
+        assert auto.method == "monomial"
+        assert {status, sdp.status} != {REAL, NOT_REAL}, gens
+        if status == NOT_REAL:
+            assert direct.certificate.multipliers == mult
+        for v in (direct, auto, sdp):
+            if v.status == NOT_REAL:
+                assert verify_nonreal_certificate(gens, v.certificate)
+        words = [next(iter(p.terms)) for p in gens]
+        redundant = any(u != w and w[len(w) - len(u):] == u for u in words for w in words)
+        seen.add((status, redundant, len(set(words)) < len(words)))
+    assert {s for s, _, _ in seen} == {REAL, NOT_REAL}
+    assert any(r for _, r, _ in seen) and any(d for _, _, d in seen)
+
+
+@pytest.mark.parametrize("text, status", [
+    ("x2 x1* x1 + x1* x1\nx1* x1\nx2^2", NOT_REAL),
+    ("x2 x1 x2* + x1 x2*\nx1 x2*\nx1 x2", REAL),
+])
+def test_monomial_basis_of_non_monomial_generators(text, status):
+    gens = _gens(text)
+    assert not all(p.is_monomial() for p in gens)
+    v = real_test(gens)
+    assert (v.status, v.method) == (status, "monomial")
+    sdp = real_test(gens, method="sdp")
+    assert sdp.status == status
+    for w in (v, sdp):
+        if w.status == NOT_REAL:
+            assert verify_nonreal_certificate(gens, w.certificate)
 
 
 def test_monomial_rejects_non_monomials():
@@ -522,8 +591,10 @@ def test_float_certificates_are_rejected():
     ([Poly.zero(2)] + _gens("x2 x1\n3 x1 x1* x2"), "monomial"),
     (_gens("x2 - x2* + x2^2 - x2 x2* - x2* x2 + x2*^2"), "quadratic-univariate"),
     (_gens("x2 x1* x1\nx1* x1"), "monomial"),
-    (_gens("x2 x1* x1 + x1* x1\nx1* x1"), "quadratic-univariate"),
+    (_gens("x2 x1* x1 + x1* x1\nx1* x1"), "monomial"),
     (_gens("x1 x1* x1 + x1 x1*^2"), "principal-homogeneous"),
+    (_gens("x2 x1 x1* - x2 x1*^2 + 2 x2 x1 + 4 x2\nx1 x1* - x1*^2 + 2 x1 + 4"),
+     "quadratic-univariate"),
 ])
 def test_real_test_verifies_each_certificate_once(monkeypatch, gens, method):
     verify = realness.verify_nonreal_certificate

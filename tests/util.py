@@ -16,6 +16,8 @@ dense_rank_one_split, dense_factor_homogeneous, dense_is_sos and
 dense_pm_sos_kind work on it,
 and copying_defect forms the certificate defect on every word with a fresh
 dict per sum: the library's support-only versions are checked against them.
+monomial_oracle decides a monomial ideal by scanning its generating words
+for the survivors, the words the left Groebner basis keeps.
 """
 
 from fractions import Fraction
@@ -112,12 +114,39 @@ def rand_product(rng, g, d, star_pair=False):
 
 def brute_shrinkable(w):
     """Definition-level scan: w = u u* v with u nonempty."""
+    return brute_shrink_length(w) is not None
+
+
+def brute_shrink_length(w):
+    """The smallest k >= 1 with w = u u* v for u = w[:k], or None."""
     for k in range(1, len(w) // 2 + 1):
         u = w[:k]
         ustar = tuple(c ^ 1 for c in reversed(u))
         if w[k : 2 * k] == ustar:
-            return True
-    return False
+            return k
+    return None
+
+
+def monomial_oracle(gens):
+    """The monomial decider by its own survivor scan: (status, multipliers).
+
+    A generating word survives unless another generating word is a proper
+    suffix of it or an equal word comes earlier.  The ideal is NotReal iff
+    some survivor w = u u* v with u nonempty; the first such c*w, at index
+    i, gives the multipliers q_i = v^*/(2c) and q_t = 0 otherwise.
+    """
+    g = gens[0].g
+    words = [next(iter(p.terms)) for p in gens]
+    for i, w in enumerate(words):
+        if any(j != i and (len(u) < len(w) and w[len(w) - len(u):] == u or u == w and j < i)
+               for j, u in enumerate(words)):
+            continue
+        k = brute_shrink_length(w)
+        if k is not None:
+            mult = [Poly.zero(g) for _ in gens]
+            mult[i] = Poly.from_word(g, word_star(w[2 * k:]), Fraction(1, 2) / gens[i].terms[w])
+            return "NotReal", mult
+    return "Real", None
 
 
 # ---------------------------------------------------------------------------
