@@ -1,8 +1,11 @@
 """Exact rational linear algebra: LDL^T with symmetric pivoting and a
 sparse Gauss-Jordan eliminator for affine systems.
 
-Everything here is Fraction arithmetic; a verdict from this module is a
-proof, not an approximation.
+Everything here is exact rational arithmetic; a verdict from this module
+is a proof, not an approximation.  The LDL^T works on Fractions.  The
+affine eliminator keeps every integral value as a Python int and only the
+others as Fractions, so on the mostly integral SDP rows it does little
+Fraction work.
 """
 
 from __future__ import annotations
@@ -142,9 +145,31 @@ class Inconsistent(Exception):
         self.const = const
 
 
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is not Fraction:
+        if type(x) is int:
+            return x
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(a, b):
+    """a / b for exact values a and b != 0, as _exact gives it."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _exact(a / b)
+
+
 class ExactAffineSystem:
     """Rows sum(coeff * var) = const over named variables, kept in solved
     form var -> (expression over free variables, constant).
+
+    Every stored value is an int when it is integral and a Fraction
+    otherwise, so the elimination runs on Python ints wherever it can; a
+    sum or product that leaves a denominator of 1 is turned back into an
+    int at once.
 
     Rows can keep arriving after a solve (the PSD-propagation loop feeds
     forced zeros back in); expressions stay closed under the current set
@@ -158,7 +183,7 @@ class ExactAffineSystem:
     """
 
     def __init__(self, priority=None):
-        self.solved: dict = {}          # var -> (dict free-var -> Fraction, Fraction)
+        self.solved: dict = {}          # var -> (dict free-var -> value, value)
         self._order: dict = {}          # deterministic pivot tie-break
         self._uses: dict = {}           # free var -> solved vars whose expression holds it
         self._priority = priority or (lambda var: 0)
@@ -172,32 +197,36 @@ class ExactAffineSystem:
         other._uses = {var: set(users) for var, users in self._uses.items()}
         return other
 
-    def _substitute(self, row: dict, const: Fraction) -> tuple[dict, Fraction]:
+    def _substitute(self, row: dict, const) -> tuple[dict, object]:
         out: dict = {}
+        solved = self.solved
         for var, coeff in row.items():
-            if var in self.solved:
-                expr, c0 = self.solved[var]
+            if var in solved:
+                expr, c0 = solved[var]
                 const = const - coeff * c0
                 for fv, fc in expr.items():
-                    val = out.get(fv, Fraction(0)) + coeff * fc
+                    val = out.get(fv, 0) + coeff * fc
+                    if type(val) is not int and val.denominator == 1:
+                        val = val.numerator
                     if val:
                         out[fv] = val
                     else:
                         out.pop(fv, None)
             else:
-                val = out.get(var, Fraction(0)) + coeff
+                val = out.get(var, 0) + coeff
+                if type(val) is not int and val.denominator == 1:
+                    val = val.numerator
                 if val:
                     out[var] = val
                 else:
                     out.pop(var, None)
-        return out, const
+        return out, _exact(const)
 
     def add_row(self, row: dict, const) -> None:
         """Insert sum(coeff*var) = const and re-close the solved form."""
-        const = Fraction(const)
         for var in row:
             self._order.setdefault(var, len(self._order))
-        reduced, const = self._substitute({v: Fraction(c) for v, c in row.items()}, const)
+        reduced, const = self._substitute({v: _exact(c) for v, c in row.items()}, _exact(const))
         if not reduced:
             if const:
                 self.inconsistent = True
@@ -205,8 +234,13 @@ class ExactAffineSystem:
             return
         pivot = min(reduced, key=lambda v: (self._priority(v), self._order[v]))
         pc = reduced.pop(pivot)
-        expr = {v: -c / pc for v, c in reduced.items()}
-        c0 = const / pc
+        if pc == 1:
+            expr, c0 = {v: -c for v, c in reduced.items()}, const
+        elif pc == -1:
+            expr, c0 = reduced, -const
+        else:
+            expr = {v: _quotient(-c, pc) for v, c in reduced.items()}
+            c0 = _quotient(const, pc)
         self.solved[pivot] = (expr, c0)
         for fv in expr:
             self._uses.setdefault(fv, set()).add(pivot)
@@ -215,29 +249,34 @@ class ExactAffineSystem:
             vexpr, vc = self.solved[var]
             f = vexpr.pop(pivot)
             for fv, fc in expr.items():
-                val = vexpr.get(fv, Fraction(0)) + f * fc
+                val = vexpr.get(fv, 0) + f * fc
+                if type(val) is not int and val.denominator == 1:
+                    val = val.numerator
                 if val:
                     vexpr[fv] = val
                     self._uses[fv].add(var)
                 else:
                     vexpr.pop(fv, None)
                     self._uses[fv].discard(var)
-            self.solved[var] = (vexpr, vc + f * c0)
+            if c0:
+                vc = _exact(vc + f * c0)
+            self.solved[var] = (vexpr, vc)
 
-    def expression(self, var) -> tuple[dict, Fraction]:
-        """Solved form of var: (free-variable coefficients, constant)."""
+    def expression(self, var) -> tuple[dict, object]:
+        """Solved form of var: a copy of (free-variable coefficients, constant)."""
         if var in self.solved:
             expr, c0 = self.solved[var]
             return dict(expr), c0
-        return ({var: Fraction(1)}, Fraction(0))
+        return ({var: 1}, 0)
 
-    def pinned_value(self, var) -> Fraction | None:
-        expr, c0 = self.expression(var)
-        return c0 if not expr else None
+    def pinned_value(self, var):
+        """The value the rows pin var to, or None while var is not pinned."""
+        entry = self.solved.get(var)
+        return entry[1] if entry is not None and not entry[0] else None
 
     def evaluate(self, var, assignment: dict) -> Fraction:
         """Value of var once every free variable is assigned."""
-        expr, c0 = self.expression(var)
+        expr, c0 = self.solved.get(var, ({var: 1}, 0))
         return c0 + sum((assignment[fv] * fc for fv, fc in expr.items()), Fraction(0))
 
     def free_variables(self) -> list:

@@ -16,13 +16,13 @@ word by word gives exact linear constraints, one row per pair {w, w^*}
 build_real_sdp writes each row once, as a dict over the unknowns of the
 system, ("g", i, j) for G[i][j] with i <= j and ("q", j, v) for the
 coefficient of the word v in q_j, and feeds the rows into one sparse exact
-elimination (ExactAffineSystem) that pivots on multiplier unknowns first,
-top-down by decreasing word length.  Once every row of length >= 2t is
-in, PSD propagation over the words of length t (t = d - 1 first) finds the
-words whose diagonal entry the rows pin to 0.  Such a word z leaves the
-face: G_zz = 0 forces its whole row and column of a psd G to 0, so every
-later row, and the trace row, which comes last, leaves out the G unknowns
-of z.  The build descends to layer t - 1 only when all of layer t left.
+elimination (ExactAffineSystem, on ints wherever a value is integral) that
+pivots on multiplier unknowns first, top-down by decreasing word length.
+Once every row of length >= 2t is in, PSD propagation over the words of
+length t (t = d - 1 first) finds the words whose diagonal entry the rows
+pin to 0.  Such a word z leaves the face: G_zz = 0 forces its whole row
+and column of a psd G to 0, so every later row, and the trace row, which
+comes last, leaves out the G unknowns of z.  The build descends to layer t - 1 only when all of layer t left.
 Rows are only ever added, and a subset of the rows implies nothing the
 whole system does not, so the reduction is sound.  It is a degree-layered
 partial facial reduction: the free-algebra analogue of the Newton chip
@@ -59,8 +59,8 @@ The solved system is stored on the problem and serves the rest:
   producing an exactly feasible pair (G, q) when the rounded G is PSD.
 
 Both read their point through one routine, _exact_point: evaluate the
-solved system at an assignment of its free unknowns, keep it when G passes
-the exact PSD test.
+solved system at an assignment of its free unknowns, keep it when the k x k
+face block of G passes the exact PSD test.
 """
 
 from fractions import Fraction
@@ -68,7 +68,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import word_star, words_up_to
-from .exactla import ExactAffineSystem, Inconsistent, psd_check_exact
+from .exactla import ExactAffineSystem, Inconsistent, _exact, psd_check_exact
 from .sdp import SdpProblem, _svec_index
 
 
@@ -101,13 +101,16 @@ def build_real_sdp(basis):
                 row = rows.setdefault(w, {})
                 var = ("g", min(a, b), max(a, b))
                 row[var] = row.get(var, 0) + 1
+    # the basis coefficients as the elimination stores them, int when integral
+    terms = [[(u, _exact(c)) for u, c in p.terms.items()] for p in basis.elements]
     for var in qvars:
         _, j, v = var
-        for u, c in basis.elements[j].terms.items():
-            for w in (v + u, word_star(v + u)):
-                if w <= word_star(w):
-                    row = rows.setdefault(w, {})
-                    row[var] = row.get(var, 0) - c
+        for u, c in terms[j]:
+            # the term c vu of q_j p_j and its adjoint c (vu)* of p_j^* q_j^*
+            w = v + u
+            ws = word_star(w)
+            row = rows.setdefault(min(w, ws), {})
+            row[var] = row.get(var, 0) - (2 * c if w == ws else c)
 
     # Feed the rows by decreasing word length, multipliers eliminated
     # first.  Once the rows of length >= 2t are in, propagation over the
@@ -120,8 +123,9 @@ def build_real_sdp(basis):
     dropped = set()
 
     def feed(row, const):
-        row = {v: c for v, c in row.items()
-               if v[0] == "q" or (v[1] not in dropped and v[2] not in dropped)}
+        if dropped:
+            row = {v: c for v, c in row.items()
+                   if v[0] == "q" or (v[1] not in dropped and v[2] not in dropped)}
         exact_rows.append((row, const))
         system.add_row(row, const)
 
@@ -308,7 +312,8 @@ def _exact_point(problem, sys, assignment):
     for var in problem.gvars:
         _, i, j = var
         G[i][j] = G[j][i] = sys.evaluate(var, assignment)
-    if not psd_check_exact(G).is_psd:
+    # G is 0 off the face, so the face block alone decides PSD
+    if not psd_check_exact([[G[i][j] for j in problem.face] for i in problem.face]).is_psd:
         return None
     qdicts = {}
     for var in problem.qvars:

@@ -11,7 +11,7 @@ from ncreal.exactla import (
     to_fraction_matrix,
 )
 
-from util import rank_exact
+from util import FractionAffineSystem, rank_exact
 
 
 def _rand_int_matrix(rng, n, m=None, lo=-4, hi=4):
@@ -196,3 +196,60 @@ def test_affine_system_random_consistency():
         sol = {v: sys.evaluate(v, assign) for v in names}
         for row, rhs in rows:
             assert sum(c * sol[v] for v, c in row.items()) == rhs
+
+
+def _stored_values(sys):
+    for expr, c0 in sys.solved.values():
+        yield c0
+        yield from expr.values()
+
+
+def _rand_value(rng):
+    """A nonzero rational in one of the forms a caller may pass."""
+    c = Fraction(rng.randint(-4, 4) or 1, rng.choice([1, 1, 1, 2, 3, 6]))
+    return rng.choice([c, c, int(c) if c.denominator == 1 else c])
+
+
+def test_affine_system_matches_the_fraction_oracle():
+    rng = random.Random(59)
+    for trial in range(150):
+        names = [(rng.choice("gq"), k) for k in range(rng.randint(2, 9))]
+        priority = (lambda v: 0 if v[0] == "q" else 1) if trial % 3 else None
+        sys, ref = ExactAffineSystem(priority), FractionAffineSystem(priority)
+        target = {v: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for v in names}
+        for _ in range(rng.randint(1, 12)):
+            # sparse rows, consistent with target unless the constant is bent
+            row = {v: _rand_value(rng) for v in rng.sample(names, rng.randint(0, min(4, len(names))))}
+            const = sum((c * target[v] for v, c in row.items()), Fraction(0))
+            if rng.random() < 0.15:
+                const += rng.choice([1, Fraction(1, 2)])
+            raised = []
+            for s in (sys, ref):
+                try:
+                    s.add_row(dict(row), const)
+                except Inconsistent as exc:
+                    raised.append(exc.const)
+            assert len(raised) in (0, 2) and len(set(raised)) <= 1
+            assert sys.inconsistent == ref.inconsistent
+            assert sys.solved == ref.solved and list(sys.solved) == list(ref.solved)
+            assert sys.free_variables() == ref.free_variables()
+            for value in _stored_values(sys):
+                assert type(value) is int or (type(value) is Fraction and value.denominator > 1)
+            assign = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for v in sys.free_variables()}
+            for var, (expr, c0) in ref.solved.items():
+                assert sys.pinned_value(var) == (None if expr else c0)
+                assert sys.evaluate(var, assign) == c0 + sum(assign[f] * e for f, e in expr.items())
+
+
+def test_affine_system_expression_is_a_copy():
+    sys = ExactAffineSystem()
+    sys.add_row({"a": 1, "b": 2, "c": Fraction(1, 3)}, 5)
+    expr, c0 = sys.expression("a")
+    expr["b"] = 7
+    expr["d"] = 1
+    assert sys.expression("a") == ({"b": -2, "c": Fraction(-1, 3)}, 5)
+    free, c0 = sys.expression("b")
+    free["b"] = 3
+    assert sys.expression("b") == ({"b": 1}, 0)
+    # neither a free variable nor one no row mentions is pinned
+    assert sys.pinned_value("b") is None and sys.pinned_value("never") is None

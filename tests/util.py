@@ -18,6 +18,8 @@ and copying_defect forms the certificate defect on every word with a fresh
 dict per sum: the library's support-only versions are checked against them.
 monomial_oracle decides a monomial ideal by scanning its generating words
 for the survivors, the words the left Groebner basis keeps.
+FractionAffineSystem is the sparse exact eliminator in Fraction arithmetic
+throughout, the oracle for the library's int-where-integral one.
 """
 
 from fractions import Fraction
@@ -35,7 +37,7 @@ from ncreal.algebra import (
     words_of_degree,
     words_up_to,
 )
-from ncreal.exactla import psd_check_exact, to_fraction_matrix
+from ncreal.exactla import Inconsistent, psd_check_exact, to_fraction_matrix
 from ncreal.factor import is_irreducible_homogeneous
 from ncreal.sdp import SdpProblem, _svec_index
 
@@ -346,6 +348,77 @@ def rank_exact(A):
         rank += 1
         col += 1
     return rank
+
+
+class FractionAffineSystem:
+    """ExactAffineSystem as it was in Fraction arithmetic throughout: the
+    oracle for the int-where-integral kernel.
+
+    Rows sum(coeff * var) = const are kept in solved form var ->
+    (expression over free variables, constant); a reduced row pivots on its
+    variable of least priority key, ties going to the variable mentioned
+    first.
+    """
+
+    def __init__(self, priority=None):
+        self.solved: dict = {}
+        self._order: dict = {}
+        self._uses: dict = {}
+        self._priority = priority or (lambda var: 0)
+        self.inconsistent = False
+
+    def _substitute(self, row, const):
+        out: dict = {}
+        for var, coeff in row.items():
+            if var in self.solved:
+                expr, c0 = self.solved[var]
+                const = const - coeff * c0
+                for fv, fc in expr.items():
+                    val = out.get(fv, Fraction(0)) + coeff * fc
+                    if val:
+                        out[fv] = val
+                    else:
+                        out.pop(fv, None)
+            else:
+                val = out.get(var, Fraction(0)) + coeff
+                if val:
+                    out[var] = val
+                else:
+                    out.pop(var, None)
+        return out, const
+
+    def add_row(self, row, const):
+        const = Fraction(const)
+        for var in row:
+            self._order.setdefault(var, len(self._order))
+        reduced, const = self._substitute({v: Fraction(c) for v, c in row.items()}, const)
+        if not reduced:
+            if const:
+                self.inconsistent = True
+                raise Inconsistent(const)
+            return
+        pivot = min(reduced, key=lambda v: (self._priority(v), self._order[v]))
+        pc = reduced.pop(pivot)
+        expr = {v: -c / pc for v, c in reduced.items()}
+        c0 = const / pc
+        self.solved[pivot] = (expr, c0)
+        for fv in expr:
+            self._uses.setdefault(fv, set()).add(pivot)
+        for var in self._uses.pop(pivot, ()):
+            vexpr, vc = self.solved[var]
+            f = vexpr.pop(pivot)
+            for fv, fc in expr.items():
+                val = vexpr.get(fv, Fraction(0)) + f * fc
+                if val:
+                    vexpr[fv] = val
+                    self._uses[fv].add(var)
+                else:
+                    vexpr.pop(fv, None)
+                    self._uses[fv].discard(var)
+            self.solved[var] = (vexpr, vc + f * c0)
+
+    def free_variables(self):
+        return [v for v in self._order if v not in self.solved]
 
 
 def truncated_basis(basis, e):
