@@ -19,14 +19,12 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .algebra import MonomialOrder, Poly, shrink_length, word_str
+from .algebra import MonomialOrder, shrink_length, word_str
 from .evaluation import MatrixPoint, apply_to_vector, evaluate
 from .factor import factor_homogeneous
 from .gram import is_sos_homogeneous
 from .groebner import left_groebner
-from .parsing import ParseError, parse_generators, parse_poly, parse_word, poly_str
+from .parsing import ParseError, _line_terms, _polys, _terms, parse_word, poly_str
 from .realness import (
     NOT_REAL,
     REAL,
@@ -37,17 +35,14 @@ from .realness import (
 
 
 def _load_polys(args):
-    """Polynomials from -e options and/or an -f file, on a common g."""
-    polys = []
-    for text in args.expr or []:
-        polys.append(parse_poly(text, args.vars))
+    """Polynomials from -e options and/or an -f file, built once on a common g."""
+    terms = [_terms(text, args.vars) for text in args.expr or []]
     if getattr(args, "file", None):
         with open(args.file) as fh:
-            polys.extend(parse_generators(fh.read(), args.vars))
-    if not polys:
+            terms.extend(_line_terms(fh.read(), args.vars))
+    if not terms:
         raise ValueError("no input: use -e EXPR or -f FILE")
-    g = args.vars or max(p.g for p in polys)
-    return [Poly(g, p.terms) for p in polys]
+    return _polys(terms, args.vars)
 
 
 def _single_poly(args):
@@ -193,6 +188,8 @@ def cmd_verify(args):
 
 
 def cmd_eval(args):
+    import numpy as np
+
     p = _single_poly(args)
     with open(args.point) as fh:
         point = MatrixPoint.from_json(fh.read())

@@ -2,16 +2,16 @@
 
 A point is (X_1, ..., X_g, v): square matrices of one common size plus an
 optional vector.  Starred letters evaluate to transposes, so p |-> p(X) is
-a *-representation.  This is the only part of the core that works in
-floating point.
+a *-representation.  Evaluation works in floating point, as do the SDP
+route's orthonormal slice (sdp_build) and its projection loop (sdp); the
+rest of the core is exact.  numpy is imported inside the functions here,
+so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import Poly
 
@@ -22,6 +22,8 @@ class MatrixPoint:
     vector: np.ndarray | None = None
 
     def __post_init__(self):
+        import numpy as np
+
         if not self.matrices:
             raise ValueError("a point needs at least one matrix")
         mats = [np.asarray(X, dtype=float) for X in self.matrices]
@@ -47,6 +49,8 @@ class MatrixPoint:
     @classmethod
     def from_json(cls, text: str) -> "MatrixPoint":
         """Load {"n": ..., "X": [matrix, ...], "v": [...]} (v optional)."""
+        import numpy as np
+
         data = json.loads(text)
         if not isinstance(data, dict) or not isinstance(data.get("X"), list):
             raise ValueError('malformed point: need an object with a list "X" of matrices')
@@ -64,6 +68,8 @@ class MatrixPoint:
 
 def evaluate(p: Poly, point: MatrixPoint) -> np.ndarray:
     """p(X): words become matrix products, x_i* becomes X_i^T."""
+    import numpy as np
+
     if p.g > point.g:
         raise ValueError(f"polynomial uses {p.g} variables, point has {point.g}")
     n = point.n
@@ -93,6 +99,8 @@ def common_kernel(mats: list[np.ndarray], tol: float = 1e-9) -> np.ndarray:
     matrices are skipped (their kernel is everything); if nothing is left
     the whole space comes back.
     """
+    import numpy as np
+
     mats = [np.asarray(M, dtype=float) for M in mats]
     if not mats:
         raise ValueError("need at least one matrix")

@@ -139,16 +139,43 @@ class _Parser:
                 raise ParseError("expected '+' or '-' between terms", self.here())
 
 
+def _terms(text: str, g: int | None) -> dict[Word, Fraction]:
+    """The terms of one polynomial, letters checked against g when given."""
+    if not text.strip():
+        raise ParseError("empty input", 0)
+    return _Parser(text, g).parse_poly()
+
+
+def _line_terms(text: str, g: int | None) -> list[dict[Word, Fraction]]:
+    """The terms of each line of text; '#' starts a comment, blank lines
+    are skipped, and a parse error names its line.  Raises ParseError
+    when no line holds a polynomial."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            out.append(_terms(line, g))
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}", exc.pos) from exc
+    if not out:
+        raise ParseError("no generators found", 0)
+    return out
+
+
+def _polys(terms: list[dict[Word, Fraction]], g: int | None) -> list[Poly]:
+    """One Poly per term dict, all on g, or when g is None on the largest
+    variable index that occurs in any of them (at least 1)."""
+    if g is None:
+        g = max((code // 2 + 1 for t in terms for w in t for code in w), default=1)
+    return [Poly(g, t) for t in terms]
+
+
 def parse_poly(text: str, g: int | None = None) -> Poly:
     """Parse the grammar above.  When g is None it is inferred as the largest
     variable index that occurs (at least 1)."""
-    if not text.strip():
-        raise ParseError("empty input", 0)
-    parser = _Parser(text, g)
-    terms = parser.parse_poly()
-    if g is None:
-        g = max((code // 2 + 1 for w in terms for code in w), default=1)
-    return Poly(g, terms)
+    return _polys([_terms(text, g)], g)[0]
 
 
 def parse_word(text: str, g: int | None = None) -> Word:
@@ -164,20 +191,8 @@ def parse_word(text: str, g: int | None = None) -> Word:
 
 def parse_generators(text: str, g: int | None = None) -> list[Poly]:
     """One polynomial per line; '#' starts a comment; blank lines skipped.
-    All polynomials are lifted to a common variable count."""
-    polys = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            polys.append(parse_poly(line, g))
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}", exc.pos) from exc
-    if not polys:
-        raise ParseError("no generators found", 0)
-    shared = g if g is not None else max(p.g for p in polys)
-    return [Poly(shared, p.terms) for p in polys]
+    All polynomials are built once, on a common variable count."""
+    return _polys(_line_terms(text, g), g)
 
 
 def poly_str(p: Poly, order: MonomialOrder | None = None) -> str:

@@ -25,14 +25,20 @@ nonnegative eigenpairs, and the gap between the two projections is the
 norm of the negative eigenvalues.  The residual r = A x - b of the PSD
 iterate serves twice: ||r|| <= tol is the feasibility test for G, and it
 gives the next affine projection.
+
+This module, sdp_build and evaluation are the only ones that use numpy,
+and each imports it inside the functions that need it.  Importing the
+package, parsing, the Groebner basis, the closed forms and certificate
+verification never load numpy; the first SDP assembly or matrix
+evaluation does.
 """
+
+from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import hypot, sqrt
-
-import numpy as np
 
 
 @lru_cache(maxsize=None)
@@ -42,6 +48,8 @@ def _svec_index(n):
     scale is 1 on the diagonal and sqrt(2) off it, so that svec(S) is
     S[iu] * scale.  The arrays are shared and read-only.
     """
+    import numpy as np
+
     iu = np.triu_indices(n)
     scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
     for arr in (*iu, scale):
@@ -59,15 +67,13 @@ def _lower_flat_index(n):
     return flat
 
 
-def _from_lower(S):
-    """The symmetric matrix with S's lower triangle on both sides."""
-    return np.tril(S) + np.tril(S, -1).T
+def _padded(problem, S):
+    """The n x n matrix over all words that is 0 off the face and, on it,
+    the symmetric matrix with S's lower triangle on both sides."""
+    import numpy as np
 
-
-def _padded(problem, G):
-    """The n x n matrix over all words that is G on the face and 0 off it."""
     out = np.zeros((problem.n, problem.n))
-    out[np.ix_(problem.face, problem.face)] = G
+    out[np.ix_(problem.face, problem.face)] = np.tril(S) + np.tril(S, -1).T
     return out
 
 
@@ -139,6 +145,8 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000):
                          iterations)
     max_iterations    -- neither happened within max_iter
     """
+    import numpy as np
+
     if problem.inconsistent:
         return FeasibilityResult(
             "likely_infeasible", None, 0, problem.affine_residual, []
@@ -164,13 +172,13 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000):
         w, V = np.linalg.eigh(H)
         ws = w.tolist()  # n floats: cheaper to search and sum than w itself
         if ws[0] >= -tol:
-            return FeasibilityResult("feasible", _padded(problem, _from_lower(H)), it, 0.0, gaps)
+            return FeasibilityResult("feasible", _padded(problem, H), it, 0.0, gaps)
         k = bisect_left(ws, 0.0)  # w[k:] are the nonnegative eigenvalues
         V = V[:, k:]
         G = (V * w[k:]) @ V.T
         r = residual(G)
         if sqrt(r.dot(r)) <= tol:
-            return FeasibilityResult("feasible", _padded(problem, _from_lower(G)), it, 0.0, gaps)
+            return FeasibilityResult("feasible", _padded(problem, G), it, 0.0, gaps)
         gaps.append(hypot(*ws[:k]))  # ||H - G||_F
         if len(gaps) > STALL_WINDOW:
             old, new = gaps[-STALL_WINDOW - 1], gaps[-1]

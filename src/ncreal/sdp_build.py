@@ -65,8 +65,6 @@ face block of G passes the exact PSD test.
 
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import word_star, words_up_to
 from .exactla import ExactAffineSystem, Inconsistent, _exact, psd_check_exact
 from .sdp import SdpProblem, _svec_index
@@ -74,6 +72,8 @@ from .sdp import SdpProblem, _svec_index
 
 def build_real_sdp(basis):
     """Build the feasibility SDP for the ideal of a left Groebner basis, on its face."""
+    import numpy as np
+
     if not basis.elements:
         raise ValueError("empty basis: the zero ideal needs no SDP")
     if any(p.degree() == 0 for p in basis.elements):
@@ -169,6 +169,8 @@ def _component_rows(system, gvars, side):
     rows.  Returns the rows of all A_c in coordinate form (rows, cols, vals)
     and the stacked b.
     """
+    import numpy as np
+
     # gvars runs through the upper triangle of the face row by row, as svec does.
     gindex = {v: k for k, v in enumerate(gvars)}
     _, scale = _svec_index(side)

@@ -1,9 +1,14 @@
 """Command line interface, driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncreal
 from ncreal.cli import main
 
 
@@ -171,3 +176,15 @@ def test_eval_malformed_point_exits_1(capsys, tmp_path, text):
     point.write_text(text)
     code, _, err = _run(capsys, "eval", "-e", "x1", "-p", str(point))
     assert code == 1 and err.startswith("error: malformed point")
+
+
+def test_python_m_ncreal_runs_the_cli():
+    # a fresh interpreter with only the package's parent directory on its path
+    src = Path(ncreal.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "ncreal", "real", "-e", "x1 x1* - x1* x1 - 1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "status: Real" in done.stdout.splitlines()
