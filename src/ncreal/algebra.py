@@ -81,9 +81,6 @@ class MonomialOrder:
         rank = self._rank
         return (-len(w), tuple(rank[c] for c in w))
 
-    def greater(self, u: Word, v: Word) -> bool:
-        return self.key(u) < self.key(v)
-
     def max_word(self, words: Iterable[Word]) -> Word:
         return min(words, key=self.key)
 
@@ -278,9 +275,6 @@ class Poly:
     def is_analytic(self) -> bool:
         """No starred letter anywhere (constants count as analytic)."""
         return all(not (c & 1) for w in self.terms for c in w)
-
-    def is_antianalytic(self) -> bool:
-        return all(c & 1 for w in self.terms for c in w)
 
     def is_symmetric(self) -> bool:
         return self.terms == word_dict_star(self.terms)

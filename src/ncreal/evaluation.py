@@ -2,10 +2,10 @@
 
 A point is (X_1, ..., X_g, v): square matrices of one common size plus an
 optional vector.  Starred letters evaluate to transposes, so p |-> p(X) is
-a *-representation.  Evaluation works in floating point, as do the SDP
-route's orthonormal slice (sdp_build) and its projection loop (sdp); the
-rest of the core is exact.  numpy is imported inside the functions here,
-so importing this module does not load it.
+a *-representation.  Evaluation works in floating point, as does the SDP
+route's projection loop (sdp); the rest of the core is exact.  numpy is
+imported inside the functions here, so importing this module does not load
+it.
 """
 
 from __future__ import annotations

@@ -4,39 +4,47 @@ The feasibility set is the intersection of the PSD cone with an affine
 subspace of symmetric matrices, described in scaled vector coordinates
 (svec: the upper triangle, off-diagonal entries times sqrt(2)) by an
 orthonormal-row system A x = b, so the affine projection is
-x - A^T (A x - b).  A is kept sparse, as coordinate triples (rows, cols,
-vals): build_real_sdp makes it from one small QR per component of the
-exact system, so it is block-diagonal up to a permutation of the
-coordinates.  Alternating projections converge to a point of the
+x - A^T (A x - b).  Alternating projections converge to a point of the
 intersection when it is nonempty; when it is empty the gap between the two
 projections stabilizes at the positive distance between the sets, which is
 what the stall detector looks for.
 
+solve_feasibility derives A and b from the problem's exact system
+(sdp_build), where every solved G unknown on the face is an expression
+G_p - sum_f e_f G_f = c over free G unknowns of the face alone.  In the
+svec coordinates of the k x k face these rows form a full-row-rank matrix
+B = [I | -E], which is almost empty: joining each pivot with the free
+unknowns of its expression splits the coordinates into many small
+independent components.  One QR factorization B_c^T = Q_c R_c per
+component gives the orthonormal rows A_c = Q_c^T and b_c = R_c^-T c_c,
+kept sparse as coordinate triples (rows, cols, vals), so A is
+block-diagonal up to a permutation of the coordinates; no dense A and no
+QR over all of B is ever formed.  The rank is the number of G pivots; no
+float threshold decides it.
+
 G is 0 off a face of k of its n words (build_real_sdp's facial
 reduction), and A is written in the svec coordinates of the k x k block
-on the face.  solve_feasibility works on that k x k iterate itself, never
-forms svec, and returns a feasible G zero-padded to n x n.
-Once per solve it maps each nonzero of A to the flat index of its entry in
-the lower triangle and folds the svec scale into two copies of the values,
-so A x and A^T r are one np.bincount each, read from and written to that
-triangle.  np.linalg.eigh reads only the lower triangle, so the upper one
-is left stale between steps.  The PSD projection is built from the
+on the face.  The projection loop works on that k x k iterate itself,
+never forms svec, and solve_feasibility returns a feasible G zero-padded
+to n x n.
+Once per solve the loop maps each nonzero of A to the flat index of its
+entry in the lower triangle and folds the svec scale into two copies of the
+values, so A x and A^T r are one np.bincount each, read from and written to
+that triangle.  np.linalg.eigh reads only the lower triangle, so the upper
+one is left stale between steps.  The PSD projection is built from the
 nonnegative eigenpairs, and the gap between the two projections is the
 norm of the negative eigenvalues.  The residual r = A x - b of the PSD
 iterate serves twice: ||r|| <= tol is the feasibility test for G, and it
 gives the next affine projection.
 
-This module, sdp_build and evaluation are the only ones that use numpy,
-and each imports it inside the functions that need it.  Importing the
-package, parsing, the Groebner basis, the closed forms and certificate
-verification never load numpy; the first SDP assembly or matrix
-evaluation does.
+This module and evaluation are the only ones that use numpy, and each
+imports it inside the functions that need it.  Importing the package,
+parsing, the Groebner basis, the closed forms, the SDP assembly and its
+exact checks, and certificate verification never load numpy; the first
+projection or matrix evaluation does.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import hypot, sqrt
 
@@ -67,59 +75,67 @@ def _lower_flat_index(n):
     return flat
 
 
-def _padded(problem, S):
-    """The n x n matrix over all words that is 0 off the face and, on it,
-    the symmetric matrix with S's lower triangle on both sides."""
+def _component_rows(system, gvars, side):
+    """The orthonormal rows of the solved G pivots of the face, one QR per
+    component, in the svec coordinates of G on the face (side x side).
+
+    A G pivot's expression holds free G unknowns only, so joining each pivot
+    with the unknowns of its expression splits the svec coordinates into
+    independent components.  Each component that holds a pivot gives
+    B_c = [I | -E_c] in svec scaling and one QR B_c^T = Q_c R_c, so that
+    A_c = Q_c^T and b_c = R_c^-T c_c; a component without a pivot adds no
+    rows.  Returns the rows of all A_c in coordinate form (rows, cols, vals)
+    and the stacked b.
+    """
     import numpy as np
 
-    out = np.zeros((problem.n, problem.n))
-    out[np.ix_(problem.face, problem.face)] = np.tril(S) + np.tril(S, -1).T
-    return out
+    # gvars runs through the upper triangle of the face row by row, as svec does.
+    gindex = {v: k for k, v in enumerate(gvars)}
+    _, scale = _svec_index(side)
+    parent = list(range(len(gvars)))
 
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
 
-@dataclass(eq=False)
-class SdpProblem:
-    """Feasibility problem: find G psd, 0 off the face, with A svec(G_F) = b
-    for its block G_F on the face.
+    # a G pivot off the face is pinned to the 0 it has in G
+    pivots = sorted(gindex[var] for var in system.solved if var in gindex)
+    for p in pivots:
+        for f in system.solved[gvars[p]][0]:
+            parent[find(gindex[f])] = find(p)
+    components = {}
+    for p in pivots:
+        components.setdefault(find(p), []).append(p)
 
-    n            -- side length of G
-    words        -- labels of the rows/columns of G
-    face         -- the indices of the k words G may be nonzero on,
-                    ascending
-    rows, cols, vals -- the nonzeros of A, whose rows are orthonormal, in
-                    the svec coordinates of the k x k block G_F:
-                    A[rows[k], cols[k]] = vals[k]; the index arrays are
-                    integer-typed even when empty
-    b            -- right-hand side, one entry per row of A
-    inconsistent -- True when the constraints admit no solution on the
-                    face; solve_feasibility then stops at once
-    affine_residual -- for inconsistent constraints, the size of the
-                    contradiction they imply
-
-    build_real_sdp also records exact_rows, the rows as (row, const) pairs
-    in the order they were solved, each row a dict over the unknowns;
-    gvars, the G unknowns ("g", i, j) on the face, i <= j, in svec order;
-    qvars, the multiplier unknowns ("q", j, v), the coefficient of the word
-    v in the multiplier of basis element j; and system: the rows solved
-    exactly with the multipliers eliminated first (an ExactAffineSystem),
-    from whose components A and b were derived.  The exact post-checks read
-    that one system.  The names index the full word list; the system holds
-    a G unknown off the face only when it pins it to 0.
-    """
-
-    n: int
-    words: list
-    face: list
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    b: np.ndarray
-    inconsistent: bool = False
-    affine_residual: float = 0.0
-    exact_rows: list = field(default_factory=list)
-    gvars: list = field(default_factory=list)
-    qvars: list = field(default_factory=list)
-    system: object = None
+    # empty seeds keep the index arrays integer-typed when there is no
+    # pivot: np.bincount rejects float indices
+    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    vals, b = [np.zeros(0)], [np.zeros(0)]
+    nrows = 0
+    for cpivots in components.values():
+        exprs = [system.solved[gvars[p]] for p in cpivots]
+        coords = sorted({*cpivots, *(gindex[f] for expr, _ in exprs for f in expr)})
+        local = {k: i for i, k in enumerate(coords)}
+        B = np.zeros((len(cpivots), len(coords)))
+        c = np.empty(len(cpivots))
+        for r, (p, (expr, c0)) in enumerate(zip(cpivots, exprs)):
+            # G_p - sum e_f G_f = c0 in svec coordinates x_k = scale_k G_k
+            B[r, local[p]] = 1.0
+            for f, e in expr.items():
+                k = gindex[f]
+                B[r, local[k]] = -float(e) * scale[p] / scale[k]
+            c[r] = float(c0) * scale[p]
+        Q, R = np.linalg.qr(B.T)
+        rows.append(np.repeat(np.arange(nrows, nrows + len(cpivots)), len(coords)))
+        cols.append(np.tile(coords, len(cpivots)))
+        vals.append(Q.T.ravel())
+        b.append(np.linalg.solve(R.T, c))
+        nrows += len(cpivots)
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep], np.concatenate(b)
 
 
 STALL_WINDOW = 500  # steps over which a stalled gap changes by at most tol
@@ -137,7 +153,8 @@ class FeasibilityResult:
 def solve_feasibility(problem, tol=1e-8, max_iter=20000):
     """Alternate affine and PSD projections on the face from G0 = I/k.
 
-    A feasible G is returned zero-padded to n x n.
+    The affine slice is taken from the problem's exact system on each call
+    (_component_rows), and a feasible G is returned zero-padded to n x n.
 
     feasible          -- an iterate satisfies both constraints to tol
     likely_infeasible -- the projection gap stabilizes above 10*tol
@@ -151,17 +168,38 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000):
         return FeasibilityResult(
             "likely_infeasible", None, 0, problem.affine_residual, []
         )
-    n = len(problem.face)  # the iterate is the k x k block on the face
-    rows, cols, b = problem.rows, problem.cols, problem.b
+    k = len(problem.face)
+    result = _alternating_projections(
+        k, *_component_rows(problem.system, problem.gvars, k), tol, max_iter
+    )
+    if result.G is not None:
+        G = np.zeros((problem.n, problem.n))
+        G[np.ix_(problem.face, problem.face)] = result.G
+        result.G = G
+    return result
+
+
+def _alternating_projections(n, rows, cols, vals, b, tol, max_iter):
+    """solve_feasibility's loop on n x n matrices, from G0 = I/n, for the
+    orthonormal-row system A svec(G) = b with A[rows[i], cols[i]] = vals[i].
+
+    Returns a FeasibilityResult whose feasible G is exactly symmetric,
+    n x n.
+    """
+    import numpy as np
+
     m = len(b)
     _, scale = _svec_index(n)
     flat = _lower_flat_index(n)[cols]
     # A x = sum a_in * G[flat], and A^T r lands on G[flat] as a_out * r[rows]
-    a_in = problem.vals * scale[cols]
-    a_out = problem.vals / scale[cols]
+    a_in = vals * scale[cols]
+    a_out = vals / scale[cols]
 
     def residual(G):  # A svec(G) - b, read from the lower triangle
         return np.bincount(rows, a_in * G.ravel()[flat], minlength=m) - b
+
+    def feasible(S, it):  # S's lower triangle on both sides
+        return FeasibilityResult("feasible", np.tril(S) + np.tril(S, -1).T, it, 0.0, gaps)
 
     G = np.eye(n) / n
     r = residual(G)  # with no rows, r is empty: norm 0 and A^T r == 0
@@ -172,13 +210,13 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000):
         w, V = np.linalg.eigh(H)
         ws = w.tolist()  # n floats: cheaper to search and sum than w itself
         if ws[0] >= -tol:
-            return FeasibilityResult("feasible", _padded(problem, H), it, 0.0, gaps)
+            return feasible(H, it)
         k = bisect_left(ws, 0.0)  # w[k:] are the nonnegative eigenvalues
         V = V[:, k:]
         G = (V * w[k:]) @ V.T
         r = residual(G)
         if sqrt(r.dot(r)) <= tol:
-            return FeasibilityResult("feasible", _padded(problem, G), it, 0.0, gaps)
+            return feasible(G, it)
         gaps.append(hypot(*ws[:k]))  # ||H - G||_F
         if len(gaps) > STALL_WINDOW:
             old, new = gaps[-STALL_WINDOW - 1], gaps[-1]

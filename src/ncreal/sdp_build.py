@@ -34,17 +34,10 @@ is 0 off the face.
 
 Every solved G unknown on the face is then an expression
 G_p - sum_f e_f G_f = c over free G unknowns of the face alone: these rows
-cut out exactly the G on the face for which some multipliers exist.  In
-the svec coordinates of the k x k face they form a full-row-rank matrix
-B = [I | -E], which is almost empty: joining each pivot with the free
-unknowns of its expression splits the coordinates into many small
-independent components.  One QR factorization B_c^T = Q_c R_c per
-component gives the orthonormal rows A_c = Q_c^T and b_c = R_c^-T c_c of
-the alternating-projection solver, kept in coordinate form; no dense A and
-no QR over all of B is ever formed.  The rank is the number of G pivots;
-no float threshold decides it.  A row that reduces to 0 = c proves the
-constraints inconsistent on the face; the trace row over an empty face
-does so with c = 1.
+cut out exactly the G on the face for which some multipliers exist, and
+solve_feasibility (sdp) derives its float slice from them.  A row that
+reduces to 0 = c proves the constraints inconsistent on the face; the
+trace row over an empty face does so with c = 1.
 
 The solved system is stored on the problem and serves the rest:
 
@@ -63,17 +56,51 @@ solved system at an assignment of its free unknowns, keep it when the k x k
 face block of G passes the exact PSD test.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import word_star, words_up_to
 from .exactla import ExactAffineSystem, Inconsistent, _exact, psd_check_exact
-from .sdp import SdpProblem, _svec_index
+
+
+@dataclass(eq=False)
+class SdpProblem:
+    """Feasibility problem: find G psd, 0 off the face, that meets the
+    exact rows for some multipliers.
+
+    n            -- side length of G
+    words        -- labels of the rows/columns of G
+    face         -- the indices of the k words G may be nonzero on,
+                    ascending
+    inconsistent -- True when the constraints admit no solution on the
+                    face; solve_feasibility then stops at once
+    affine_residual -- for inconsistent constraints, the size of the
+                    contradiction they imply
+
+    build_real_sdp also records exact_rows, the rows as (row, const) pairs
+    in the order they were solved, each row a dict over the unknowns;
+    gvars, the G unknowns ("g", i, j) on the face, i <= j, in svec order;
+    qvars, the multiplier unknowns ("q", j, v), the coefficient of the word
+    v in the multiplier of basis element j; and system: the rows solved
+    exactly with the multipliers eliminated first (an ExactAffineSystem).
+    solve_feasibility and the exact post-checks read that one system.  The
+    names index the full word list; the system holds a G unknown off the
+    face only when it pins it to 0.
+    """
+
+    n: int
+    words: list
+    face: list
+    inconsistent: bool = False
+    affine_residual: float = 0.0
+    exact_rows: list = field(default_factory=list)
+    gvars: list = field(default_factory=list)
+    qvars: list = field(default_factory=list)
+    system: object = None
 
 
 def build_real_sdp(basis):
     """Build the feasibility SDP for the ideal of a left Groebner basis, on its face."""
-    import numpy as np
-
     if not basis.elements:
         raise ValueError("empty basis: the zero ideal needs no SDP")
     if any(p.degree() == 0 for p in basis.elements):
@@ -148,76 +175,8 @@ def build_real_sdp(basis):
     try:
         feed({("g", i, i): 1 for i in face}, 1)
     except Inconsistent as exc:
-        empty = np.zeros(0, dtype=np.intp)
-        return SdpProblem(
-            m, words, face, empty, empty, np.zeros(0), np.zeros(0),
-            True, float(abs(exc.const)), **common,
-        )
-    rows, cols, vals, b = _component_rows(system, gvars, len(face))
-    return SdpProblem(m, words, face, rows, cols, vals, b, **common)
-
-
-def _component_rows(system, gvars, side):
-    """The orthonormal rows of the solved G pivots of the face, one QR per
-    component, in the svec coordinates of G on the face (side x side).
-
-    A G pivot's expression holds free G unknowns only, so joining each pivot
-    with the unknowns of its expression splits the svec coordinates into
-    independent components.  Each component that holds a pivot gives
-    B_c = [I | -E_c] in svec scaling and one QR B_c^T = Q_c R_c, so that
-    A_c = Q_c^T and b_c = R_c^-T c_c; a component without a pivot adds no
-    rows.  Returns the rows of all A_c in coordinate form (rows, cols, vals)
-    and the stacked b.
-    """
-    import numpy as np
-
-    # gvars runs through the upper triangle of the face row by row, as svec does.
-    gindex = {v: k for k, v in enumerate(gvars)}
-    _, scale = _svec_index(side)
-    parent = list(range(len(gvars)))
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    # a G pivot off the face is pinned to the 0 it has in G
-    pivots = sorted(gindex[var] for var in system.solved if var in gindex)
-    for p in pivots:
-        for f in system.solved[gvars[p]][0]:
-            parent[find(gindex[f])] = find(p)
-    components = {}
-    for p in pivots:
-        components.setdefault(find(p), []).append(p)
-
-    # empty seeds keep the index arrays integer-typed when there is no
-    # pivot: np.bincount rejects float indices
-    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    vals, b = [np.zeros(0)], [np.zeros(0)]
-    nrows = 0
-    for cpivots in components.values():
-        exprs = [system.solved[gvars[p]] for p in cpivots]
-        coords = sorted({*cpivots, *(gindex[f] for expr, _ in exprs for f in expr)})
-        local = {k: i for i, k in enumerate(coords)}
-        B = np.zeros((len(cpivots), len(coords)))
-        c = np.empty(len(cpivots))
-        for r, (p, (expr, c0)) in enumerate(zip(cpivots, exprs)):
-            # G_p - sum e_f G_f = c0 in svec coordinates x_k = scale_k G_k
-            B[r, local[p]] = 1.0
-            for f, e in expr.items():
-                k = gindex[f]
-                B[r, local[k]] = -float(e) * scale[p] / scale[k]
-            c[r] = float(c0) * scale[p]
-        Q, R = np.linalg.qr(B.T)
-        rows.append(np.repeat(np.arange(nrows, nrows + len(cpivots)), len(coords)))
-        cols.append(np.tile(coords, len(cpivots)))
-        vals.append(Q.T.ravel())
-        b.append(np.linalg.solve(R.T, c))
-        nrows += len(cpivots)
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    keep = vals != 0.0
-    return rows[keep], cols[keep], vals[keep], np.concatenate(b)
+        return SdpProblem(m, words, face, True, float(abs(exc.const)), **common)
+    return SdpProblem(m, words, face, **common)
 
 
 def _exact_system(problem):

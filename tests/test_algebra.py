@@ -18,7 +18,7 @@ from ncreal.algebra import (
     words_up_to,
 )
 
-from util import brute_shrinkable, rand_poly, rand_word
+from util import brute_shrinkable, greater, is_antianalytic, rand_poly, rand_word
 
 
 def test_letter_codes():
@@ -47,12 +47,12 @@ def test_word_str_groups_powers():
 def test_default_order_ranking():
     order = MonomialOrder(2)
     # degree first, then x1 > x1* > x2 > x2* read left to right
-    assert order.greater((0, 0), (1,))
-    assert order.greater((0,), (1,))
-    assert order.greater((1,), (2,))
-    assert order.greater((2,), (3,))
-    assert order.greater((0, 1), (0, 2))
-    assert not order.greater((0,), (0,))
+    assert greater(order, (0, 0), (1,))
+    assert greater(order, (0,), (1,))
+    assert greater(order, (1,), (2,))
+    assert greater(order, (2,), (3,))
+    assert greater(order, (0, 1), (0, 2))
+    assert not greater(order, (0,), (0,))
 
 
 def test_order_is_left_and_right_compatible():
@@ -62,14 +62,14 @@ def test_order_is_left_and_right_compatible():
         u = rand_word(rng, 2, rng.randint(1, 4))
         v = rand_word(rng, 2, rng.randint(1, 4))
         w = rand_word(rng, 2, rng.randint(0, 3))
-        if order.greater(u, v):
-            assert order.greater(w + u, w + v)
-            assert order.greater(u + w, v + w)
+        if greater(order, u, v):
+            assert greater(order, w + u, w + v)
+            assert greater(order, u + w, v + w)
 
 
 def test_custom_ranking():
     order = MonomialOrder(1, ranking=[1, 0])  # x1* above x1
-    assert order.greater((1,), (0,))
+    assert greater(order, (1,), (0,))
     assert order.max_word([(0,), (1,)]) == (1,)
     with pytest.raises(ValueError):
         MonomialOrder(1, ranking=[0, 0])
@@ -82,7 +82,7 @@ def test_words_of_degree_counts_and_sorting():
         assert len(ws) == 4**d
         assert len(set(ws)) == len(ws)
         for a, b in zip(ws, ws[1:]):
-            assert order.greater(a, b)
+            assert greater(order, a, b)
     upto = words_up_to(2, 3)
     assert len(upto) == 1 + 4 + 16 + 64
     degs = [len(w) for w in upto]
@@ -179,7 +179,7 @@ def test_variables_used():
     assert p.variables_used() == {1, 3}
     assert p.is_analytic() is False
     assert Poly.gen(2, 1).is_analytic()
-    assert Poly.gen(2, 1, star=True).is_antianalytic()
+    assert is_antianalytic(Poly.gen(2, 1, star=True))
 
 
 def test_shrinkability_against_definition_scan():

@@ -28,6 +28,14 @@ assert (v.status, v.method) == ("NotReal", "quadratic-univariate"), (v.status, v
 assert verify_nonreal_certificate(gens, v.certificate)
 assert "numpy" not in sys.modules, "the exact path loaded numpy"
 
+# the SDP assembly and its exact check are exact too
+from ncreal.groebner import left_groebner
+from ncreal.sdp_build import build_real_sdp, exact_infeasibility_check
+
+problem = build_real_sdp(left_groebner(parse_generators("x1 x1* - x1* x1 - 1")))
+assert exact_infeasibility_check(problem) == ("infeasible", None)
+assert "numpy" not in sys.modules, "the SDP assembly loaded numpy"
+
 # the float side still loads numpy when it is needed
 v = real_test(parse_generators("x1 x1* - x1* x1 - 1"), method="sdp")
 assert (v.status, v.method) == ("Real", "sdp-exact"), (v.status, v.method)

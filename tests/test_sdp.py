@@ -14,17 +14,18 @@ from ncreal.exactla import ExactAffineSystem
 from ncreal.groebner import left_groebner
 from ncreal.parsing import parse_generators, parse_poly
 from ncreal.realness import NOT_REAL, REAL, real_test
-from ncreal.sdp import solve_feasibility
-from ncreal.sdp_build import build_real_sdp, exact_infeasibility_check, exact_lift
+from ncreal.sdp import _alternating_projections, _component_rows, solve_feasibility
+from ncreal.sdp_build import SdpProblem, build_real_sdp, exact_infeasibility_check, exact_lift
 
 from util import (
     dense_rows,
     eigen_sym,
     full_sdp_rows,
-    problem_from_dense,
+    problem_slice,
     project_affine,
     project_psd,
     recover_multipliers,
+    slice_from_dense,
     svec,
     svec_inverse,
     zero_diagonals,
@@ -34,6 +35,13 @@ from util import (
 def _rand_sym(rng, n, scale=2.0):
     M = np.array([[rng.uniform(-scale, scale) for _ in range(n)] for _ in range(n)])
     return (M + M.T) / 2.0
+
+
+def _solve(case, tol=1e-8, max_iter=20000):
+    """solve_feasibility on a built problem, its loop on a hand-built slice."""
+    if isinstance(case, SdpProblem):
+        return solve_feasibility(case, tol, max_iter)
+    return _alternating_projections(*case, tol, max_iter)
 
 
 def test_svec_round_trip_and_inner_products():
@@ -89,12 +97,12 @@ def _normalized_rows(rows, b):
 def _trace_only_problem(n, value=1.0):
     row = svec(np.eye(n))
     A, b = _normalized_rows([row], [value])
-    return problem_from_dense(n, A, b)
+    return slice_from_dense(n, A, b)
 
 
 def test_trace_only_problem_is_immediately_feasible():
     prob = _trace_only_problem(4)
-    res = solve_feasibility(prob)
+    res = _solve(prob)
     assert res.status == "feasible"
     assert res.iterations <= 1
     assert np.isclose(float(np.trace(res.G)), 1.0)
@@ -107,16 +115,14 @@ def test_forced_negative_diagonal_is_infeasible():
     E = np.zeros((n, n))
     E[0, 0] = 1.0
     A, b = _normalized_rows([svec(E)], [-1.0])
-    res = solve_feasibility(problem_from_dense(n, A, b))
+    res = _solve(slice_from_dense(n, A, b))
     assert res.status == "likely_infeasible"
     assert res.final_gap > 1e-7
     assert res.G is None
 
 
 def test_inconsistent_flag_short_circuits():
-    prob = _trace_only_problem(3)
-    prob.inconsistent = True
-    prob.affine_residual = 0.25
+    prob = SdpProblem(3, list(range(3)), list(range(3)), True, 0.25)
     res = solve_feasibility(prob)
     assert res.status == "likely_infeasible"
     assert res.iterations == 0
@@ -135,7 +141,7 @@ def test_exactly_feasible_system_is_found():
         rows.append(svec(C))
         rhs.append(float(svec(C) @ svec(target)))
     A, b = _normalized_rows(rows, rhs)
-    res = solve_feasibility(problem_from_dense(n, A, b))
+    res = _solve(slice_from_dense(n, A, b))
     assert res.status == "feasible"
     assert np.linalg.norm(A @ svec(res.G) - b) <= 1e-6
     assert np.linalg.eigvalsh(res.G)[0] >= -1e-8
@@ -149,7 +155,7 @@ def test_project_affine_is_a_projection():
     assert np.isclose(float(np.trace(H)), 2.0)
     assert np.allclose(project_affine(prob, H), H)
     # empty systems project to the input unchanged
-    empty = problem_from_dense(3, np.zeros((0, 6)), np.zeros(0))
+    empty = slice_from_dense(3, np.zeros((0, 6)), np.zeros(0))
     T = _rand_sym(rng, 3)
     assert np.allclose(project_affine(empty, T), T)
 
@@ -217,7 +223,7 @@ def _boundary_problem():
     E = np.diag([1.0, 0.0])
     F = np.array([[0.0, 1.0], [1.0, 1.0]])
     A, b = _normalized_rows([svec(E), svec(F)], [0.0, 1.0])
-    return problem_from_dense(2, A, b)
+    return slice_from_dense(2, A, b)
 
 
 def _random_affine_problem(rng, n, k):
@@ -225,7 +231,7 @@ def _random_affine_problem(rng, n, k):
     target = L @ L.T if rng.random() < 0.5 else _rand_sym(rng, n)
     rows = [svec(_rand_sym(rng, n)) for _ in range(k)]
     A, b = _normalized_rows(rows, [float(row @ svec(target)) for row in rows])
-    return problem_from_dense(n, A, b)
+    return slice_from_dense(n, A, b)
 
 
 def _differential_cases():
@@ -235,7 +241,7 @@ def _differential_cases():
     n = 3
     E = np.zeros((n, n))
     E[0, 0] = 1.0
-    negative = problem_from_dense(n, *_normalized_rows([svec(E)], [-1.0]))
+    negative = slice_from_dense(n, *_normalized_rows([svec(E)], [-1.0]))
     rng = random.Random(54)
     L = np.array([[rng.uniform(-1, 1) for _ in range(4)] for _ in range(4)])
     rows, rhs = [], []
@@ -243,7 +249,7 @@ def _differential_cases():
         C = _rand_sym(rng, 4)
         rows.append(svec(C))
         rhs.append(float(svec(C) @ svec(L @ L.T)))
-    pinned = problem_from_dense(4, *_normalized_rows(rows, rhs))
+    pinned = slice_from_dense(4, *_normalized_rows(rows, rhs))
     rng = random.Random(56)
     cases = [
         ("criterion 1", built("x1 x1* - x1* x1 - 1"), {}),
@@ -252,7 +258,7 @@ def _differential_cases():
         ("trace only", _trace_only_problem(4), {}),
         ("pinned near a psd point", pinned, {}),
         ("negative diagonal stalls", negative, {}),
-        ("empty system", problem_from_dense(3, np.zeros((0, 6)), np.zeros(0)), {}),
+        ("empty system", slice_from_dense(3, np.zeros((0, 6)), np.zeros(0)), {}),
         ("boundary to max_iter", _boundary_problem(), {"max_iter": 400}),
     ]
     for i in range(6):
@@ -262,13 +268,15 @@ def _differential_cases():
     return cases
 
 
-def _dense_view(problem):
-    """The problem on its face, with its affine system as the dense A the
+def _dense_view(case):
+    """A case on its face, with its affine slice as the dense A the
     reference reads."""
-    return SimpleNamespace(
-        n=len(problem.face), A=dense_rows(problem), b=problem.b,
-        inconsistent=problem.inconsistent, affine_residual=problem.affine_residual,
-    )
+    if isinstance(case, SdpProblem):
+        A, b = dense_rows(problem_slice(case))
+        return SimpleNamespace(n=len(case.face), A=A, b=b, inconsistent=case.inconsistent,
+                               affine_residual=case.affine_residual)
+    A, b = dense_rows(case)
+    return SimpleNamespace(n=case[0], A=A, b=b, inconsistent=False, affine_residual=0.0)
 
 
 def test_solve_feasibility_matches_reference_loop_exactly():
@@ -277,9 +285,9 @@ def test_solve_feasibility_matches_reference_loop_exactly():
     # a tolerance fixed beforehand (2,000 nonexpansive steps at float64 eps
     # give about 4e-13), while status and iteration count agree exactly.
     statuses = set()
-    for name, problem, kwargs in _differential_cases():
-        res = solve_feasibility(problem, **kwargs)
-        status, G, iterations, final_gap, gaps = _reference_solve(_dense_view(problem), **kwargs)
+    for name, case, kwargs in _differential_cases():
+        res = _solve(case, **kwargs)
+        status, G, iterations, final_gap, gaps = _reference_solve(_dense_view(case), **kwargs)
         statuses.add(status)
         assert res.status == status, name
         assert res.iterations == iterations, name
@@ -289,8 +297,9 @@ def test_solve_feasibility_matches_reference_loop_exactly():
         if G is None:
             assert res.G is None, name
         else:
-            # the loop returns G on the face, zero-padded to every word
-            face = np.ix_(problem.face, problem.face)
+            # solve_feasibility returns G on the face, zero-padded to every word
+            words = case.face if isinstance(case, SdpProblem) else range(case[0])
+            face = np.ix_(words, words)
             assert np.abs(res.G[face] - G).max() <= 1e-10, name
             off = res.G.copy()
             off[face] = 0.0
@@ -302,8 +311,8 @@ def test_feasible_exits_return_an_exactly_symmetric_G():
     # the loop updates and reads only the lower triangle of its iterate;
     # exact_lift reads the upper one
     feasible = 0
-    for name, problem, kwargs in _differential_cases():
-        res = solve_feasibility(problem, **kwargs)
+    for name, case, kwargs in _differential_cases():
+        res = _solve(case, **kwargs)
         if res.status == "feasible":
             feasible += 1
             assert np.array_equal(res.G, res.G.T), name
@@ -319,7 +328,7 @@ def test_svec_layout_is_built_once_per_side(monkeypatch):
         return triu_indices(n, *args, **kwargs)
 
     monkeypatch.setattr(np, "triu_indices", counting)
-    res = solve_feasibility(_boundary_problem(), max_iter=2000)
+    res = _solve(_boundary_problem(), max_iter=2000)
     assert res.status == "max_iterations" and res.iterations == 2000
     S = _rand_sym(random.Random(57), 5)
     assert np.array_equal(svec_inverse(svec(S), 5), svec_inverse(svec(S), 5))
@@ -434,10 +443,10 @@ def test_exact_assembly_matches_svd_assembly(name):
     problem = build_real_sdp(basis)
     A_ref, b_ref, inconsistent, _, word_order = _reference_build(basis, problem.face)
     assert not inconsistent and not problem.inconsistent
-    A = dense_rows(problem)
+    A, b = dense_rows(problem_slice(problem))
     assert A.shape == A_ref.shape
     assert np.abs(A.T @ A - A_ref.T @ A_ref).max() <= 1e-12
-    assert np.abs(A.T @ problem.b - A_ref.T @ b_ref).max() <= 1e-12
+    assert np.abs(A.T @ b - A_ref.T @ b_ref).max() <= 1e-12
     # one exact row per pair {w, w*}, besides the trace row
     pairs = {min(w, word_star(w)) for w in word_order}
     assert len(problem.exact_rows) == 1 + len(pairs) < 1 + len(word_order)
@@ -478,7 +487,7 @@ def test_inconsistent_constraints_are_found_exactly():
     # and the trace row over it reads 0 = 1
     problem = build_real_sdp(left_groebner([parse_poly("x1")]))
     assert problem.inconsistent and problem.affine_residual == 1.0
-    assert problem.face == [] and dense_rows(problem).shape == (0, 0)
+    assert problem.face == [] and dense_rows(problem_slice(problem))[0].shape == (0, 0)
     assert exact_infeasibility_check(problem) == ("infeasible", None)
     assert exact_lift(problem, np.eye(1)) is None
 
@@ -488,7 +497,7 @@ def test_multiplier_unknowns_are_eliminated_first():
     solved = problem.system.solved
     on_face = set(problem.gvars)
     gpivots = [var for var in solved if var in on_face]
-    A = dense_rows(problem)
+    A, b = dense_rows(problem_slice(problem))
     assert len(gpivots) == A.shape[0] > 0
     assert all(f in on_face and f not in solved for var in gpivots for f in solved[var][0])
     # a G unknown off the face is never free, and pinned to 0 when solved
@@ -497,7 +506,7 @@ def test_multiplier_unknowns_are_eliminated_first():
     # at a point of the affine slice, the recovered multipliers meet every row
     face = np.ix_(problem.face, problem.face)
     G = np.zeros((problem.n, problem.n))
-    G[face] = svec_inverse(A.T @ problem.b, len(problem.face))
+    G[face] = svec_inverse(A.T @ b, len(problem.face))
     q = recover_multipliers(problem, G)
     for row, const in problem.exact_rows:
         lhs = 0.0
@@ -516,17 +525,19 @@ def test_affine_rows_are_factored_per_component(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", recording)
     problem = build_real_sdp(left_groebner([parse_poly("-3 x1* x1 x1* x1 - 2 x2^2 x1 - 3 x1", 2)]))
+    # the exact build factors nothing; the slice is solve_feasibility's work
+    assert shapes == []
+    rows, cols, vals, b = _component_rows(problem.system, problem.gvars, len(problem.face))
     monkeypatch.setattr(np.linalg, "qr", qr)
     N = len(problem.gvars)
-    assert (problem.n, len(problem.face), N, len(problem.b)) == (85, 22, 253, 194)
+    assert (problem.n, len(problem.face), N, len(b)) == (85, 22, 253, 194)
     # one factorization per component, none wider than the largest, 16 coordinates
     assert len(shapes) == 184 and max(max(shape) for shape in shapes) == 16
-    rows, cols, vals = problem.rows, problem.cols, problem.vals
-    AAt = np.zeros((len(problem.b), len(problem.b)))
+    AAt = np.zeros((len(b), len(b)))
     for k in range(N):
         at = cols == k
         AAt[np.ix_(rows[at], rows[at])] += np.outer(vals[at], vals[at])
-    assert np.abs(AAt - np.eye(len(problem.b))).max() <= 1e-12
+    assert np.abs(AAt - np.eye(len(b))).max() <= 1e-12
     # each row's support lies inside one component of the solved system
     gindex = {v: k for k, v in enumerate(problem.gvars)}
     parent = list(range(N))
@@ -541,7 +552,7 @@ def test_affine_rows_are_factored_per_component(monkeypatch):
             for f in expr:
                 parent[find(gindex[f])] = find(gindex[var])
     roots = np.array([find(k) for k in cols])
-    for r in range(len(problem.b)):
+    for r in range(len(b)):
         assert len(set(roots[rows == r])) == 1
 
 

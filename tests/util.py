@@ -3,11 +3,16 @@
 The generators take an explicit random.Random so individual tests stay
 reproducible.  The references (eigen_sym, project_psd, project_affine,
 rank_exact, truncated_basis, scalar_multiple_of) are plain-definition
-oracles that only the tests need.  svec and svec_inverse are the scaled
-vector coordinates an SdpProblem's affine system is written in, and
-problem_from_dense and dense_rows move that system between a dense A and
-the coordinate form the library keeps; recover_multipliers reads the
-multipliers that go with a numeric G off the solved system.  full_sdp_rows
+oracles that only the tests need, and greater and is_antianalytic the
+predicates on words and polynomials that only the tests ask.  svec and
+svec_inverse are the scaled vector coordinates the projection loop's
+affine slice is written in.  A slice is the loop's coordinate form
+(k, rows, cols, vals, b) of A svec(G) = b on k x k matrices:
+slice_from_dense writes a dense A in it, problem_slice reads a built
+problem's slice off its exact system by the library's own slice function,
+and dense_rows gives such a slice back as the dense (A, b);
+recover_multipliers reads the multipliers that go with a numeric G off the
+solved system.  full_sdp_rows
 is the realness SDP's row assembly over every Gram word, and zero_diagonals
 the PSD propagation run on it: the oracle for the words the face build
 drops.  gram_matrix fills the whole
@@ -39,7 +44,7 @@ from ncreal.algebra import (
 )
 from ncreal.exactla import Inconsistent, psd_check_exact, to_fraction_matrix
 from ncreal.factor import is_irreducible_homogeneous
-from ncreal.sdp import SdpProblem, _svec_index
+from ncreal.sdp import _component_rows, _svec_index
 
 
 def rand_word(rng, g, d):
@@ -225,23 +230,27 @@ def svec_inverse(x, n):
     return S
 
 
-def problem_from_dense(n, A, b):
-    """The SdpProblem of side n, on the face of all n words, whose affine
-    system is A svec(G) = b, with the nonzeros of the dense A stored in
-    coordinate form."""
+def slice_from_dense(n, A, b):
+    """The slice of side n whose affine system is A svec(G) = b, with the
+    nonzeros of the dense A in coordinate form."""
     A = np.asarray(A, dtype=float)
     rows, cols = np.nonzero(A)
-    return SdpProblem(n, list(range(n)), list(range(n)), rows, cols, A[rows, cols],
-                      np.asarray(b, dtype=float))
+    return n, rows, cols, A[rows, cols], np.asarray(b, dtype=float)
 
 
-def dense_rows(problem):
-    """The dense A of a problem's affine system A svec(G) = b, in the svec
-    coordinates of G on the face."""
+def problem_slice(problem):
+    """The slice that solve_feasibility projects a built problem onto, in
+    the svec coordinates of G on the face."""
     k = len(problem.face)
-    A = np.zeros((len(problem.b), k * (k + 1) // 2))
-    A[problem.rows, problem.cols] = problem.vals
-    return A
+    return (k, *_component_rows(problem.system, problem.gvars, k))
+
+
+def dense_rows(slice_):
+    """The dense (A, b) of a slice's affine system A svec(G) = b."""
+    k, rows, cols, vals, b = slice_
+    A = np.zeros((len(b), k * (k + 1) // 2))
+    A[rows, cols] = vals
+    return A, b
 
 
 def full_sdp_rows(basis):
@@ -279,6 +288,16 @@ def full_sdp_rows(basis):
     return words, exact_rows
 
 
+def greater(order, u, v):
+    """u > v in the monomial order: u sorts before v under order.key."""
+    return order.key(u) < order.key(v)
+
+
+def is_antianalytic(p):
+    """Every letter of every term of p is starred (constants count)."""
+    return all(c & 1 for w in p.terms for c in w)
+
+
 def zero_diagonals(sys, m):
     """The indices i < m whose G[i][i] sys pins to 0 once PSD forces every
     row and column of a zero diagonal entry to 0, repeated to a fixed
@@ -313,14 +332,13 @@ def recover_multipliers(problem, G):
     return out
 
 
-def project_affine(problem, S):
-    """Project S, a matrix on the face, onto the affine subspace
-    {G : A svec(G) = b}."""
-    A = dense_rows(problem)
+def project_affine(slice_, S):
+    """Project S onto a slice's affine subspace {G : A svec(G) = b}."""
+    A, b = dense_rows(slice_)
     x = svec(S)
     if A.shape[0]:
-        x = x - A.T @ (A @ x - problem.b)
-    return svec_inverse(x, len(problem.face))
+        x = x - A.T @ (A @ x - b)
+    return svec_inverse(x, slice_[0])
 
 
 def rank_exact(A):
