@@ -112,7 +112,7 @@ def words_up_to(g: int, d: int, order: MonomialOrder | None = None) -> list[Word
 
 
 # ---------------------------------------------------------------------------
-# coefficient-dict kernels, shared by the exact layer and the float layer
+# coefficient-dict kernels, shared by Poly and the Groebner reduction
 # ---------------------------------------------------------------------------
 
 def word_dict_add(a: dict, b: dict, scale=1) -> dict:

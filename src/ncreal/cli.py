@@ -204,8 +204,14 @@ def cmd_eval(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 like other input errors: 2 means undecided
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="ncreal",
         description="Realness of left ideals in the free *-algebra.",
     )

@@ -137,7 +137,8 @@ def ldl_squares(res: PsdResult, labels) -> tuple[list[Fraction], list[list]]:
 class Inconsistent(Exception):
     """The affine system has no solution (the exact infeasibility proof).
 
-    const is the c of the contradiction 0 = c that a row reduced to.
+    const is the c of the contradiction 0 = c that a row reduced to, or,
+    from PSD propagation, the negative value a diagonal entry is pinned to.
     """
 
     def __init__(self, const):

@@ -106,6 +106,8 @@ class NonRealCertificate:
         multipliers = _field(data, "multipliers", list)
         sos = _field(data, "sos", dict)
         weights, polys = _field(sos, "weights", list), _field(sos, "polys", list)
+        if not all(isinstance(w, str) for w in weights):
+            raise ValueError("malformed certificate: weights must be strings")
         try:
             return cls(
                 [parse_poly(q, g) for q in multipliers],
@@ -494,7 +496,7 @@ def _sdp_route(basis, tol, max_iter):
         detail = "exact elimination produced a feasible witness"
     if point is not None:
         G, qdicts = point
-        weights, rows = ldl_squares(psd_check_exact(G), problem.words)
+        weights, rows = ldl_squares(psd_check_exact(G), [problem.words[i] for i in problem.face])
         cert = NonRealCertificate(
             [Poly(basis.g, qdicts.get(j, {})) for j in range(len(basis.elements))],
             weights, [Poly(basis.g, dict(r)) for r in rows],

@@ -25,8 +25,8 @@ float threshold decides it.
 G is 0 off a face of k of its n words (build_real_sdp's facial
 reduction), and A is written in the svec coordinates of the k x k block
 on the face.  The projection loop works on that k x k iterate itself,
-never forms svec, and solve_feasibility returns a feasible G zero-padded
-to n x n.
+never forms svec, and solve_feasibility returns a feasible G as that
+k x k block.
 Once per solve the loop maps each nonzero of A to the flat index of its
 entry in the lower triangle and folds the svec scale into two copies of the
 values, so A x and A^T r are one np.bincount each, read from and written to
@@ -154,7 +154,9 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000):
     """Alternate affine and PSD projections on the face from G0 = I/k.
 
     The affine slice is taken from the problem's exact system on each call
-    (_component_rows), and a feasible G is returned zero-padded to n x n.
+    (_component_rows), and a feasible G is the k x k block on the face,
+    its rows and columns in problem.face order.  An inconsistent system
+    has an empty affine set: likely_infeasible at 0 steps, gap inf.
 
     feasible          -- an iterate satisfies both constraints to tol
     likely_infeasible -- the projection gap stabilizes above 10*tol
@@ -162,21 +164,12 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000):
                          iterations)
     max_iterations    -- neither happened within max_iter
     """
-    import numpy as np
-
-    if problem.inconsistent:
-        return FeasibilityResult(
-            "likely_infeasible", None, 0, problem.affine_residual, []
-        )
+    if problem.system.inconsistent:
+        return FeasibilityResult("likely_infeasible", None, 0, float("inf"), [])
     k = len(problem.face)
-    result = _alternating_projections(
+    return _alternating_projections(
         k, *_component_rows(problem.system, problem.gvars, k), tol, max_iter
     )
-    if result.G is not None:
-        G = np.zeros((problem.n, problem.n))
-        G[np.ix_(problem.face, problem.face)] = result.G
-        result.G = G
-    return result
 
 
 def _alternating_projections(n, rows, cols, vals, b, tol, max_iter):

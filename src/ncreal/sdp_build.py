@@ -29,8 +29,9 @@ partial facial reduction: the free-algebra analogue of the Newton chip
 method (Burgdorf, Klep and Povh, Optimization of Polynomials in
 Non-Commuting Variables, 2016) and of Permenter and Parrilo's partial
 facial reduction.  The k words that stay are the face; problem.words,
-problem.n and the names ("g", i, j) still index the full word list, and G
-is 0 off the face.
+problem.n and the names ("g", i, j) still index the full word list, but G
+is 0 off the face: every G after the build is the k x k block on it, in
+problem.face order.
 
 Every solved G unknown on the face is then an expression
 G_p - sum_f e_f G_f = c over free G unknowns of the face alone: these rows
@@ -43,20 +44,20 @@ The solved system is stored on the problem and serves the rest:
 
 * exact_infeasibility_check: PSD propagation over the face on a copy of
   the system, by the routine the build descends with (a pinned negative
-  diagonal kills feasibility; a pinned zero diagonal forces its row and
+  diagonal raises Inconsistent; a pinned zero diagonal forces its row and
   column to zero), at any problem size.  When the
   system pins G completely, an exact PSD test decides feasibility
   outright.
-* exact_lift: rounds a numeric G to small rationals along the free G
-  unknowns of the solved system and sets the free multipliers to 0,
+* exact_lift: rounds a numeric face block G to small rationals along the
+  free G unknowns of the solved system and sets the free multipliers to 0,
   producing an exactly feasible pair (G, q) when the rounded G is PSD.
 
 Both read their point through one routine, _exact_point: evaluate the
 solved system at an assignment of its free unknowns, keep it when the k x k
-face block of G passes the exact PSD test.
+rational G on the face passes the exact PSD test.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import word_star, words_up_to
@@ -68,14 +69,10 @@ class SdpProblem:
     """Feasibility problem: find G psd, 0 off the face, that meets the
     exact rows for some multipliers.
 
-    n            -- side length of G
-    words        -- labels of the rows/columns of G
+    n            -- the number of Gram words
+    words        -- the Gram words, which the names ("g", i, j) index
     face         -- the indices of the k words G may be nonzero on,
-                    ascending
-    inconsistent -- True when the constraints admit no solution on the
-                    face; solve_feasibility then stops at once
-    affine_residual -- for inconsistent constraints, the size of the
-                    contradiction they imply
+                    ascending; G itself is the k x k block on them
 
     build_real_sdp also records exact_rows, the rows as (row, const) pairs
     in the order they were solved, each row a dict over the unknowns;
@@ -83,20 +80,19 @@ class SdpProblem:
     qvars, the multiplier unknowns ("q", j, v), the coefficient of the word
     v in the multiplier of basis element j; and system: the rows solved
     exactly with the multipliers eliminated first (an ExactAffineSystem).
-    solve_feasibility and the exact post-checks read that one system.  The
-    names index the full word list; the system holds a G unknown off the
-    face only when it pins it to 0.
+    solve_feasibility and the exact post-checks read that one system; its
+    inconsistent flag is set when the constraints admit no solution on the
+    face.  The system holds a G unknown off the face only when it pins it
+    to 0.
     """
 
     n: int
     words: list
     face: list
-    inconsistent: bool = False
-    affine_residual: float = 0.0
-    exact_rows: list = field(default_factory=list)
-    gvars: list = field(default_factory=list)
-    qvars: list = field(default_factory=list)
-    system: object = None
+    exact_rows: list
+    gvars: list
+    qvars: list
+    system: object
 
 
 def build_real_sdp(basis):
@@ -171,12 +167,11 @@ def build_real_sdp(basis):
         feed(rows[w], 0)
     face = [i for i in range(m) if i not in dropped]
     gvars = [("g", i, j) for a, i in enumerate(face) for j in face[a:]]
-    common = dict(exact_rows=exact_rows, gvars=gvars, qvars=qvars, system=system)
     try:
         feed({("g", i, i): 1 for i in face}, 1)
-    except Inconsistent as exc:
-        return SdpProblem(m, words, face, True, float(abs(exc.const)), **common)
-    return SdpProblem(m, words, face, **common)
+    except Inconsistent:
+        pass  # system.inconsistent records it
+    return SdpProblem(m, words, face, exact_rows, gvars, qvars, system)
 
 
 def _exact_system(problem):
@@ -189,9 +184,9 @@ def _propagate(sys, indices):
 
     A diagonal entry pinned to 0 forces the rest of its row and column
     among indices to 0, which may pin more diagonal entries.  Returns the
-    set of indices whose diagonal is pinned to 0, or None as soon as a
-    diagonal entry is pinned negative.  Raises Inconsistent when a forced
-    zero contradicts sys.
+    set of indices whose diagonal is pinned to 0.  Raises Inconsistent as
+    soon as a diagonal entry is pinned negative, or when a forced zero
+    contradicts sys.
     """
     zeros = set()
     progress = True
@@ -204,7 +199,7 @@ def _propagate(sys, indices):
             if val is None:
                 continue
             if val < 0:
-                return None
+                raise Inconsistent(val)
             if val == 0:
                 zeros.add(i)
                 progress = True
@@ -226,12 +221,11 @@ def exact_infeasibility_check(problem):
     in rational arithmetic at any problem size, on a copy of the problem's
     system, which is not changed, and over the face alone: G is zero off it.
     """
-    if problem.inconsistent:
+    if problem.system.inconsistent:
         return "infeasible", None
     sys = _exact_system(problem)
     try:
-        if _propagate(sys, problem.face) is None:
-            return "infeasible", None
+        _propagate(sys, problem.face)
     except Inconsistent:
         return "infeasible", None
     if any(sys.pinned_value(v) is None for v in problem.gvars):
@@ -240,19 +234,19 @@ def exact_infeasibility_check(problem):
     return ("infeasible", None) if point is None else ("feasible", point)
 
 
-def exact_lift(problem, G_num):
+def exact_lift(problem, G_face):
     """Round a numeric G to an exactly feasible rational (G, q), or None.
 
-    The free G unknowns of the solved system take the entries of G_num,
-    rounded to denominators 10, 100, 10^4 and 10^6 in turn; the free
-    multipliers are 0.
+    G_face is the k x k block on the face, in problem.face order.  The free
+    G unknowns of the solved system take its entries, rounded to
+    denominators 10, 100, 10^4 and 10^6 in turn; the free multipliers are 0.
     """
-    if problem.inconsistent:
-        return None
     sys = problem.system
-    numeric = {
-        v: float(G_num[v[1]][v[2]]) if v[0] == "g" else 0.0 for v in sys.free_variables()
-    }
+    if sys.inconsistent:
+        return None
+    at = {i: a for a, i in enumerate(problem.face)}
+    numeric = {v: float(G_face[at[v[1]]][at[v[2]]]) if v[0] == "g" else 0.0
+               for v in sys.free_variables()}
     for den in (10, 100, 10**4, 10**6):
         assignment = {v: Fraction(x).limit_denominator(den) for v, x in numeric.items()}
         point = _exact_point(problem, sys, assignment)
@@ -264,17 +258,17 @@ def exact_lift(problem, G_num):
 def _exact_point(problem, sys, assignment):
     """The point of sys at an assignment of its free unknowns, when G is PSD.
 
-    Returns (G, qdicts): G the rational Gram matrix over all n words, zero
-    off the face, and qdicts, per basis element index, the word-dict of its
-    nonzero multiplier coefficients.
+    Returns (G, qdicts): G the k x k rational Gram matrix on the face, in
+    problem.face order, and qdicts, per basis element index, the word-dict
+    of its nonzero multiplier coefficients.
     Returns None when G is not PSD.
     """
-    G = [[Fraction(0)] * problem.n for _ in range(problem.n)]
+    at = {i: a for a, i in enumerate(problem.face)}
+    G = [[None] * len(at) for _ in at]
     for var in problem.gvars:
         _, i, j = var
-        G[i][j] = G[j][i] = sys.evaluate(var, assignment)
-    # G is 0 off the face, so the face block alone decides PSD
-    if not psd_check_exact([[G[i][j] for j in problem.face] for i in problem.face]).is_psd:
+        G[at[i]][at[j]] = G[at[j]][at[i]] = sys.evaluate(var, assignment)
+    if not psd_check_exact(G).is_psd:
         return None
     qdicts = {}
     for var in problem.qvars:

@@ -133,6 +133,19 @@ def test_eval_command(capsys, tmp_path):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "-e", "x1"], 1),
+    (["real", "-e", "x1", "--method", "bogus"], 1),
+    (["real", "-h"], 0),
+])
+def test_usage_errors_exit_1_and_help_exits_0(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    out = capsys.readouterr()
+    assert (out.out if code == 0 else out.err).startswith("usage: ncreal")
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = _run(capsys, "real", "-f", "/nonexistent/gens.txt")
     assert code == 1 and "error:" in err
@@ -162,6 +175,8 @@ def test_verify_rejects_non_finite_certificate(capsys, tmp_path):
     '{"exact": true, "multipliers": [1], "sos": {"weights": ["2"], "polys": ["x1"]}}',
     '{"exact": true, "multipliers": ["1"], "sos": {"weights": ["1/0"], "polys": ["x1"]}}',
     '{"exact": false, "multipliers": [{"1": 5.0}], "sos": {"weights": [[1]], "polys": [{"x1": 1.0}]}}',
+    '{"exact": true, "multipliers": ["1"], "sos": {"weights": [0.5], "polys": ["x1"]}}',
+    '{"exact": true, "multipliers": ["1"], "sos": {"weights": [true], "polys": ["x1"]}}',
 ])
 def test_verify_malformed_certificate_exits_1(capsys, tmp_path, text):
     cert = tmp_path / "cert.json"

@@ -1,6 +1,7 @@
 """Numeric SDP layer: svec coordinates, alternating projections, and the
 assembly of the realness SDP against the dense construction it replaced."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,12 +11,19 @@ import pytest
 
 from ncreal import realness
 from ncreal.algebra import word_star, words_up_to
-from ncreal.exactla import ExactAffineSystem
+from ncreal.exactla import ExactAffineSystem, Inconsistent
 from ncreal.groebner import left_groebner
 from ncreal.parsing import parse_generators, parse_poly
 from ncreal.realness import NOT_REAL, REAL, real_test
 from ncreal.sdp import _alternating_projections, _component_rows, solve_feasibility
-from ncreal.sdp_build import SdpProblem, build_real_sdp, exact_infeasibility_check, exact_lift
+from ncreal.sdp_build import (
+    SdpProblem,
+    _exact_system,
+    _propagate,
+    build_real_sdp,
+    exact_infeasibility_check,
+    exact_lift,
+)
 
 from util import (
     dense_rows,
@@ -122,11 +130,13 @@ def test_forced_negative_diagonal_is_infeasible():
 
 
 def test_inconsistent_flag_short_circuits():
-    prob = SdpProblem(3, list(range(3)), list(range(3)), True, 0.25)
+    # x1 in I: the trace row over the empty face reads 0 = 1, so the
+    # affine set is empty
+    prob = build_real_sdp(left_groebner([parse_poly("x1")]))
     res = solve_feasibility(prob)
     assert res.status == "likely_infeasible"
-    assert res.iterations == 0
-    assert res.final_gap == 0.25
+    assert res.iterations == 0 and res.gaps == []
+    assert res.final_gap == float("inf")
 
 
 def test_exactly_feasible_system_is_found():
@@ -193,7 +203,7 @@ def _reference_solve(problem, tol=1e-8, max_iter=20000, stall_window=500):
     """The projection loop as first written: svec rebuilt and the residual
     computed twice per step.  Returns (status, G, iterations, final_gap, gaps)."""
     if problem.inconsistent:
-        return "likely_infeasible", None, 0, problem.affine_residual, []
+        return "likely_infeasible", None, 0, float("inf"), []
     n = problem.n
     G = np.eye(n) / n
     gaps = []
@@ -273,10 +283,9 @@ def _dense_view(case):
     reference reads."""
     if isinstance(case, SdpProblem):
         A, b = dense_rows(problem_slice(case))
-        return SimpleNamespace(n=len(case.face), A=A, b=b, inconsistent=case.inconsistent,
-                               affine_residual=case.affine_residual)
+        return SimpleNamespace(n=len(case.face), A=A, b=b, inconsistent=case.system.inconsistent)
     A, b = dense_rows(case)
-    return SimpleNamespace(n=case[0], A=A, b=b, inconsistent=False, affine_residual=0.0)
+    return SimpleNamespace(n=case[0], A=A, b=b, inconsistent=False)
 
 
 def test_solve_feasibility_matches_reference_loop_exactly():
@@ -297,13 +306,9 @@ def test_solve_feasibility_matches_reference_loop_exactly():
         if G is None:
             assert res.G is None, name
         else:
-            # solve_feasibility returns G on the face, zero-padded to every word
-            words = case.face if isinstance(case, SdpProblem) else range(case[0])
-            face = np.ix_(words, words)
-            assert np.abs(res.G[face] - G).max() <= 1e-10, name
-            off = res.G.copy()
-            off[face] = 0.0
-            assert not off.any(), name
+            # solve_feasibility returns G as the k x k block on the face
+            assert res.G.shape == G.shape, name
+            assert np.abs(res.G - G).max() <= 1e-10, name
     assert statuses == {"feasible", "likely_infeasible", "max_iterations"}
 
 
@@ -442,7 +447,7 @@ def test_exact_assembly_matches_svd_assembly(name):
     basis = left_groebner([parse_poly(t, g) for t in texts])
     problem = build_real_sdp(basis)
     A_ref, b_ref, inconsistent, _, word_order = _reference_build(basis, problem.face)
-    assert not inconsistent and not problem.inconsistent
+    assert not inconsistent and not problem.system.inconsistent
     A, b = dense_rows(problem_slice(problem))
     assert A.shape == A_ref.shape
     assert np.abs(A.T @ A - A_ref.T @ A_ref).max() <= 1e-12
@@ -471,7 +476,7 @@ def test_face_build_drops_only_words_the_full_system_pins_to_zero(name):
     texts, g, k = FACE_CASES[name]
     basis = left_groebner([parse_poly(t, g) for t in texts])
     problem = build_real_sdp(basis)
-    assert len(problem.face) == k and problem.inconsistent == (k == 0)
+    assert len(problem.face) == k and problem.system.inconsistent == (k == 0)
     words, exact_rows = full_sdp_rows(basis)
     assert words == problem.words
     # the cone over every word: all rows but the trace row, which only scales G
@@ -486,10 +491,36 @@ def test_inconsistent_constraints_are_found_exactly():
     # x1 in I: the constant coefficient pins G = 0, so the face is empty
     # and the trace row over it reads 0 = 1
     problem = build_real_sdp(left_groebner([parse_poly("x1")]))
-    assert problem.inconsistent and problem.affine_residual == 1.0
+    assert problem.system.inconsistent and problem.exact_rows[-1] == ({}, 1)
     assert problem.face == [] and dense_rows(problem_slice(problem))[0].shape == (0, 0)
     assert exact_infeasibility_check(problem) == ("infeasible", None)
-    assert exact_lift(problem, np.eye(1)) is None
+    assert exact_lift(problem, np.zeros((0, 0))) is None
+
+
+def test_problem_holds_no_second_infeasibility_record():
+    names = {f.name for f in dataclasses.fields(SdpProblem)}
+    assert names == {"n", "words", "face", "exact_rows", "gvars", "qvars", "system"}
+
+
+def test_negative_pinned_diagonal_raises_in_propagation():
+    # criterion 1: the rows pin G[x1*, x1*] to -1
+    problem = build_real_sdp(left_groebner([parse_poly("x1 x1* - x1* x1 - 1")]))
+    sys = _exact_system(problem)
+    with pytest.raises(Inconsistent):
+        _propagate(sys, problem.face)
+
+
+def test_route_carries_G_on_the_face_only():
+    # n = 5 Gram words, of which the face keeps 1 and x1
+    problem = build_real_sdp(left_groebner(parse_generators("x2 x1* x1\nx1* x1", 2)))
+    assert problem.n == 5 and len(problem.face) == 2
+    res = solve_feasibility(problem)
+    assert res.status == "feasible" and res.G.shape == (2, 2)
+    status, checked = exact_infeasibility_check(problem)
+    assert status == "feasible"
+    for G, _ in (exact_lift(problem, res.G), checked):
+        assert len(G) == 2 and all(len(row) == 2 for row in G)
+        assert all(isinstance(x, Fraction) for row in G for x in row)
 
 
 def test_multiplier_unknowns_are_eliminated_first():
