@@ -21,7 +21,9 @@ Every certificate is exact: Poly multipliers and members, Fraction
 weights.  The SDP route reports NotReal only with a rational witness, a
 lifted numeric solution or a point the exact check pins down; projections
 that converge without one are Inconclusive.  Its exact check runs at any
-problem size.
+problem size, first as solve_feasibility's presolve: a problem the check
+refutes is Real before any projection step or numpy import, and only the
+others reach the projections.
 
 verify_nonreal_certificate(gens, cert, basis=None) forms the defect,
 lhs - rhs, as one coefficient dict on the canonical words w <= w^* (both
@@ -47,6 +49,7 @@ route with exact rational post-processing.
 """
 
 from fractions import Fraction
+from math import inf
 from numbers import Rational
 
 from .algebra import (
@@ -479,20 +482,26 @@ def _checked(verdict, gens, basis):
 # ---------------------------------------------------------------------------
 
 def _sdp_route(basis, tol, max_iter):
-    """The feasibility route; a certificate is against basis.elements."""
+    """The feasibility route; a certificate is against basis.elements.
+
+    solve_feasibility presolves with the exact check, so a likely_infeasible
+    result at 0 steps is an exact refutation: Real.  After projections that
+    do not lift, the check runs again and can then only give a feasible
+    witness or "unknown".
+    """
     problem = build_real_sdp(basis)
     result = solve_feasibility(problem, tol=tol, max_iter=max_iter)
+    if result.status == "likely_infeasible" and result.iterations == 0:
+        return RealnessVerdict(
+            REAL, "sdp-exact",
+            detail="exact elimination refutes the feasibility system",
+        )
 
     point = exact_lift(problem, result.G) if result.status == "feasible" else None
     if point is not None:
         detail = "numeric solution lifted to an exact rational witness"
     else:
-        exact_status, point = exact_infeasibility_check(problem)
-        if exact_status == "infeasible":
-            return RealnessVerdict(
-                REAL, "sdp-exact",
-                detail="exact elimination refutes the feasibility system",
-            )
+        _, point = exact_infeasibility_check(problem)
         detail = "exact elimination produced a feasible witness"
     if point is not None:
         G, qdicts = point
@@ -558,10 +567,16 @@ def real_test(gens, order=None, method="auto", tol=1e-8, max_iter=20000):
     then the single-element chain.  Every certificate is realigned onto gens
     through basis.reps, so its multipliers align with the gens list as
     given, including zero entries, and it has passed
-    verify_nonreal_certificate against gens.
+    verify_nonreal_certificate against gens.  tol must be finite and > 0,
+    max_iter an int >= 0; max_iter = 0 leaves the SDP route its exact
+    checks alone.
     """
     if method not in ("auto", "exact", "sdp"):
         raise ValueError(f"unknown method {method!r}")
+    if not 0 < tol < inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if not isinstance(max_iter, int) or max_iter < 0:
+        raise ValueError(f"max_iter must be an int >= 0, got {max_iter!r}")
     gens = list(gens)
     basis = left_groebner(gens, order)
     elements = basis.elements

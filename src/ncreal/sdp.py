@@ -1,4 +1,10 @@
-"""Numeric semidefinite feasibility by alternating projections.
+"""Numeric semidefinite feasibility by alternating projections, after an
+exact presolve.
+
+solve_feasibility first runs the exact check (sdp_build's PSD propagation
+over the face) and returns at 0 steps when it refutes the problem: a
+0-step likely_infeasible is that exact refutation.  Only a problem the
+check leaves open reaches the projections.
 
 The feasibility set is the intersection of the PSD cone with an affine
 subspace of symmetric matrices, described in scaled vector coordinates
@@ -40,8 +46,9 @@ gives the next affine projection.
 This module and evaluation are the only ones that use numpy, and each
 imports it inside the functions that need it.  Importing the package,
 parsing, the Groebner basis, the closed forms, the SDP assembly and its
-exact checks, and certificate verification never load numpy; the first
-projection or matrix evaluation does.
+exact checks, the presolve that refutes a problem, and certificate
+verification never load numpy; the first projection or matrix evaluation
+does.
 """
 
 from bisect import bisect_left
@@ -142,6 +149,13 @@ STALL_WINDOW = 500  # steps over which a stalled gap changes by at most tol
 
 
 class FeasibilityResult:
+    """The outcome of solve_feasibility.
+
+    A likely_infeasible result at 0 steps, with final_gap inf and no gaps,
+    is the exact presolve's refutation; any other result comes from the
+    projections.
+    """
+
     def __init__(self, status, G, iterations, final_gap, gaps):
         self.status = status  # "feasible" | "likely_infeasible" | "max_iterations"
         self.G = G
@@ -153,18 +167,23 @@ class FeasibilityResult:
 def solve_feasibility(problem, tol=1e-8, max_iter=20000):
     """Alternate affine and PSD projections on the face from G0 = I/k.
 
-    The affine slice is taken from the problem's exact system on each call
-    (_component_rows), and a feasible G is the k x k block on the face,
-    its rows and columns in problem.face order.  An inconsistent system
-    has an empty affine set: likely_infeasible at 0 steps, gap inf.
+    Presolve: when exact_infeasibility_check refutes the problem (an
+    inconsistent system among its proofs), the result is likely_infeasible
+    at 0 steps, gap inf, with neither the float slice built nor numpy
+    loaded.  Otherwise the affine slice is taken from the problem's exact
+    system on each call (_component_rows), and a feasible G is the k x k
+    block on the face, its rows and columns in problem.face order.
 
     feasible          -- an iterate satisfies both constraints to tol
-    likely_infeasible -- the projection gap stabilizes above 10*tol
+    likely_infeasible -- the exact presolve refutes the problem (0 steps),
+                         or the projection gap stabilizes above 10*tol
                          (relative change below tol across STALL_WINDOW
                          iterations)
     max_iterations    -- neither happened within max_iter
     """
-    if problem.system.inconsistent:
+    from .sdp_build import exact_infeasibility_check
+
+    if exact_infeasibility_check(problem)[0] == "infeasible":
         return FeasibilityResult("likely_infeasible", None, 0, float("inf"), [])
     k = len(problem.face)
     return _alternating_projections(

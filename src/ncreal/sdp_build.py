@@ -47,7 +47,7 @@ The solved system is stored on the problem and serves the rest:
   diagonal raises Inconsistent; a pinned zero diagonal forces its row and
   column to zero), at any problem size.  When the
   system pins G completely, an exact PSD test decides feasibility
-  outright.
+  outright.  solve_feasibility runs it first, as its presolve.
 * exact_lift: rounds a numeric face block G to small rationals along the
   free G unknowns of the solved system and sets the free multipliers to 0,
   producing an exactly feasible pair (G, q) when the rounded G is PSD.

@@ -146,6 +146,14 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys, argv, code):
     assert (out.out if code == 0 else out.err).startswith("usage: ncreal")
 
 
+@pytest.mark.parametrize("flag", [["--max-iter", "-3"], ["--tol", "nan"], ["--tol", "-1"]])
+def test_real_rejects_bad_tol_and_max_iter(capsys, flag):
+    code, out, err = _run(capsys, "real", "--vars", "1", "--method", "sdp", *flag,
+                          "-e", "-3/2 x1 x1*^2 x1", "-e", "x1 x1* x1", "-e", "3/2 x1*")
+    assert code == 1 and out == ""
+    assert "error:" in err and ("max_iter" in err or "tol" in err)
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = _run(capsys, "real", "-f", "/nonexistent/gens.txt")
     assert code == 1 and "error:" in err

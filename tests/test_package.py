@@ -36,9 +36,12 @@ problem = build_real_sdp(left_groebner(parse_generators("x1 x1* - x1* x1 - 1")))
 assert exact_infeasibility_check(problem) == ("infeasible", None)
 assert "numpy" not in sys.modules, "the SDP assembly loaded numpy"
 
-# the float side still loads numpy when it is needed
+# an SDP decision that the exact presolve refutes takes no projection step
 v = real_test(parse_generators("x1 x1* - x1* x1 - 1"), method="sdp")
 assert (v.status, v.method) == ("Real", "sdp-exact"), (v.status, v.method)
+assert "numpy" not in sys.modules, "a refuted SDP decision loaded numpy"
+
+# the float side still loads numpy when it is needed
 M = ncreal.evaluate(parse_generators("x1 x1*")[0], ncreal.MatrixPoint([[[0, 1], [0, 0]]]))
 assert M.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 assert "numpy" in sys.modules

@@ -67,6 +67,28 @@ def test_input_validation():
         real_test([parse_poly("x1")], method="fancy")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_iter": -3}, {"max_iter": 2000.0}, {"max_iter": "10"},
+    {"tol": float("nan")}, {"tol": -1.0}, {"tol": 0.0}, {"tol": float("inf")},
+])
+@pytest.mark.parametrize("method", ["auto", "sdp"])
+def test_tol_and_max_iter_are_validated(method, kwargs):
+    with pytest.raises(ValueError, match="tol must be|max_iter must be"):
+        real_test(_gens("x1 x1* - x1* x1 - 1"), method=method, **kwargs)
+
+
+def test_zero_max_iter_runs_the_exact_checks_alone():
+    # the presolve refutes criterion 1, the exact check finds a point for
+    # the second ideal, and leaves the criterion-4 ideal open
+    v = real_test(_gens("x1 x1* - x1* x1 - 1"), method="sdp", max_iter=0)
+    assert (v.status, v.method) == (REAL, "sdp-exact")
+    v = real_test(parse_generators("x2 x1* x1\nx1* x1", 2), method="sdp", max_iter=0)
+    assert (v.status, v.detail) == (NOT_REAL, "exact elimination produced a feasible witness")
+    v = real_test(_gens("x1 x1*^2 - 1\nx1^2 + x1*^2\nx1 x1* - x1*^2\nx1* x1 - 5"),
+                  method="sdp", max_iter=0)
+    assert (v.status, v.detail) == (INCONCLUSIVE, "no decision within 0 projection steps")
+
+
 @pytest.mark.parametrize("method", ["auto", "sdp"])
 def test_order_over_fewer_variables_is_rejected(method):
     p = parse_poly("x1 x2* + x2 x1* + 1")
@@ -386,12 +408,13 @@ def test_sdp_route_never_contradicts_the_quadratic_closed_form():
 
 
 def test_sdp_route_never_contradicts_the_principal_homogeneous_closed_form():
-    # g = 2 at degree 4 is left out: its n = 85 Gram side costs seconds per ideal
+    # g = 2 at degree 4 has an n = 85 Gram side; on the face, with the
+    # exact presolve, each of its draws here is decided in about 1.3 s or less
     rng = random.Random(1)
     seen = set()
     kept = 0
     while kept < 30:
-        g, d = rng.choice([(1, 3), (1, 4), (2, 2), (2, 3)])
+        g, d = rng.choice([(1, 3), (1, 4), (2, 2), (2, 3), (2, 4)])
         gens = [rand_product(rng, g, d, star_pair=rng.random() < 0.5)]
         exact = real_test(gens)
         if exact.method != "principal-homogeneous":

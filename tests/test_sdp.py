@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ncreal import realness
+from ncreal import realness, sdp, sdp_build
 from ncreal.algebra import word_star, words_up_to
 from ncreal.exactla import ExactAffineSystem, Inconsistent
 from ncreal.groebner import left_groebner
@@ -201,8 +201,9 @@ def _reference_project_affine(problem, S):
 
 def _reference_solve(problem, tol=1e-8, max_iter=20000, stall_window=500):
     """The projection loop as first written: svec rebuilt and the residual
-    computed twice per step.  Returns (status, G, iterations, final_gap, gaps)."""
-    if problem.inconsistent:
+    computed twice per step, after the exact presolve's verdict, which
+    _dense_view records.  Returns (status, G, iterations, final_gap, gaps)."""
+    if problem.refuted:
         return "likely_infeasible", None, 0, float("inf"), []
     n = problem.n
     G = np.eye(n) / n
@@ -280,12 +281,14 @@ def _differential_cases():
 
 def _dense_view(case):
     """A case on its face, with its affine slice as the dense A the
-    reference reads."""
+    reference reads, marked refuted when the exact check refutes a built
+    case (an inconsistent one among them)."""
     if isinstance(case, SdpProblem):
         A, b = dense_rows(problem_slice(case))
-        return SimpleNamespace(n=len(case.face), A=A, b=b, inconsistent=case.system.inconsistent)
+        refuted = exact_infeasibility_check(case)[0] == "infeasible"
+        return SimpleNamespace(n=len(case.face), A=A, b=b, refuted=refuted)
     A, b = dense_rows(case)
-    return SimpleNamespace(n=case[0], A=A, b=b, inconsistent=False)
+    return SimpleNamespace(n=case[0], A=A, b=b, refuted=False)
 
 
 def test_solve_feasibility_matches_reference_loop_exactly():
@@ -300,7 +303,8 @@ def test_solve_feasibility_matches_reference_loop_exactly():
         statuses.add(status)
         assert res.status == status, name
         assert res.iterations == iterations, name
-        assert abs(res.final_gap - final_gap) <= 1e-10, name
+        # a refuted case has gap inf on both sides, and inf - inf is nan
+        assert res.final_gap == final_gap or abs(res.final_gap - final_gap) <= 1e-10, name
         assert len(res.gaps) == len(gaps), name
         assert np.abs(np.subtract(res.gaps, gaps)).max(initial=0.0) <= 1e-10, name
         if G is None:
@@ -634,3 +638,55 @@ def test_exact_check_leaves_the_system_unchanged():
     second = exact_infeasibility_check(problem)
     assert first == second and first[0] != "unknown"
     assert problem.system.solved == before
+
+
+# ---------------------------------------------------------------------------
+# the exact presolve in solve_feasibility
+# ---------------------------------------------------------------------------
+
+# the exact check refutes the first five; cubic4 it leaves open
+PRESOLVE_CASES = ["criterion 1", "quartic15", "mixed21", "large n = 31", "large n = 48", "cubic4"]
+
+
+def _assembly_basis(name):
+    texts, g = ASSEMBLY_CASES[name]
+    return left_groebner([parse_poly(t, g) for t in texts])
+
+
+@pytest.mark.parametrize("name", PRESOLVE_CASES)
+def test_presolve_takes_no_step_exactly_on_refuted_problems(monkeypatch, name):
+    sliced = []
+
+    def recording(*args):
+        sliced.append(args)
+        return _component_rows(*args)
+
+    monkeypatch.setattr(sdp, "_component_rows", recording)
+    problem = build_real_sdp(_assembly_basis(name))
+    refuted = exact_infeasibility_check(problem)[0] == "infeasible"
+    assert refuted == (name != "cubic4")
+    res = solve_feasibility(problem, max_iter=2000)
+    assert (res.iterations == 0) == refuted
+    assert (res.status == "likely_infeasible") == refuted
+    if refuted:
+        # the refutation builds no float slice
+        assert (res.G, res.final_gap, res.gaps, sliced) == (None, float("inf"), [], [])
+
+
+@pytest.mark.parametrize("name", PRESOLVE_CASES[:-1])
+def test_route_reads_the_presolve_refutation_without_a_second_check(monkeypatch, name):
+    check = sdp_build.exact_infeasibility_check
+    presolve, route = [], []
+
+    def counting(calls):
+        def counted(problem):
+            calls.append(problem)
+            return check(problem)
+        return counted
+
+    # solve_feasibility looks the check up in sdp_build, the route in realness
+    monkeypatch.setattr(sdp_build, "exact_infeasibility_check", counting(presolve))
+    monkeypatch.setattr(realness, "exact_infeasibility_check", counting(route))
+    v = realness._sdp_route(_assembly_basis(name), 1e-8, 2000)
+    assert (v.status, v.method) == (REAL, "sdp-exact")
+    assert len(presolve) == 1 and route == []
