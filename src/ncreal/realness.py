@@ -18,12 +18,11 @@ and a weighted SOS such that
 with some member r_k outside the ideal: the sum of squares lands in
 I + I^* while a square root escapes I, which is exactly non-realness.
 Every certificate is exact: Poly multipliers and members, Fraction
-weights.  The SDP route reports NotReal only with a rational witness, a
-lifted numeric solution or a point the exact check pins down; projections
-that converge without one are Inconclusive.  Its exact check runs at any
-problem size, first as solve_feasibility's presolve: a problem the check
-refutes is Real before any projection step or numpy import, and only the
-others reach the projections.
+weights.  The SDP route's exact check runs once per problem, at any size,
+as solve_feasibility's presolve: a refutation is Real and a point NotReal,
+before any projection step or numpy import.  Only the rest reach the
+projections, whose feasible G is NotReal only when it lifts to a rational
+witness; otherwise they give NumericallyReal or Inconclusive.
 
 verify_nonreal_certificate(gens, cert, basis=None) forms the defect,
 lhs - rhs, as one coefficient dict on the canonical words w <= w^* (both
@@ -33,11 +32,12 @@ normal form; basis= takes a precomputed left Groebner basis.  Every
 decider returns an unchecked certificate against what it was given.
 real_test computes the left Groebner basis of its generators once and
 decides from it: the closed forms and the SDP route all read
-basis.elements, the SDP route with the squares read off the exact LDL^T of
-its rational G.  real_test realigns each certificate onto its generators
-through basis.reps and verifies it once, at one site, and a certificate
-that fails is an internal error there whichever route built it.  Direct
-callers of a closed form use the verifier.
+basis.elements, the SDP route with the squares read off the LDL^T that
+the exact PSD test of its rational G computed.  real_test realigns each
+certificate onto its generators through basis.reps and verifies it once,
+at one site, and a certificate that fails is an internal error there
+whichever route built it.  Direct callers of a closed form use the
+verifier.
 
 Dispatch first answers the zero ideal (an empty basis) and the unit ideal
 (a constant element).  It then tries the exact closed forms on the basis,
@@ -59,13 +59,14 @@ from .algebra import (
     word_star,
     word_str,
 )
-from .exactla import ldl_squares, psd_check_exact
+# psd_check_exact and exact_infeasibility_check: unused, kept for bench/spans.py (ROADMAP item 1)
+from .exactla import ldl_squares, psd_check_exact  # noqa: F401
 from .factor import factor_homogeneous
 from .gram import decompose_quadratic_univariate, pm_sos_kind, quad_coeffs
 from .groebner import left_groebner
 from .parsing import parse_poly, poly_str
 from .sdp import solve_feasibility
-from .sdp_build import build_real_sdp, exact_infeasibility_check, exact_lift
+from .sdp_build import build_real_sdp, exact_infeasibility_check, exact_lift  # noqa: F401
 
 REAL = "Real"
 NOT_REAL = "NotReal"
@@ -484,10 +485,9 @@ def _checked(verdict, gens, basis):
 def _sdp_route(basis, tol, max_iter):
     """The feasibility route; a certificate is against basis.elements.
 
-    solve_feasibility presolves with the exact check, so a likely_infeasible
-    result at 0 steps is an exact refutation: Real.  After projections that
-    do not lift, the check runs again and can then only give a feasible
-    witness or "unknown".
+    solve_feasibility's presolve is the one exact check per problem: a
+    likely_infeasible result at 0 steps is its refutation, and result.point
+    its witness.  Otherwise a projected feasible G may lift to a witness.
     """
     problem = build_real_sdp(basis)
     result = solve_feasibility(problem, tol=tol, max_iter=max_iter)
@@ -497,15 +497,13 @@ def _sdp_route(basis, tol, max_iter):
             detail="exact elimination refutes the feasibility system",
         )
 
-    point = exact_lift(problem, result.G) if result.status == "feasible" else None
-    if point is not None:
+    point, detail = result.point, "exact elimination produced a feasible witness"
+    if point is None and result.status == "feasible":
+        point = exact_lift(problem, result.G)
         detail = "numeric solution lifted to an exact rational witness"
-    else:
-        _, point = exact_infeasibility_check(problem)
-        detail = "exact elimination produced a feasible witness"
     if point is not None:
-        G, qdicts = point
-        weights, rows = ldl_squares(psd_check_exact(G), [problem.words[i] for i in problem.face])
+        psd, qdicts = point
+        weights, rows = ldl_squares(psd, [problem.words[i] for i in problem.face])
         cert = NonRealCertificate(
             [Poly(basis.g, qdicts.get(j, {})) for j in range(len(basis.elements))],
             weights, [Poly(basis.g, dict(r)) for r in rows],
@@ -568,14 +566,14 @@ def real_test(gens, order=None, method="auto", tol=1e-8, max_iter=20000):
     through basis.reps, so its multipliers align with the gens list as
     given, including zero entries, and it has passed
     verify_nonreal_certificate against gens.  tol must be finite and > 0,
-    max_iter an int >= 0; max_iter = 0 leaves the SDP route its exact
-    checks alone.
+    max_iter an int >= 0, neither a bool; max_iter = 0 leaves the SDP route
+    its exact check alone.
     """
     if method not in ("auto", "exact", "sdp"):
         raise ValueError(f"unknown method {method!r}")
-    if not 0 < tol < inf:
+    if isinstance(tol, bool) or not 0 < tol < inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if not isinstance(max_iter, int) or max_iter < 0:
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 0:
         raise ValueError(f"max_iter must be an int >= 0, got {max_iter!r}")
     gens = list(gens)
     basis = left_groebner(gens, order)

@@ -1,10 +1,7 @@
 """Numeric semidefinite feasibility by alternating projections, after an
-exact presolve.
-
-solve_feasibility first runs the exact check (sdp_build's PSD propagation
-over the face) and returns at 0 steps when it refutes the problem: a
-0-step likely_infeasible is that exact refutation.  Only a problem the
-check leaves open reaches the projections.
+exact presolve: solve_feasibility first runs sdp_build's exact check and
+returns its answer, a refutation or a verified rational point, at 0 steps.
+Only a problem the check leaves open reaches the projections.
 
 The feasibility set is the intersection of the PSD cone with an affine
 subspace of symmetric matrices, described in scaled vector coordinates
@@ -43,12 +40,9 @@ norm of the negative eigenvalues.  The residual r = A x - b of the PSD
 iterate serves twice: ||r|| <= tol is the feasibility test for G, and it
 gives the next affine projection.
 
-This module and evaluation are the only ones that use numpy, and each
-imports it inside the functions that need it.  Importing the package,
-parsing, the Groebner basis, the closed forms, the SDP assembly and its
-exact checks, the presolve that refutes a problem, and certificate
-verification never load numpy; the first projection or matrix evaluation
-does.
+This module and evaluation import numpy inside the functions that use it,
+so only the first projection or matrix evaluation loads it: the exact path,
+a presolve that decides the problem included, never does.
 """
 
 from bisect import bisect_left
@@ -151,30 +145,31 @@ STALL_WINDOW = 500  # steps over which a stalled gap changes by at most tol
 class FeasibilityResult:
     """The outcome of solve_feasibility.
 
-    A likely_infeasible result at 0 steps, with final_gap inf and no gaps,
-    is the exact presolve's refutation; any other result comes from the
-    projections.
+    At 0 steps it is the exact presolve's answer: likely_infeasible (gap
+    inf, no gaps) its refutation, feasible its point, the (psd, qdicts) of
+    sdp_build._exact_point, with G None.  Projection results have no point.
     """
 
-    def __init__(self, status, G, iterations, final_gap, gaps):
+    def __init__(self, status, G, iterations, final_gap, gaps, point=None):
         self.status = status  # "feasible" | "likely_infeasible" | "max_iterations"
         self.G = G
         self.iterations = iterations
         self.final_gap = final_gap
         self.gaps = gaps
+        self.point = point
 
 
 def solve_feasibility(problem, tol=1e-8, max_iter=20000):
     """Alternate affine and PSD projections on the face from G0 = I/k.
 
-    Presolve: when exact_infeasibility_check refutes the problem (an
-    inconsistent system among its proofs), the result is likely_infeasible
-    at 0 steps, gap inf, with neither the float slice built nor numpy
-    loaded.  Otherwise the affine slice is taken from the problem's exact
-    system on each call (_component_rows), and a feasible G is the k x k
-    block on the face, its rows and columns in problem.face order.
+    Presolve: when exact_infeasibility_check decides the problem, the
+    result is its answer at 0 steps, with no float slice built and numpy
+    not loaded.  Otherwise the affine slice is taken from the problem's
+    exact system on each call (_component_rows), and a feasible G is the
+    k x k block on the face, its rows and columns in problem.face order.
 
-    feasible          -- an iterate satisfies both constraints to tol
+    feasible          -- the exact presolve finds a point (0 steps), or an
+                         iterate satisfies both constraints to tol
     likely_infeasible -- the exact presolve refutes the problem (0 steps),
                          or the projection gap stabilizes above 10*tol
                          (relative change below tol across STALL_WINDOW
@@ -183,8 +178,11 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000):
     """
     from .sdp_build import exact_infeasibility_check
 
-    if exact_infeasibility_check(problem)[0] == "infeasible":
+    status, point = exact_infeasibility_check(problem)
+    if status == "infeasible":
         return FeasibilityResult("likely_infeasible", None, 0, float("inf"), [])
+    if status == "feasible":
+        return FeasibilityResult("feasible", None, 0, 0.0, [], point)
     k = len(problem.face)
     return _alternating_projections(
         k, *_component_rows(problem.system, problem.gvars, k), tol, max_iter

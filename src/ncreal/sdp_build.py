@@ -45,16 +45,17 @@ The solved system is stored on the problem and serves the rest:
 * exact_infeasibility_check: PSD propagation over the face on a copy of
   the system, by the routine the build descends with (a pinned negative
   diagonal raises Inconsistent; a pinned zero diagonal forces its row and
-  column to zero), at any problem size.  When the
-  system pins G completely, an exact PSD test decides feasibility
-  outright.  solve_feasibility runs it first, as its presolve.
+  column to zero), at any problem size.  When the system pins G
+  completely, an exact PSD test decides feasibility outright.
+  solve_feasibility runs it once, as its presolve.
 * exact_lift: rounds a numeric face block G to small rationals along the
   free G unknowns of the solved system and sets the free multipliers to 0,
-  producing an exactly feasible pair (G, q) when the rounded G is PSD.
+  producing an exactly feasible point when the rounded G is PSD.
 
 Both read their point through one routine, _exact_point: evaluate the
 solved system at an assignment of its free unknowns, keep it when the k x k
-rational G on the face passes the exact PSD test.
+rational G on the face passes the exact PSD test, as that test's result
+(its LDL^T gives the certificate's squares) and the multipliers.
 """
 
 from dataclasses import dataclass
@@ -213,13 +214,14 @@ def _propagate(sys, indices):
 def exact_infeasibility_check(problem):
     """Decide feasibility exactly, by PSD propagation on the solved system.
 
-    Returns ("infeasible", None), ("feasible", (G, qdicts)), or
-    ("unknown", None).  Sound in both decided directions: "infeasible" comes
-    with a rational proof (inconsistency, a negative pinned diagonal after
-    PSD propagation, a contradiction met while forcing zeros, or a fully
-    pinned non-PSD G), "feasible" returns an exactly verified point.  Runs
-    in rational arithmetic at any problem size, on a copy of the problem's
-    system, which is not changed, and over the face alone: G is zero off it.
+    Returns ("infeasible", None), ("feasible", point) with _exact_point's
+    point, or ("unknown", None).  Sound in both decided directions:
+    "infeasible" comes with a rational proof (inconsistency, a negative
+    pinned diagonal after PSD propagation, a contradiction met while forcing
+    zeros, or a fully pinned non-PSD G), "feasible" returns an exactly
+    verified point.  Runs in rational arithmetic at any problem size, on a
+    copy of the problem's system, which is not changed, and over the face
+    alone: G is zero off it.
     """
     if problem.system.inconsistent:
         return "infeasible", None
@@ -235,11 +237,12 @@ def exact_infeasibility_check(problem):
 
 
 def exact_lift(problem, G_face):
-    """Round a numeric G to an exactly feasible rational (G, q), or None.
+    """Round a numeric G to an exactly feasible rational point, or None.
 
     G_face is the k x k block on the face, in problem.face order.  The free
     G unknowns of the solved system take its entries, rounded to
     denominators 10, 100, 10^4 and 10^6 in turn; the free multipliers are 0.
+    The point is _exact_point's (psd, qdicts).
     """
     sys = problem.system
     if sys.inconsistent:
@@ -258,17 +261,18 @@ def exact_lift(problem, G_face):
 def _exact_point(problem, sys, assignment):
     """The point of sys at an assignment of its free unknowns, when G is PSD.
 
-    Returns (G, qdicts): G the k x k rational Gram matrix on the face, in
-    problem.face order, and qdicts, per basis element index, the word-dict
-    of its nonzero multiplier coefficients.
-    Returns None when G is not PSD.
+    Returns (psd, qdicts): psd the PsdResult, LDL^T included, of the k x k
+    rational Gram matrix on the face, in problem.face order, and qdicts, per
+    basis element index, the word-dict of its nonzero multiplier
+    coefficients.  Returns None when G is not PSD.
     """
     at = {i: a for a, i in enumerate(problem.face)}
     G = [[None] * len(at) for _ in at]
     for var in problem.gvars:
         _, i, j = var
         G[at[i]][at[j]] = G[at[j]][at[i]] = sys.evaluate(var, assignment)
-    if not psd_check_exact(G).is_psd:
+    psd = psd_check_exact(G)
+    if not psd.is_psd:
         return None
     qdicts = {}
     for var in problem.qvars:
@@ -276,4 +280,4 @@ def _exact_point(problem, sys, assignment):
         if c:
             _, j, v = var
             qdicts.setdefault(j, {})[v] = c
-    return G, qdicts
+    return psd, qdicts

@@ -41,6 +41,13 @@ v = real_test(parse_generators("x1 x1* - x1* x1 - 1"), method="sdp")
 assert (v.status, v.method) == ("Real", "sdp-exact"), (v.status, v.method)
 assert "numpy" not in sys.modules, "a refuted SDP decision loaded numpy"
 
+# nor does one for which the presolve finds a point: its witness is final
+gens = parse_generators("-1/3 x1* x1 x1*")
+v = real_test(gens, method="sdp")
+assert (v.status, v.method) == ("NotReal", "sdp-exact"), (v.status, v.method)
+assert verify_nonreal_certificate(gens, v.certificate)
+assert "numpy" not in sys.modules, "an SDP decision on a presolve point loaded numpy"
+
 # the float side still loads numpy when it is needed
 M = ncreal.evaluate(parse_generators("x1 x1*")[0], ncreal.MatrixPoint([[[0, 1], [0, 0]]]))
 assert M.tolist() == [[1.0, 0.0], [0.0, 0.0]]

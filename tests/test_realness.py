@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ncreal import realness
+from ncreal import realness, sdp_build
 from ncreal.algebra import MonomialOrder, Poly, word_star
 from ncreal.parsing import parse_generators, parse_poly
 from ncreal.realness import (
@@ -70,6 +70,8 @@ def test_input_validation():
 @pytest.mark.parametrize("kwargs", [
     {"max_iter": -3}, {"max_iter": 2000.0}, {"max_iter": "10"},
     {"tol": float("nan")}, {"tol": -1.0}, {"tol": 0.0}, {"tol": float("inf")},
+    # bool is an int: True would run one step, or at tol 1
+    {"max_iter": True}, {"tol": True},
 ])
 @pytest.mark.parametrize("method", ["auto", "sdp"])
 def test_tol_and_max_iter_are_validated(method, kwargs):
@@ -78,8 +80,8 @@ def test_tol_and_max_iter_are_validated(method, kwargs):
 
 
 def test_zero_max_iter_runs_the_exact_checks_alone():
-    # the presolve refutes criterion 1, the exact check finds a point for
-    # the second ideal, and leaves the criterion-4 ideal open
+    # the presolve refutes criterion 1, finds a point for the second ideal,
+    # and leaves the criterion-4 ideal open
     v = real_test(_gens("x1 x1* - x1* x1 - 1"), method="sdp", max_iter=0)
     assert (v.status, v.method) == (REAL, "sdp-exact")
     v = real_test(parse_generators("x2 x1* x1\nx1* x1", 2), method="sdp", max_iter=0)
@@ -461,21 +463,23 @@ def test_sdp_route_never_contradicts_the_analytic_antianalytic_closed_forms(meth
     assert {(REAL, REAL), (NOT_REAL, NOT_REAL)} <= seen
 
 
-# (generators, number of variables, the function whose point the route lifts)
+# (generators, number of variables, the module and name of the function
+# whose point the route reads): the presolve leaves the lift case open, and
+# solve_feasibility looks the check up in sdp_build
 SDP_ROUTES = {
-    "lift": ("x2 x1* x1\nx1* x1", 2, "exact_lift"),
-    "exact check": ("-1/2 x1* x1 x1*", 1, "exact_infeasibility_check"),
+    "lift": ("-x1 x1* - x1* x1 - 3/2 x1 - x1* - 3/2", 1, realness, "exact_lift"),
+    "exact check": ("-1/2 x1* x1 x1*", 1, sdp_build, "exact_infeasibility_check"),
 }
 
 
 def _doubled_multipliers(point):
-    G, qdicts = point
-    return G, {j: {v: 2 * c for v, c in q.items()} for j, q in qdicts.items()}
+    psd, qdicts = point
+    return psd, {j: {v: 2 * c for v, c in q.items()} for j, q in qdicts.items()}
 
 
 @pytest.mark.parametrize("route", SDP_ROUTES)
 def test_sdp_certificate_is_verified_once_against_the_generators(monkeypatch, route):
-    text, g, _ = SDP_ROUTES[route]
+    text, g, _, _ = SDP_ROUTES[route]
     gens = parse_generators(text, g)
     calls = []
     verify = realness.verify_nonreal_certificate
@@ -494,8 +498,8 @@ def test_sdp_certificate_is_verified_once_against_the_generators(monkeypatch, ro
 
 @pytest.mark.parametrize("route", SDP_ROUTES)
 def test_sdp_certificate_that_fails_verification_is_an_internal_error(monkeypatch, route):
-    text, g, name = SDP_ROUTES[route]
-    found = getattr(realness, name)
+    text, g, module, name = SDP_ROUTES[route]
+    found = getattr(module, name)
     if name == "exact_lift":
         def broken(*args, **kwargs):
             point = found(*args, **kwargs)
@@ -505,7 +509,7 @@ def test_sdp_certificate_that_fails_verification_is_an_internal_error(monkeypatc
             status, point = found(*args, **kwargs)
             return status, None if point is None else _doubled_multipliers(point)
 
-    monkeypatch.setattr(realness, name, broken)
+    monkeypatch.setattr(module, name, broken)
     with pytest.raises(AssertionError, match="sdp-exact certificate failed to verify"):
         real_test(parse_generators(text, g), method="sdp")
 

@@ -203,8 +203,10 @@ def _reference_solve(problem, tol=1e-8, max_iter=20000, stall_window=500):
     """The projection loop as first written: svec rebuilt and the residual
     computed twice per step, after the exact presolve's verdict, which
     _dense_view records.  Returns (status, G, iterations, final_gap, gaps)."""
-    if problem.refuted:
+    if problem.presolve == "infeasible":
         return "likely_infeasible", None, 0, float("inf"), []
+    if problem.presolve == "feasible":  # the point is carried, not a G
+        return "feasible", None, 0, 0.0, []
     n = problem.n
     G = np.eye(n) / n
     gaps = []
@@ -281,14 +283,14 @@ def _differential_cases():
 
 def _dense_view(case):
     """A case on its face, with its affine slice as the dense A the
-    reference reads, marked refuted when the exact check refutes a built
-    case (an inconsistent one among them)."""
+    reference reads, and the exact check's status on a built case (an
+    inconsistent one among them); a hand-built slice has none."""
     if isinstance(case, SdpProblem):
         A, b = dense_rows(problem_slice(case))
-        refuted = exact_infeasibility_check(case)[0] == "infeasible"
-        return SimpleNamespace(n=len(case.face), A=A, b=b, refuted=refuted)
+        presolve = exact_infeasibility_check(case)[0]
+        return SimpleNamespace(n=len(case.face), A=A, b=b, presolve=presolve)
     A, b = dense_rows(case)
-    return SimpleNamespace(n=case[0], A=A, b=b, refuted=False)
+    return SimpleNamespace(n=case[0], A=A, b=b, presolve=None)
 
 
 def test_solve_feasibility_matches_reference_loop_exactly():
@@ -318,11 +320,11 @@ def test_solve_feasibility_matches_reference_loop_exactly():
 
 def test_feasible_exits_return_an_exactly_symmetric_G():
     # the loop updates and reads only the lower triangle of its iterate;
-    # exact_lift reads the upper one
+    # exact_lift reads the upper one.  A presolve point carries no G.
     feasible = 0
     for name, case, kwargs in _differential_cases():
         res = _solve(case, **kwargs)
-        if res.status == "feasible":
+        if res.status == "feasible" and res.point is None:
             feasible += 1
             assert np.array_equal(res.G, res.G.T), name
     assert feasible >= 3
@@ -514,17 +516,27 @@ def test_negative_pinned_diagonal_raises_in_propagation():
         _propagate(sys, problem.face)
 
 
+# (x2 + x2*)^2 (2 x1 - x1*): the presolve leaves it open, the projections lift it
+LIFTED_ON_A_FACE = ("2 x2^2 x1 - x2^2 x1* + 2 x2 x2* x1 - x2 x2* x1*"
+                    " + 2 x2* x2 x1 - x2* x2 x1* + 2 x2*^2 x1 - x2*^2 x1*")
+
+
 def test_route_carries_G_on_the_face_only():
-    # n = 5 Gram words, of which the face keeps 1 and x1
-    problem = build_real_sdp(left_groebner(parse_generators("x2 x1* x1\nx1* x1", 2)))
-    assert problem.n == 5 and len(problem.face) == 2
+    # n = 21 Gram words, of which the face keeps 9
+    problem = build_real_sdp(left_groebner(parse_generators(LIFTED_ON_A_FACE, 2)))
+    assert problem.n == 21 and len(problem.face) == 9
+    assert exact_infeasibility_check(problem) == ("unknown", None)
     res = solve_feasibility(problem)
-    assert res.status == "feasible" and res.G.shape == (2, 2)
-    status, checked = exact_infeasibility_check(problem)
-    assert status == "feasible"
-    for G, _ in (exact_lift(problem, res.G), checked):
-        assert len(G) == 2 and all(len(row) == 2 for row in G)
-        assert all(isinstance(x, Fraction) for row in G for x in row)
+    assert res.status == "feasible" and res.G.shape == (9, 9) and res.point is None
+    # n = 5 Gram words, of which the face keeps 1 and x1; the presolve's point
+    presolved = build_real_sdp(left_groebner(parse_generators("x2 x1* x1\nx1* x1", 2)))
+    assert presolved.n == 5 and len(presolved.face) == 2
+    found = solve_feasibility(presolved)
+    assert (found.status, found.iterations, found.G) == ("feasible", 0, None)
+    # each point is the exact PSD test's factorization of the rational face block
+    for (psd, _), k in ((exact_lift(problem, res.G), 9), (found.point, 2)):
+        assert psd.is_psd and len(psd.perm) == len(psd.diag) == len(psd.lower) == k
+        assert all(isinstance(x, Fraction) for row in psd.lower for x in (*row, *psd.diag))
 
 
 def test_multiplier_unknowns_are_eliminated_first():
@@ -605,7 +617,7 @@ def _count_systems(monkeypatch):
 
 @pytest.mark.parametrize("text,route", [
     ("x1 x1* - x1* x1 - 1", "exact check"),
-    ("x2 x1* x1\nx1* x1", "lift"),
+    ("-x1 x1* - x1* x1 - 3/2 x1 - x1* - 3/2", "lift"),
 ])
 def test_one_exact_system_per_problem(monkeypatch, text, route):
     built = _count_systems(monkeypatch)
@@ -646,10 +658,15 @@ def test_exact_check_leaves_the_system_unchanged():
 
 # the exact check refutes the first five; cubic4 it leaves open
 PRESOLVE_CASES = ["criterion 1", "quartic15", "mixed21", "large n = 31", "large n = 48", "cubic4"]
+# the exact check finds a verified point for these
+POINT_CASES = {
+    "-1/3 x1* x1 x1*": (["-1/3 x1* x1 x1*"], 1),
+    "x2 x1* x1 ; x1* x1": (["x2 x1* x1", "x1* x1"], 2),
+}
 
 
 def _assembly_basis(name):
-    texts, g = ASSEMBLY_CASES[name]
+    texts, g = ASSEMBLY_CASES[name] if name in ASSEMBLY_CASES else POINT_CASES[name]
     return left_groebner([parse_poly(t, g) for t in texts])
 
 
@@ -673,20 +690,35 @@ def test_presolve_takes_no_step_exactly_on_refuted_problems(monkeypatch, name):
         assert (res.G, res.final_gap, res.gaps, sliced) == (None, float("inf"), [], [])
 
 
-@pytest.mark.parametrize("name", PRESOLVE_CASES[:-1])
+@pytest.mark.parametrize("name", [*PRESOLVE_CASES, *POINT_CASES])
 def test_route_reads_the_presolve_refutation_without_a_second_check(monkeypatch, name):
-    check = sdp_build.exact_infeasibility_check
-    presolve, route = [], []
+    # one exact check per problem, whether it refutes, finds a point or
+    # leaves the problem open, and one factorization per certificate
+    def recording(module, attr, results):
+        found = getattr(module, attr)
 
-    def counting(calls):
-        def counted(problem):
-            calls.append(problem)
-            return check(problem)
-        return counted
+        def recorded(*args, **kwargs):
+            results.append(found(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(module, attr, recorded)
 
+    presolve, route, factored, sliced, results = [], [], [], [], []
     # solve_feasibility looks the check up in sdp_build, the route in realness
-    monkeypatch.setattr(sdp_build, "exact_infeasibility_check", counting(presolve))
-    monkeypatch.setattr(realness, "exact_infeasibility_check", counting(route))
+    recording(sdp_build, "exact_infeasibility_check", presolve)
+    recording(realness, "exact_infeasibility_check", route)
+    recording(realness, "psd_check_exact", factored)
+    recording(sdp, "_component_rows", sliced)
+    recording(realness, "solve_feasibility", results)
     v = realness._sdp_route(_assembly_basis(name), 1e-8, 2000)
-    assert (v.status, v.method) == (REAL, "sdp-exact")
-    assert len(presolve) == 1 and route == []
+    assert len(presolve) == 1 and route == [] and factored == []
+    (res,) = results
+    if name in POINT_CASES:
+        assert (v.status, v.detail) == (NOT_REAL, "exact elimination produced a feasible witness")
+        # the point takes no step and builds no float slice
+        assert (res.iterations, res.G, sliced) == (0, None, [])
+    elif name == "cubic4":
+        assert (v.status, v.detail) == (NOT_REAL, "numeric solution lifted to an exact rational witness")
+        assert res.iterations > 0 and res.point is None and len(sliced) == 1
+    else:
+        assert v.status == REAL and (res.iterations, sliced) == (0, [])
+    assert v.method == "sdp-exact"
