@@ -17,6 +17,7 @@ parse errors.
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import MonomialOrder, shrink_length, word_str
@@ -268,6 +269,9 @@ def _build_parser():
 
 
 def main(argv=None):
+    # numpy is not loaded yet; small matrices want one BLAS thread unless told otherwise
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

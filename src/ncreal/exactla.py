@@ -109,10 +109,9 @@ def psd_check_exact(A) -> PsdResult:
             f = M[i][k] / d
             L[i][k] = f
             if f:
-                for j in range(k, n):
+                # only the active block is kept current; its Schur update stays symmetric
+                for j in range(k + 1, n):
                     M[i][j] -= f * M[k][j]
-                for j in range(k, n):
-                    M[j][i] = M[i][j]
     return PsdResult(True, perm, L, diag, None)
 
 

@@ -29,14 +29,7 @@ class SosCertificate:
         self.polys = list(polys)
 
     def expand(self, g):
-        total = {}
-        for w, r in zip(self.weights, self.polys):
-            for u, cu in r.terms.items():
-                us, wcu = word_star(u), w * cu
-                for v, cv in r.terms.items():
-                    key = us + v
-                    total[key] = total.get(key, 0) + wcu * cv
-        return Poly(g, total)
+        return sum((w * (r.star() * r) for w, r in zip(self.weights, self.polys)), Poly.zero(g))
 
 
 class SosCheckResult:

@@ -6,7 +6,9 @@ algorithm is interreduction on leading words: while some lead(p_i) is a
 suffix of lead(p_j) (i != j; for equal leads the later element is reduced
 against the earlier), replace p_j by the monic part of p_j - omega * p_i and
 drop zeros.  Leads strictly decrease in the degree-first order, which is
-well-founded, so this terminates.
+well-founded, so this terminates.  One lookup, _suffix_hits, finds the
+elements whose lead is a suffix of a word, in basis order; reduction, the
+irreducible-word test and interreduction all read it.
 
 Each basis element carries a representation as a left combination of the
 original generators, which lets callers rewrite certificates found against
@@ -28,14 +30,6 @@ class LeftGroebnerBasis:
         self.leads = [p.leading_word(order) for p in elements]
         self.reps = reps  # reps[i][t]: elements[i] == sum_t reps[i][t] * gens[t]
 
-    def _find_reduction(self, terms):
-        """Largest reducible word of terms together with the reducing element."""
-        for w in sorted(terms, key=self.order.key):
-            for idx, lw in enumerate(self.leads):
-                if len(lw) <= len(w) and w[len(w) - len(lw):] == lw:
-                    return w, idx
-        return None
-
     def reduce(self, terms):
         """Suffix-reduce a {word: coeff} dict of any number type; returns the remainder.
 
@@ -43,7 +37,8 @@ class LeftGroebnerBasis:
         """
         work = terms
         while True:
-            hit = self._find_reduction(work)
+            hit = next(((w, i) for w in sorted(work, key=self.order.key)
+                        for i in _suffix_hits(self.leads, w)), None)
             if hit is None:
                 return work
             w, idx = hit
@@ -58,9 +53,12 @@ class LeftGroebnerBasis:
         return not self.normal_form(p)
 
     def is_irreducible_word(self, w):
-        return not any(
-            len(lw) <= len(w) and w[len(w) - len(lw):] == lw for lw in self.leads
-        )
+        return next(_suffix_hits(self.leads, w), None) is None
+
+
+def _suffix_hits(leads, w):
+    """Indices i, ascending, of the leads[i] that are suffixes of w."""
+    return (i for i, lw in enumerate(leads) if len(lw) <= len(w) and w[len(w) - len(lw):] == lw)
 
 
 def left_groebner(gens, order=None):
@@ -84,38 +82,23 @@ def left_groebner(gens, order=None):
         elements.append((Fraction(1) / c) * p)
         reps.append(rep)
 
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(elements)):
-            lj = elements[j].leading_word(order)
-            hit = None
-            for i in range(len(elements)):
-                if i == j:
-                    continue
-                li = elements[i].leading_word(order)
-                if li == lj:
-                    if i < j:
-                        hit = i
-                        break
-                elif len(li) < len(lj) and lj[len(lj) - len(li):] == li:
-                    hit = i
-                    break
-            if hit is None:
-                continue
-            i = hit
-            li = elements[i].leading_word(order)
-            omega = Poly(g, {lj[: len(lj) - len(li)]: Fraction(1)})
-            new = elements[j] - omega * elements[i]
-            new_rep = [reps[j][t] - omega * reps[i][t] for t in range(len(gens))]
-            if not new:
-                del elements[j]
-                del reps[j]
-            else:
-                c = new.leading_coeff(order)
-                elements[j] = (Fraction(1) / c) * new
-                reps[j] = [(Fraction(1) / c) * r for r in new_rep]
-            changed = True
+    leads = [p.leading_word(order) for p in elements]
+    while True:
+        hit = next(((i, j) for j, lj in enumerate(leads) for i in _suffix_hits(leads, lj)
+                    if i != j and (i < j or leads[i] != lj)), None)
+        if hit is None:
             break
+        i, j = hit
+        lj, li = leads[j], leads[i]
+        omega = Poly(g, {lj[: len(lj) - len(li)]: Fraction(1)})
+        new = elements[j] - omega * elements[i]
+        new_rep = [reps[j][t] - omega * reps[i][t] for t in range(len(gens))]
+        if not new:
+            del elements[j], reps[j], leads[j]
+        else:
+            c = new.leading_coeff(order)
+            elements[j] = (Fraction(1) / c) * new
+            reps[j] = [(Fraction(1) / c) * r for r in new_rep]
+            leads[j] = elements[j].leading_word(order)
 
     return LeftGroebnerBasis(g, order, elements, reps)

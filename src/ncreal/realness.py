@@ -49,7 +49,6 @@ route with exact rational post-processing.
 """
 
 from fractions import Fraction
-from math import inf
 from numbers import Rational
 
 from .algebra import (
@@ -61,11 +60,11 @@ from .algebra import (
 )
 # psd_check_exact and exact_infeasibility_check: unused, kept for bench/spans.py (ROADMAP item 1)
 from .exactla import ldl_squares, psd_check_exact  # noqa: F401
-from .factor import factor_homogeneous
+from .factor import Factorization, factor_homogeneous
 from .gram import decompose_quadratic_univariate, pm_sos_kind, quad_coeffs
 from .groebner import left_groebner
 from .parsing import parse_poly, poly_str
-from .sdp import solve_feasibility
+from .sdp import _check_tol_and_max_iter, solve_feasibility
 from .sdp_build import build_real_sdp, exact_infeasibility_check, exact_lift  # noqa: F401
 
 REAL = "Real"
@@ -412,12 +411,8 @@ def real_principal_homogeneous(p, order=None):
             detail="no signed prefix symmetrization is a nonzero sum of squares",
         )
     ell, kind, sos, tail_factors = hit
-    q = Poly.constant(g, Fraction(1 if kind == "plus" else -1))
-    for f in reversed(tail_factors):
-        q = q * f.star()
-    tail = Poly.one(g)
-    for f in tail_factors:
-        tail = tail * f
+    tail = Factorization(1, tail_factors).product(g)
+    q = tail.star() * (1 if kind == "plus" else -1)
     cert = NonRealCertificate([q], sos.weights, [r * tail for r in sos.polys])
     return RealnessVerdict(
         NOT_REAL, "principal-homogeneous", cert,
@@ -453,13 +448,8 @@ def _realigned(cert, basis, ngens):
     basis.elements[i] = sum_t basis.reps[i][t] gens[t], so the multiplier of
     gens[t] is sum_i q_i basis.reps[i][t].
     """
-    out = [{} for _ in range(ngens)]
-    for q, rep in zip(cert.multipliers, basis.reps):
-        for acc, r in zip(out, rep):
-            for u, cu in q.terms.items():
-                for v, cv in r.terms.items():
-                    acc[u + v] = acc.get(u + v, 0) + cu * cv
-    mult = [Poly(basis.g, {w: c for w, c in acc.items() if c}) for acc in out]
+    mult = [sum((q * rep[t] for q, rep in zip(cert.multipliers, basis.reps)), Poly.zero(basis.g))
+            for t in range(ngens)]
     return NonRealCertificate(mult, cert.weights, cert.members)
 
 
@@ -571,10 +561,7 @@ def real_test(gens, order=None, method="auto", tol=1e-8, max_iter=20000):
     """
     if method not in ("auto", "exact", "sdp"):
         raise ValueError(f"unknown method {method!r}")
-    if isinstance(tol, bool) or not 0 < tol < inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 0:
-        raise ValueError(f"max_iter must be an int >= 0, got {max_iter!r}")
+    _check_tol_and_max_iter(tol, max_iter)
     gens = list(gens)
     basis = left_groebner(gens, order)
     elements = basis.elements

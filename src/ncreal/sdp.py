@@ -47,7 +47,7 @@ a presolve that decides the problem included, never does.
 
 from bisect import bisect_left
 from functools import lru_cache
-from math import hypot, sqrt
+from math import hypot, inf, sqrt
 
 
 @lru_cache(maxsize=None)
@@ -159,6 +159,14 @@ class FeasibilityResult:
         self.point = point
 
 
+def _check_tol_and_max_iter(tol, max_iter):
+    """ValueError unless tol is finite and > 0 and max_iter an int >= 0, neither a bool."""
+    if isinstance(tol, bool) or not 0 < tol < inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 0:
+        raise ValueError(f"max_iter must be an int >= 0, got {max_iter!r}")
+
+
 def solve_feasibility(problem, tol=1e-8, max_iter=20000):
     """Alternate affine and PSD projections on the face from G0 = I/k.
 
@@ -175,9 +183,12 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000):
                          (relative change below tol across STALL_WINDOW
                          iterations)
     max_iterations    -- neither happened within max_iter
+
+    A bad tol or max_iter raises ValueError first (_check_tol_and_max_iter).
     """
     from .sdp_build import exact_infeasibility_check
 
+    _check_tol_and_max_iter(tol, max_iter)
     status, point = exact_infeasibility_check(problem)
     if status == "infeasible":
         return FeasibilityResult("likely_infeasible", None, 0, float("inf"), [])

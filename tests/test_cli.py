@@ -37,6 +37,19 @@ def test_parse_errors_exit_1(capsys):
     assert code == 1 and "error:" in err
     code, _, err = _run(capsys, "parse")
     assert code == 1 and "no input" in err
+    code, _, err = _run(capsys, "factor", "-e", "x1", "-e", "x2")
+    assert code == 1 and "exactly one polynomial" in err
+    code, _, err = _run(capsys, "parse", "-e", "x1", "--order", "x1 x1*")
+    assert code == 1 and "single letters" in err
+
+
+def test_the_cli_runs_blas_on_one_thread_unless_told_otherwise(monkeypatch, capsys):
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert _run(capsys, "parse", "-e", "x1")[0] == 0
+    assert [os.environ[var] for var in blas] == ["1", "3", "1"]
 
 
 def test_factor_command(capsys):
@@ -193,7 +206,7 @@ def test_verify_malformed_certificate_exits_1(capsys, tmp_path, text):
     assert code == 1 and "error:" in err
 
 
-@pytest.mark.parametrize("text", ['{"n": 2}', "[1, 2]"])
+@pytest.mark.parametrize("text", ['{"n": 2}', "[1, 2]", '{"X": [[["a"]]]}'])
 def test_eval_malformed_point_exits_1(capsys, tmp_path, text):
     point = tmp_path / "point.json"
     point.write_text(text)

@@ -41,6 +41,13 @@ def _reconstructs(res, M):
     return True
 
 
+def test_psd_rejects_a_non_square_or_non_symmetric_matrix():
+    with pytest.raises(ValueError, match="must be square"):
+        psd_check_exact([[1, 0], [0]])
+    with pytest.raises(ValueError, match="must be symmetric"):
+        psd_check_exact([[1, 2], [0, 1]])
+
+
 def test_psd_identity_and_diagonal():
     res = psd_check_exact([[1, 0], [0, 2]])
     assert res.is_psd

@@ -65,6 +65,15 @@ def test_parse_errors_carry_positions():
         parse_poly("")
     with pytest.raises(ParseError):
         parse_poly("x1^")
+    with pytest.raises(ParseError, match="variable needs an index") as e:
+        parse_poly("2 x")
+    assert e.value.pos == 3
+    with pytest.raises(ParseError, match="zero denominator") as e:
+        parse_poly("3/0 x1")
+    assert e.value.pos == 1
+    with pytest.raises(ParseError, match="expected '\\+' or '-' between terms") as e:
+        parse_poly("x1 2")
+    assert e.value.pos == 3
 
 
 def test_parse_word_single_monomials_only():
@@ -91,6 +100,12 @@ def test_parse_generators_shares_g_and_skips_comments():
     text2 = "x1\nx2*"
     gens2 = parse_generators(text2)
     assert all(p.g == 2 for p in gens2)
+    # a parse error names its line, counting blank and comment lines
+    with pytest.raises(ParseError, match="^line 3: zero denominator") as e:
+        parse_generators("x1\n# note\n1/0 x1")
+    assert e.value.pos == 1
+    with pytest.raises(ParseError, match="no generators found"):
+        parse_generators("# only a comment\n\n")
 
 
 def test_poly_str_round_trip_random():

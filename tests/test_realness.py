@@ -188,6 +188,8 @@ def test_monomial_basis_of_non_monomial_generators(text, status):
 
 
 def test_monomial_rejects_non_monomials():
+    with pytest.raises(ValueError, match="at least one generator"):
+        real_monomial_ideal([])
     with pytest.raises(ValueError):
         real_monomial_ideal(_gens("x1 + x2"))
     with pytest.raises(ValueError):
@@ -514,6 +516,15 @@ def test_sdp_certificate_that_fails_verification_is_an_internal_error(monkeypatc
         real_test(parse_generators(text, g), method="sdp")
 
 
+def test_a_failed_lift_leaves_the_sdp_route_inconclusive(monkeypatch):
+    text, g, _, _ = SDP_ROUTES["lift"]
+    monkeypatch.setattr(realness, "exact_lift", lambda problem, G: None)
+    v = real_test(parse_generators(text, g), method="sdp")
+    assert (v.status, v.method, v.certificate) == (INCONCLUSIVE, "sdp-numeric", None)
+    assert v.detail.startswith("projections converged in ")
+    assert v.detail.endswith(" steps, but no rational lift verified")
+
+
 @pytest.mark.parametrize("text,g,n", [
     ("x1 x2 x1* x2* - x2 x1 + 2", 2, 85),
     ("x1 x2 x3* x1* - x3 x2 + 2", 3, 259),
@@ -577,6 +588,9 @@ def test_verifier_rejects_tampered_certificates():
     bad = NonRealCertificate([parse_poly("x1* x1")], [Fraction(1)], [parse_poly("x1* x1")])
     assert not verify_nonreal_certificate(gens, bad)
     assert not verify_nonreal_certificate(gens, NonRealCertificate([], [], []))
+    # one weight per member
+    bad = NonRealCertificate(cert.multipliers, [*cert.weights, Fraction(1)], cert.members)
+    assert not verify_nonreal_certificate(gens, bad)
 
 
 def test_verdict_json_shape():

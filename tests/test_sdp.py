@@ -503,6 +503,25 @@ def test_inconsistent_constraints_are_found_exactly():
     assert exact_lift(problem, np.zeros((0, 0))) is None
 
 
+def test_the_zero_and_the_unit_ideal_have_no_sdp():
+    with pytest.raises(ValueError, match="empty basis"):
+        build_real_sdp(left_groebner([parse_poly("0", 1)]))
+    with pytest.raises(ValueError, match="contains a unit"):
+        build_real_sdp(left_groebner([parse_poly("x1 + 1"), parse_poly("x1")]))
+
+
+# the presolve leaves this problem open, and the projections lift it
+OPEN_CASE = "-x1 x1* - x1* x1 - 3/2 x1 - x1* - 3/2"
+
+
+def test_a_free_entry_far_outside_the_psd_cone_lifts_to_no_point():
+    # one free G unknown, off the diagonal; the diagonal is pinned below 1,
+    # so 100 rounds to no PSD point at any denominator
+    problem = build_real_sdp(left_groebner([parse_poly(OPEN_CASE)]))
+    assert problem.system.free_variables() == [("g", 0, 2)]
+    assert exact_lift(problem, np.full((3, 3), 100.0)) is None
+
+
 def test_problem_holds_no_second_infeasibility_record():
     names = {f.name for f in dataclasses.fields(SdpProblem)}
     assert names == {"n", "words", "face", "exact_rows", "gvars", "qvars", "system"}
@@ -670,8 +689,8 @@ def _assembly_basis(name):
     return left_groebner([parse_poly(t, g) for t in texts])
 
 
-@pytest.mark.parametrize("name", PRESOLVE_CASES)
-def test_presolve_takes_no_step_exactly_on_refuted_problems(monkeypatch, name):
+@pytest.mark.parametrize("name", [*PRESOLVE_CASES, *POINT_CASES])
+def test_presolve_takes_no_step_exactly_when_it_decides(monkeypatch, name):
     sliced = []
 
     def recording(*args):
@@ -680,14 +699,38 @@ def test_presolve_takes_no_step_exactly_on_refuted_problems(monkeypatch, name):
 
     monkeypatch.setattr(sdp, "_component_rows", recording)
     problem = build_real_sdp(_assembly_basis(name))
-    refuted = exact_infeasibility_check(problem)[0] == "infeasible"
-    assert refuted == (name != "cubic4")
+    decided = exact_infeasibility_check(problem)[0]
+    assert decided == ("feasible" if name in POINT_CASES
+                       else "unknown" if name == "cubic4" else "infeasible")
     res = solve_feasibility(problem, max_iter=2000)
-    assert (res.iterations == 0) == refuted
-    assert (res.status == "likely_infeasible") == refuted
-    if refuted:
+    assert (res.iterations == 0) == (decided != "unknown")
+    assert (res.status == "likely_infeasible") == (decided == "infeasible")
+    if decided == "infeasible":
         # the refutation builds no float slice
-        assert (res.G, res.final_gap, res.gaps, sliced) == (None, float("inf"), [], [])
+        assert (res.G, res.point, res.final_gap, res.gaps, sliced) == (None, None, float("inf"), [], [])
+    elif decided == "feasible":
+        # nor does the point, which is the result's own
+        assert (res.status, res.G, sliced) == ("feasible", None, []) and res.point is not None
+    else:
+        assert res.point is None and len(sliced) == 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_iter": -3}, {"max_iter": 50.0}, {"max_iter": True},
+    {"tol": float("nan")}, {"tol": -1.0}, {"tol": 0.0}, {"tol": float("inf")}, {"tol": True},
+])
+def test_solve_feasibility_rejects_a_bad_tol_or_max_iter_before_the_presolve(monkeypatch, kwargs):
+    problem = build_real_sdp(left_groebner([parse_poly(OPEN_CASE)]))
+    checks = []
+
+    def recording(p):
+        checks.append(p)
+        return exact_infeasibility_check(p)
+
+    monkeypatch.setattr(sdp_build, "exact_infeasibility_check", recording)
+    with pytest.raises(ValueError, match="tol must be|max_iter must be"):
+        solve_feasibility(problem, **{"max_iter": 50, **kwargs})
+    assert checks == []
 
 
 @pytest.mark.parametrize("name", [*PRESOLVE_CASES, *POINT_CASES])
