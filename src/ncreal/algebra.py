@@ -84,10 +84,6 @@ class MonomialOrder:
     def max_word(self, words: Iterable[Word]) -> Word:
         return min(words, key=self.key)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MonomialOrder)
-                and self.g == other.g and self.ranking == other.ranking)
-
     def __repr__(self) -> str:
         return f"MonomialOrder(g={self.g}, {' > '.join(letter_str(c) for c in self.ranking)})"
 

@@ -54,16 +54,17 @@ class MatrixPoint:
         data = json.loads(text)
         if not isinstance(data, dict) or not isinstance(data.get("X"), list):
             raise ValueError('malformed point: need an object with a list "X" of matrices')
+        n = data.get("n")
+        if "n" in data and type(n) is not int:
+            raise ValueError(f'malformed point: "n" must be an integer, got {n!r}')
         try:
-            mats = [np.array(X, dtype=float) for X in data["X"]]
-            n = int(data.get("n", mats[0].shape[0] if mats else 0))
-            v = np.array(data["v"], dtype=float) if "v" in data else None
+            point = cls([np.array(X, dtype=float) for X in data["X"]],
+                        np.array(data["v"], dtype=float) if "v" in data else None)
         except (TypeError, ValueError, IndexError) as exc:
             raise ValueError(f"malformed point: {exc}") from None
-        for X in mats:
-            if X.shape != (n, n):
-                raise ValueError(f"point says n={n} but a matrix is {X.shape}")
-        return cls(mats, v)
+        if "n" in data and n != point.n:
+            raise ValueError(f"point says n={n} but a matrix is {point.matrices[0].shape}")
+        return point
 
 
 def evaluate(p: Poly, point: MatrixPoint) -> np.ndarray:

@@ -146,12 +146,22 @@ class Inconsistent(Exception):
 
 
 def _exact(x):
-    """x as an int when it is integral, else as a Fraction."""
-    if type(x) is not Fraction:
-        if type(x) is int:
-            return x
-        x = Fraction(x)
+    """x, an int or a Fraction, as an int when it is integral."""
+    if type(x) is int:
+        return x
     return x.numerator if x.denominator == 1 else x
+
+
+def _accumulate(d: dict, key, val) -> bool:
+    """d[key] += val, stored as _exact gives it or dropped at 0; True if key stays."""
+    val = d.get(key, 0) + val
+    if type(val) is not int and val.denominator == 1:
+        val = val.numerator
+    if val:
+        d[key] = val
+        return True
+    d.pop(key, None)
+    return False
 
 
 def _quotient(a, b):
@@ -205,28 +215,16 @@ class ExactAffineSystem:
                 expr, c0 = solved[var]
                 const = const - coeff * c0
                 for fv, fc in expr.items():
-                    val = out.get(fv, 0) + coeff * fc
-                    if type(val) is not int and val.denominator == 1:
-                        val = val.numerator
-                    if val:
-                        out[fv] = val
-                    else:
-                        out.pop(fv, None)
+                    _accumulate(out, fv, coeff * fc)
             else:
-                val = out.get(var, 0) + coeff
-                if type(val) is not int and val.denominator == 1:
-                    val = val.numerator
-                if val:
-                    out[var] = val
-                else:
-                    out.pop(var, None)
+                _accumulate(out, var, coeff)
         return out, _exact(const)
 
     def add_row(self, row: dict, const) -> None:
-        """Insert sum(coeff*var) = const and re-close the solved form."""
+        """Insert sum(coeff*var) = const, in ints and Fractions, and re-close the solved form."""
         for var in row:
             self._order.setdefault(var, len(self._order))
-        reduced, const = self._substitute({v: _exact(c) for v, c in row.items()}, _exact(const))
+        reduced, const = self._substitute(row, const)
         if not reduced:
             if const:
                 self.inconsistent = True
@@ -249,14 +247,9 @@ class ExactAffineSystem:
             vexpr, vc = self.solved[var]
             f = vexpr.pop(pivot)
             for fv, fc in expr.items():
-                val = vexpr.get(fv, 0) + f * fc
-                if type(val) is not int and val.denominator == 1:
-                    val = val.numerator
-                if val:
-                    vexpr[fv] = val
+                if _accumulate(vexpr, fv, f * fc):
                     self._uses[fv].add(var)
                 else:
-                    vexpr.pop(fv, None)
                     self._uses[fv].discard(var)
             if c0:
                 vc = _exact(vc + f * c0)

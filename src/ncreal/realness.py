@@ -42,10 +42,11 @@ verifier.
 Dispatch first answers the zero ideal (an empty basis) and the unit ideal
 (a constant element).  It then tries the exact closed forms on the basis,
 in one place -- a monomial basis, whose words are the monomial decider's
-survivors; an analytic basis; and for a single element, linear, univariate
-quadratic, homogeneous principal, analytic + antianalytic and the
-principal prefilter -- and falls back to the semidefinite feasibility
-route with exact rational post-processing.
+survivors; an analytic basis; and for a single element p, linear,
+univariate quadratic, homogeneous principal, analytic + antianalytic
+(every word all plain or all starred; not real iff p + p^* is a nonzero
+constant) and the principal prefilter -- and falls back to the
+semidefinite feasibility route with exact rational post-processing.
 """
 
 from fractions import Fraction
@@ -268,26 +269,27 @@ def _real_monomial_basis(basis):
     )
 
 
+def _unmixed(p):
+    """True when every word of p is all plain letters or all starred ones."""
+    return all(len({code & 1 for code in w}) < 2 for w in p.terms)
+
+
 def _analytic_antianalytic_core(p, method):
-    g = p.g
-    const = p.constant_coeff()
-    analytic, anti = {}, {}
-    for w, c in p.terms.items():
-        if not w:
-            continue
-        if all(not (code & 1) for code in w):
-            analytic[w] = c
-        elif all(code & 1 for code in w):
-            anti[w] = c
-        else:
-            raise ValueError("generator mixes plain and starred letters inside a word")
-    a = Poly(g, analytic)
-    b_star = Poly(g, anti)
+    """Realness of (p) for p = analytic + antianalytic, nonconstant.
+
+    (p) is not real iff p + p^* is a nonzero constant 2c, that is iff
+    p = a - a^* + c with c != 0; then q = sign(c) gives
+    q p + p^* q^* = 2|c| = 2|c| 1^* 1 with the member 1 outside (p).
+    """
+    if not _unmixed(p):
+        raise ValueError("generator mixes plain and starred letters inside a word")
     if p.is_constant():
         raise ValueError("generator must be nonconstant")
-    if const and b_star == -a.star():
-        sign = Fraction(1 if const > 0 else -1)
-        cert = NonRealCertificate([Poly.constant(g, sign)], [2 * abs(const)], [Poly.one(g)])
+    sym = p + p.star()
+    if sym and sym.is_constant():
+        two_c = sym.constant_coeff()
+        sign = Poly.constant(p.g, 1 if two_c > 0 else -1)
+        cert = NonRealCertificate([sign], [abs(two_c)], [Poly.one(p.g)])
         return RealnessVerdict(
             NOT_REAL, method, cert,
             detail="p = a - a* + c with c nonzero, so p + p* = 2c",
@@ -305,7 +307,7 @@ def real_linear(p):
 def real_analytic_antianalytic(p):
     """Realness of (p) for p = analytic + antianalytic, nonconstant.
 
-    Not real exactly when p = a - a^* + c with a nonzero constant c.
+    Not real exactly when p + p^* is a nonzero constant.
     """
     return _analytic_antianalytic_core(p, "analytic-antianalytic")
 
@@ -368,8 +370,6 @@ def real_quadratic_univariate(p):
 def _quadratic_certificate(p, q):
     """Certificate for a univariate quadratic from multiplier q, or None."""
     s = q * p + p.star() * q.star()
-    if not s:
-        return None
     sos = decompose_quadratic_univariate(*quad_coeffs(s))
     if sos is None:
         return None
@@ -537,10 +537,8 @@ def _decide_single_exact(p, order):
         return verdict
     if p.is_homogeneous():
         return real_principal_homogeneous(p, order)
-    try:
+    if _unmixed(p):
         return _analytic_antianalytic_core(p, "analytic-antianalytic")
-    except ValueError:
-        pass
     return realness_prefilter_principal(p, order)
 
 

@@ -29,6 +29,11 @@ def test_letter_codes():
     assert letter_str(0) == "x1" and letter_str(3) == "x2*"
 
 
+def test_letter_rejects_variable_index_below_1():
+    with pytest.raises(ValueError, match="variable index must be >= 1, got 0"):
+        letter(0)
+
+
 def test_word_star_involution_and_antihomomorphism():
     rng = random.Random(7)
     for _ in range(200):
@@ -75,6 +80,13 @@ def test_custom_ranking():
         MonomialOrder(1, ranking=[0, 0])
 
 
+def test_order_needs_a_variable_and_reads_as_its_ranking():
+    with pytest.raises(ValueError, match="need at least one variable, got g=0"):
+        MonomialOrder(0)
+    assert repr(MonomialOrder(2)) == "MonomialOrder(g=2, x1 > x1* > x2 > x2*)"
+    assert repr(MonomialOrder(1, ranking=[1, 0])) == "MonomialOrder(g=1, x1* > x1)"
+
+
 def test_words_of_degree_counts_and_sorting():
     order = MonomialOrder(2)
     for d in range(4):
@@ -107,6 +119,19 @@ def test_poly_basic_arithmetic():
     assert (2 * x - x - x) == Poly.zero(1)
     assert x**3 == x * x * x
     assert x**0 == Poly.one(1)
+    assert 3 - x == Poly.constant(1, 3) - x and (3 - x).coefficient((0,)) == -1
+    assert Fraction(1, 2) - p == -p + Fraction(1, 2)
+    assert Poly.constant(1, 3) == 3 and x != 3 and Poly.zero(1) == Fraction(0)
+    with pytest.raises(ValueError, match="negative powers"):
+        x**-1
+
+
+def test_poly_needs_a_variable_and_reads_as_its_string():
+    with pytest.raises(ValueError, match="need at least one variable, got g=0"):
+        Poly(0)
+    x = Poly.gen(1, 1)
+    assert repr(x * x.star() - 2) == "Poly(x1 x1* - 2)"
+    assert repr(Poly.zero(2)) == "Poly(0)"
 
 
 def test_poly_mixed_g_rejected():
@@ -164,6 +189,15 @@ def test_leading_data_and_monic():
     assert p.monic(order).leading_coeff(order) == 1
     assert p.leading_part() == 3 * x * xs + 2 * xs * x
     assert p.monic(order) * 3 == p
+
+
+def test_zero_has_no_leading_word_and_is_its_own_leading_part():
+    zero = Poly.zero(1)
+    with pytest.raises(ValueError, match="the zero polynomial has no leading word"):
+        zero.leading_word(MonomialOrder(1))
+    with pytest.raises(ValueError):
+        zero.leading_coeff(MonomialOrder(1))
+    assert zero.leading_part() == zero and not zero.leading_part()
 
 
 def test_relabel_variable():

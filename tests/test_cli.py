@@ -2,6 +2,7 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -206,12 +207,23 @@ def test_verify_malformed_certificate_exits_1(capsys, tmp_path, text):
     assert code == 1 and "error:" in err
 
 
-@pytest.mark.parametrize("text", ['{"n": 2}', "[1, 2]", '{"X": [[["a"]]]}'])
+@pytest.mark.parametrize("text", [
+    '{"n": 2}', "[1, 2]", '{"X": [[["a"]]]}', '{"n": 2.7, "X": [[[1, 0], [0, 1]]]}',
+    '{"X": []}', '{"X": [5]}', '{"X": [[[1, 2]]]}', '{"X": [[[1]]], "v": [1, 2]}',
+])
 def test_eval_malformed_point_exits_1(capsys, tmp_path, text):
     point = tmp_path / "point.json"
     point.write_text(text)
     code, _, err = _run(capsys, "eval", "-e", "x1", "-p", str(point))
     assert code == 1 and err.startswith("error: malformed point")
+
+
+def test_running_the_package_as_main_exits_with_mains_status(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ncreal", "real", "-e", "x1 x1* - x1* x1 - 1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("ncreal", run_name="__main__")
+    assert exc.value.code == 0
+    assert "status: Real" in capsys.readouterr().out.splitlines()
 
 
 def test_python_m_ncreal_runs_the_cli():

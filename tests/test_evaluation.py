@@ -81,6 +81,13 @@ def test_point_from_json():
         MatrixPoint.from_json(json.dumps({"n": 3, "X": [[[1, 0], [0, 1]]]}))
 
 
+@pytest.mark.parametrize("n", [2.7, 2.0, "2", True, None, [2]])
+def test_point_from_json_rejects_an_n_that_is_not_an_int(n):
+    text = json.dumps({"n": n, "X": [[[1, 0], [0, 1]]]})
+    with pytest.raises(ValueError, match='malformed point: "n" must be an integer'):
+        MatrixPoint.from_json(text)
+
+
 def test_common_kernel_of_constructed_matrices():
     rng = random.Random(43)
     for _ in range(15):

@@ -48,6 +48,12 @@ def test_irreducibility_of_degree_one():
         assert is_irreducible_homogeneous(f)
 
 
+@pytest.mark.parametrize("text", ["0", "3", "x1 + 1", "x1^2 + x1*"])
+def test_irreducibility_rejects_zero_constant_and_nonhomogeneous_input(text):
+    with pytest.raises(ValueError, match="nonzero homogeneous of degree >= 1"):
+        is_irreducible_homogeneous(parse_poly(text, 1))
+
+
 def test_known_irreducibles():
     assert is_irreducible_homogeneous(parse_poly("x1^2 + x1*^2"))
     assert is_irreducible_homogeneous(parse_poly("x1 x1* - x1* x1"))

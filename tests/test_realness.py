@@ -27,6 +27,7 @@ from ncreal.realness import (
 )
 
 from util import (
+    analytic_antianalytic_oracle,
     copying_defect,
     monomial_oracle,
     rand_coeff,
@@ -222,10 +223,48 @@ def test_analytic_antianalytic():
     assert real_analytic_antianalytic(parse_poly("x1^3 + x1*^3 + 5")).status == REAL
     assert real_analytic_antianalytic(parse_poly("x1 x2 - x2* x1* + 1")).status == NOT_REAL
     assert real_analytic_antianalytic(parse_poly("x1^2 - x1*^2")).status == REAL
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mixes plain and starred"):
         real_analytic_antianalytic(parse_poly("x1 x1* + 1"))
-    with pytest.raises(ValueError):
-        real_analytic_antianalytic(parse_poly("7", 1))
+    for text in ("7", "0"):
+        with pytest.raises(ValueError, match="nonconstant"):
+            real_analytic_antianalytic(parse_poly(text, 1))
+
+
+def _analytic_antianalytic(rng, g, forced):
+    """c + a + b*: a analytic, b* antianalytic or -a* when forced, degree <= 3."""
+    a = _analytic(rng, g, 3) if forced or rng.random() < 0.8 else Poly.zero(g)
+    if forced:
+        b_star = -a.star()
+    elif not a or rng.random() < 0.8:
+        b_star = _analytic(rng, g, 3).star()
+    else:
+        b_star = Poly.zero(g)
+    c = rand_coeff(rng) if rng.random() < 0.75 else 0
+    return a + b_star + Poly.constant(g, c)
+
+
+def test_analytic_antianalytic_matches_the_decomposition_oracle(monkeypatch):
+    # a third of the draws have the shape a - a* + c; the rest are random
+    rng = random.Random(29)
+    cases = [_analytic_antianalytic(rng, rng.choice([1, 2]), k % 3 == 0) for k in range(1050)]
+    for p in cases:
+        want = analytic_antianalytic_oracle(p, "analytic-antianalytic").to_json()
+        assert real_analytic_antianalytic(p).to_json() == want, p
+    got = [real_test([p]).to_json() for p in cases]
+    assert sum(v["status"] == NOT_REAL for v in got) >= 200
+    monkeypatch.setattr(realness, "_analytic_antianalytic_core", analytic_antianalytic_oracle)
+    assert got == [real_test([p]).to_json() for p in cases]
+
+
+def test_dispatch_lets_an_analytic_antianalytic_error_propagate(monkeypatch):
+    def broken(p, method):
+        raise ValueError("decider failed")
+
+    monkeypatch.setattr(realness, "_analytic_antianalytic_core", broken)
+    with pytest.raises(ValueError, match="decider failed"):
+        real_test([parse_poly("x1 x2 - x2* x1* + 1")])
+    # a word that mixes plain and starred letters never reaches the decider
+    assert real_test([parse_poly("x1 x2* + x1 + 1")]).method == "prefilter"
 
 
 def test_all_analytic_generators_short_circuit():
@@ -600,6 +639,7 @@ def test_verdict_json_shape():
     assert data["method"] == "linear"
     assert data["certificate"]["exact"] is True
     assert set(data) == {"status", "method", "detail", "residual", "certificate"}
+    assert repr(v) == "RealnessVerdict(NotReal, method='linear')"
 
 
 def test_verifier_rejects_non_finite_and_non_rational_numbers():

@@ -22,7 +22,10 @@ dense_pm_sos_kind work on it,
 and copying_defect forms the certificate defect on every word with a fresh
 dict per sum: the library's support-only versions are checked against them.
 monomial_oracle decides a monomial ideal by scanning its generating words
-for the survivors, the words the left Groebner basis keeps.
+for the survivors, the words the left Groebner basis keeps, and
+analytic_antianalytic_oracle decides p = c + a + b* by splitting off its
+analytic part a and antianalytic part b*: the reference for the library's
+"p + p* is a nonzero constant" test.
 FractionAffineSystem is the sparse exact eliminator in Fraction arithmetic
 throughout, the oracle for the library's int-where-integral one.
 """
@@ -44,6 +47,7 @@ from ncreal.algebra import (
 )
 from ncreal.exactla import Inconsistent, psd_check_exact, to_fraction_matrix
 from ncreal.factor import is_irreducible_homogeneous
+from ncreal.realness import NOT_REAL, REAL, NonRealCertificate, RealnessVerdict
 from ncreal.sdp import _component_rows, _svec_index
 
 
@@ -159,6 +163,40 @@ def monomial_oracle(gens):
 # ---------------------------------------------------------------------------
 # reference implementations: plain-definition oracles for the library
 # ---------------------------------------------------------------------------
+
+def analytic_antianalytic_oracle(p, method):
+    """The analytic + antianalytic closed form by decomposition.
+
+    Splits nonconstant p into c + a + b* (a analytic, b* antianalytic) and
+    answers NotReal iff c != 0 and b* = -a*, with the certificate q = sign(c),
+    weight 2|c| and member 1; it takes and raises what the library's
+    decider does.
+    """
+    g = p.g
+    const = p.constant_coeff()
+    analytic, anti = {}, {}
+    for w, c in p.terms.items():
+        if not w:
+            continue
+        if all(not (code & 1) for code in w):
+            analytic[w] = c
+        elif all(code & 1 for code in w):
+            anti[w] = c
+        else:
+            raise ValueError("generator mixes plain and starred letters inside a word")
+    a = Poly(g, analytic)
+    b_star = Poly(g, anti)
+    if p.is_constant():
+        raise ValueError("generator must be nonconstant")
+    if const and b_star == -a.star():
+        sign = Fraction(1 if const > 0 else -1)
+        cert = NonRealCertificate([Poly.constant(g, sign)], [2 * abs(const)], [Poly.one(g)])
+        return RealnessVerdict(
+            NOT_REAL, method, cert,
+            detail="p = a - a* + c with c nonzero, so p + p* = 2c",
+        )
+    return RealnessVerdict(REAL, method)
+
 
 def eigen_sym(S, tol=1e-12, max_sweeps=60):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
