@@ -27,6 +27,8 @@ class MatrixPoint:
         if not self.matrices:
             raise ValueError("a point needs at least one matrix")
         mats = [np.asarray(X, dtype=float) for X in self.matrices]
+        if mats[0].ndim != 2:
+            raise ValueError(f"matrices must be square, got shape {mats[0].shape}")
         n = mats[0].shape[0]
         for X in mats:
             if X.shape != (n, n):
@@ -60,7 +62,7 @@ class MatrixPoint:
         try:
             point = cls([np.array(X, dtype=float) for X in data["X"]],
                         np.array(data["v"], dtype=float) if "v" in data else None)
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed point: {exc}") from None
         if "n" in data and n != point.n:
             raise ValueError(f"point says n={n} but a matrix is {point.matrices[0].shape}")

@@ -3,9 +3,9 @@ sparse Gauss-Jordan eliminator for affine systems.
 
 Everything here is exact rational arithmetic; a verdict from this module
 is a proof, not an approximation.  The LDL^T works on Fractions.  The
-affine eliminator keeps every integral value as a Python int and only the
-others as Fractions, so on the mostly integral SDP rows it does little
-Fraction work.
+affine eliminator is fraction-free: it stores each solved variable as an
+integer row over a positive integer denominator and divides only when a
+value is read, so on the integer SDP rows it does no Fraction work.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 Matrix = list[list[Fraction]]
 
@@ -145,41 +146,26 @@ class Inconsistent(Exception):
         self.const = const
 
 
-def _exact(x):
-    """x, an int or a Fraction, as an int when it is integral."""
-    if type(x) is int:
-        return x
-    return x.numerator if x.denominator == 1 else x
-
-
-def _accumulate(d: dict, key, val) -> bool:
-    """d[key] += val, stored as _exact gives it or dropped at 0; True if key stays."""
-    val = d.get(key, 0) + val
-    if type(val) is not int and val.denominator == 1:
-        val = val.numerator
-    if val:
-        d[key] = val
-        return True
-    d.pop(key, None)
-    return False
-
-
-def _quotient(a, b):
-    """a / b for exact values a and b != 0, as _exact gives it."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return _exact(a / b)
+def _ratio(a: int, den: int):
+    """a / den for ints a and den > 0: an int when den divides a, else a Fraction."""
+    if den == 1:
+        return a
+    q, r = divmod(a, den)
+    return Fraction(a, den) if r else q
 
 
 class ExactAffineSystem:
     """Rows sum(coeff * var) = const over named variables, kept in solved
     form var -> (expression over free variables, constant).
 
-    Every stored value is an int when it is integral and a Fraction
-    otherwise, so the elimination runs on Python ints wherever it can; a
-    sum or product that leaves a denominator of 1 is turned back into an
-    int at once.
+    The elimination is fraction-free (Bareiss's integer-preserving
+    elimination): each solved variable is stored as a row of ints over a
+    positive int denominator with no factor common to all of them, and
+    substitution multiplies through by denominators instead of dividing.
+    A row given with Fraction coefficients is scaled to ints as it is read.
+    Values are divided out only when read: solved, expression,
+    pinned_value and Inconsistent.const give an int where a value is
+    integral and a Fraction otherwise, and evaluate a Fraction.
 
     Rows can keep arriving after a solve (the PSD-propagation loop feeds
     forced zeros back in); expressions stay closed under the current set
@@ -193,7 +179,7 @@ class ExactAffineSystem:
     """
 
     def __init__(self, priority=None):
-        self.solved: dict = {}          # var -> (dict free-var -> value, value)
+        self._rows: dict = {}           # var -> (dict free-var -> int, int, int denominator > 0)
         self._order: dict = {}          # deterministic pivot tie-break
         self._uses: dict = {}           # free var -> solved vars whose expression holds it
         self._priority = priority or (lambda var: 0)
@@ -202,76 +188,115 @@ class ExactAffineSystem:
     def copy(self) -> ExactAffineSystem:
         """An independent copy: rows added to it leave this system as it is."""
         other = copy.copy(self)
-        other.solved = {var: (dict(expr), c0) for var, (expr, c0) in self.solved.items()}
+        other._rows = {var: (dict(expr), c, den) for var, (expr, c, den) in self._rows.items()}
         other._order = dict(self._order)
         other._uses = {var: set(users) for var, users in self._uses.items()}
         return other
 
-    def _substitute(self, row: dict, const) -> tuple[dict, object]:
-        out: dict = {}
-        solved = self.solved
-        for var, coeff in row.items():
-            if var in solved:
-                expr, c0 = solved[var]
-                const = const - coeff * c0
-                for fv, fc in expr.items():
-                    _accumulate(out, fv, coeff * fc)
-            else:
-                _accumulate(out, var, coeff)
-        return out, _exact(const)
+    @property
+    def solved(self) -> dict:
+        """var -> (free-variable coefficients, constant) of every solved
+        variable, in order of solution: a new dict, divided out, per read."""
+        return {var: ({f: _ratio(e, den) for f, e in expr.items()}, _ratio(c, den))
+                for var, (expr, c, den) in self._rows.items()}
 
     def add_row(self, row: dict, const) -> None:
         """Insert sum(coeff*var) = const, in ints and Fractions, and re-close the solved form."""
+        order, rows = self._order, self._rows
         for var in row:
-            self._order.setdefault(var, len(self._order))
-        reduced, const = self._substitute(row, const)
+            order.setdefault(var, len(order))
+        # substitute the solved forms: out and rhs hold s times the reduced row
+        s, rhs = const.denominator, const.numerator
+        out: dict = {}
+        for var, a in row.items():
+            entry = rows.get(var)
+            expr, c, den = entry or (None, 0, 1)
+            x, y = a.numerator * s, a.denominator * den
+            if y != 1:
+                g = gcd(x, y)
+                m = y // g
+                if m != 1:
+                    s *= m
+                    rhs *= m
+                    for v in out:
+                        out[v] *= m
+                x //= g
+            if entry is None:
+                out[var] = out.get(var, 0) + x
+            else:
+                rhs -= x * c
+                for f, e in expr.items():
+                    out[f] = out.get(f, 0) + x * e
+        reduced = {v: c for v, c in out.items() if c}
         if not reduced:
-            if const:
+            if rhs:
                 self.inconsistent = True
-                raise Inconsistent(const)
+                raise Inconsistent(_ratio(rhs, s))
             return
-        pivot = min(reduced, key=lambda v: (self._priority(v), self._order[v]))
+        pivot = min(reduced, key=lambda v: (self._priority(v), order[v]))
         pc = reduced.pop(pivot)
-        if pc == 1:
-            expr, c0 = {v: -c for v, c in reduced.items()}, const
-        elif pc == -1:
-            expr, c0 = reduced, -const
+        if pc < 0:
+            expr, c0, den = reduced, -rhs, -pc
         else:
-            expr = {v: _quotient(-c, pc) for v, c in reduced.items()}
-            c0 = _quotient(const, pc)
-        self.solved[pivot] = (expr, c0)
+            expr, c0, den = {v: -c for v, c in reduced.items()}, rhs, pc
+        if den != 1:
+            g = gcd(den, c0, *expr.values())
+            if g != 1:
+                expr = {v: c // g for v, c in expr.items()}
+                c0 //= g
+                den //= g
+        rows[pivot] = (expr, c0, den)
+        uses = self._uses
         for fv in expr:
-            self._uses.setdefault(fv, set()).add(pivot)
-        # eliminate the new pivot from every stored expression that holds it
-        for var in self._uses.pop(pivot, ()):
-            vexpr, vc = self.solved[var]
+            uses.setdefault(fv, set()).add(pivot)
+        # eliminate the new pivot from every stored expression that holds it:
+        # var = (vexpr + f pivot + vc) / vden with pivot = (expr + c0) / den
+        for var in uses.pop(pivot, ()):
+            vexpr, vc, vden = rows[var]
             f = vexpr.pop(pivot)
+            if den != 1:
+                g = gcd(f, den)
+                m = den // g
+                f //= g
+                if m != 1:
+                    for v in vexpr:
+                        vexpr[v] *= m
+                    vc *= m
+                    vden *= m
             for fv, fc in expr.items():
-                if _accumulate(vexpr, fv, f * fc):
-                    self._uses[fv].add(var)
+                val = vexpr.get(fv, 0) + f * fc
+                if val:
+                    vexpr[fv] = val
+                    uses[fv].add(var)
                 else:
-                    self._uses[fv].discard(var)
-            if c0:
-                vc = _exact(vc + f * c0)
-            self.solved[var] = (vexpr, vc)
+                    del vexpr[fv]
+                    uses[fv].discard(var)
+            vc += f * c0
+            if vden != 1:
+                g = gcd(vden, vc, *vexpr.values())
+                if g != 1:
+                    vexpr = {v: e // g for v, e in vexpr.items()}
+                    vc //= g
+                    vden //= g
+            rows[var] = (vexpr, vc, vden)
 
     def expression(self, var) -> tuple[dict, object]:
         """Solved form of var: a copy of (free-variable coefficients, constant)."""
-        if var in self.solved:
-            expr, c0 = self.solved[var]
-            return dict(expr), c0
+        if var in self._rows:
+            expr, c, den = self._rows[var]
+            return {f: _ratio(e, den) for f, e in expr.items()}, _ratio(c, den)
         return ({var: 1}, 0)
 
     def pinned_value(self, var):
         """The value the rows pin var to, or None while var is not pinned."""
-        entry = self.solved.get(var)
-        return entry[1] if entry is not None and not entry[0] else None
+        entry = self._rows.get(var)
+        return _ratio(entry[1], entry[2]) if entry is not None and not entry[0] else None
 
     def evaluate(self, var, assignment: dict) -> Fraction:
         """Value of var once every free variable is assigned."""
-        expr, c0 = self.solved.get(var, ({var: 1}, 0))
-        return c0 + sum((assignment[fv] * fc for fv, fc in expr.items()), Fraction(0))
+        expr, c, den = self._rows.get(var, ({var: 1}, 0, 1))
+        return (c + sum((assignment[fv] * fc for fv, fc in expr.items()), Fraction(0))) / den
 
     def free_variables(self) -> list:
         """Every variable ever mentioned and not solved, in order of mention."""
-        return [v for v in self._order if v not in self.solved]
+        return [v for v in self._order if v not in self._rows]

@@ -101,10 +101,12 @@ def _component_rows(system, gvars, side):
             k = parent[k]
         return k
 
-    # a G pivot off the face is pinned to the 0 it has in G
-    pivots = sorted(gindex[var] for var in system.solved if var in gindex)
+    # a G pivot off the face is pinned to the 0 it has in G; solved is
+    # divided out on every read, so it is read once
+    solved = system.solved
+    pivots = sorted(gindex[var] for var in solved if var in gindex)
     for p in pivots:
-        for f in system.solved[gvars[p]][0]:
+        for f in solved[gvars[p]][0]:
             parent[find(gindex[f])] = find(p)
     components = {}
     for p in pivots:
@@ -116,7 +118,7 @@ def _component_rows(system, gvars, side):
     vals, b = [np.zeros(0)], [np.zeros(0)]
     nrows = 0
     for cpivots in components.values():
-        exprs = [system.solved[gvars[p]] for p in cpivots]
+        exprs = [solved[gvars[p]] for p in cpivots]
         coords = sorted({*cpivots, *(gindex[f] for expr, _ in exprs for f in expr)})
         local = {k: i for i, k in enumerate(coords)}
         B = np.zeros((len(cpivots), len(coords)))

@@ -13,16 +13,20 @@ where M is the column vector of the indexing words.  Matching coefficients
 word by word gives exact linear constraints, one row per pair {w, w^*}
 (the rows of w and w^* are the same row).
 
-build_real_sdp writes each row once, as a dict over the unknowns of the
-system, ("g", i, j) for G[i][j] with i <= j and ("q", j, v) for the
-coefficient of the word v in q_j, and feeds the rows into one sparse exact
-elimination (ExactAffineSystem, on ints wherever a value is integral) that
-pivots on multiplier unknowns first, top-down by decreasing word length.
+build_real_sdp writes each row once, as a dict of ints over the unknowns
+of the system: ("g", i, j) for G[i][j] with i <= j, and ("q", n) for the
+coefficient of v in q_j over D_j, with problem.qvars[n] = (j, v, D_j) and
+D_j the lcm of p_j's denominators, so that D_j p_j has integer terms.  It
+builds the rows one word length at a time, top-down, as the descent
+reaches that length, and feeds them into one fraction-free exact
+elimination (ExactAffineSystem) that pivots on multiplier unknowns first.
 Once every row of length >= 2t is in, PSD propagation over the words of
 length t (t = d - 1 first) finds the words whose diagonal entry the rows
 pin to 0.  Such a word z leaves the face: G_zz = 0 forces its whole row
-and column of a psd G to 0, so every later row, and the trace row, which
-comes last, leaves out the G unknowns of z.  The build descends to layer t - 1 only when all of layer t left.
+and column of a psd G to 0, so no later row, nor the trace row, which
+comes last, holds a G unknown of z, and a row of none but such unknowns
+is never built.  The build descends to layer t - 1 only when all of layer
+t left.
 Rows are only ever added, and a subset of the rows implies nothing the
 whole system does not, so the reduction is sound.  It is a degree-layered
 partial facial reduction: the free-algebra analogue of the Newton chip
@@ -55,14 +59,16 @@ The solved system is stored on the problem and serves the rest:
 Both read their point through one routine, _exact_point: evaluate the
 solved system at an assignment of its free unknowns, keep it when the k x k
 rational G on the face passes the exact PSD test, as that test's result
-(its LDL^T gives the certificate's squares) and the multipliers.
+(its LDL^T gives the certificate's squares) and the multipliers, each
+unknown ("q", n) times its D_j.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import word_star, words_up_to
-from .exactla import ExactAffineSystem, Inconsistent, _exact, psd_check_exact
+from .exactla import ExactAffineSystem, Inconsistent, psd_check_exact
 
 
 @dataclass(eq=False)
@@ -76,11 +82,13 @@ class SdpProblem:
                     ascending; G itself is the k x k block on them
 
     build_real_sdp also records exact_rows, the rows as (row, const) pairs
-    in the order they were solved, each row a dict over the unknowns;
-    gvars, the G unknowns ("g", i, j) on the face, i <= j, in svec order;
-    qvars, the multiplier unknowns ("q", j, v), the coefficient of the word
-    v in the multiplier of basis element j; and system: the rows solved
-    exactly with the multipliers eliminated first (an ExactAffineSystem).
+    in the order they were solved, each row a dict of ints over the
+    unknowns that were live when it was built, the trace row last; gvars,
+    the G unknowns ("g", i, j) on the face, i <= j, in svec order; qvars,
+    one triple (j, v, D_j) per multiplier unknown ("q", n), n its index:
+    the unknown is the coefficient of the word v in the multiplier of basis
+    element j over D_j; and system: the rows solved exactly with the
+    multipliers eliminated first (an ExactAffineSystem).
     solve_feasibility and the exact post-checks read that one system; its
     inconsistent flag is set when the constraints admit no solution on the
     face.  The system holds a G unknown off the face only when it pins it
@@ -108,68 +116,66 @@ def build_real_sdp(basis):
     words = [w for w in words_up_to(g, d - 1, order) if basis.is_irreducible_word(w)]
     stars = [word_star(w) for w in words]
     m = len(words)
-    qvars = [
-        ("q", j, v)
-        for j, p in enumerate(basis.elements)
-        for v in words_up_to(g, 2 * d - 1 - p.degree(), order)
-    ]
+    # per basis element: its multiplier unknowns by the length of v, and the
+    # integer terms of D_j p_j by the length of u
+    qvars, qblocks = [], []
+    for j, p in enumerate(basis.elements):
+        D = lcm(*(c.denominator for c in p.terms.values()))
+        terms = {}
+        for u, c in p.terms.items():
+            terms.setdefault(len(u), []).append((u, c.numerator * (D // c.denominator)))
+        unknowns = {}
+        for v in words_up_to(g, 2 * d - 1 - p.degree(), order):
+            unknowns.setdefault(len(v), []).append((("q", len(qvars)), v))
+            qvars.append((j, v, D))
+        qblocks.append((unknowns, terms))
 
-    # Exact rows: one per pair {w, w*}, kept under w <= w*, as dicts over
-    # the system's unknowns; a row's G unknowns precede its q unknowns,
-    # since the elimination breaks pivot ties by first mention.
-    rows = {}
-    for a in range(m):
-        for b in range(m):
-            w = stars[a] + words[b]
-            if w <= stars[b] + words[a]:  # the right side is w*
-                row = rows.setdefault(w, {})
-                var = ("g", min(a, b), max(a, b))
-                row[var] = row.get(var, 0) + 1
-    # the basis coefficients as the elimination stores them, int when integral
-    terms = [[(u, _exact(c)) for u, c in p.terms.items()] for p in basis.elements]
-    for var in qvars:
-        _, j, v = var
-        for u, c in terms[j]:
-            # the term c vu of q_j p_j and its adjoint c (vu)* of p_j^* q_j^*
-            w = v + u
-            ws = word_star(w)
-            row = rows.setdefault(min(w, ws), {})
-            row[var] = row.get(var, 0) - (2 * c if w == ws else c)
-
-    # Feed the rows by decreasing word length, multipliers eliminated
-    # first.  Once the rows of length >= 2t are in, propagation over the
-    # words of length t drops those whose diagonal is pinned to 0; later
-    # rows and the trace row leave their G unknowns out.  Every row but the
-    # trace row is homogeneous, so until it comes, every pinned value is 0:
-    # the descent meets neither a negative diagonal nor a contradiction.
+    # The rows of each word length L, top-down, built when the descent
+    # reaches L: one per pair {w, w*}, kept under w <= w*, G unknowns of the
+    # face first, in (a, b) order, then multipliers, since the elimination
+    # breaks pivot ties by first mention.  After the rows of length 2t,
+    # propagation over the words of length t drops those pinned to 0.  Every
+    # row but the trace row is homogeneous, so the descent meets neither a
+    # negative diagonal nor a contradiction.
     system = ExactAffineSystem(priority=lambda var: 0 if var[0] == "q" else 1)
     exact_rows = []
-    dropped = set()
-
-    def feed(row, const):
-        if dropped:
-            row = {v: c for v, c in row.items()
-                   if v[0] == "q" or (v[1] not in dropped and v[2] not in dropped)}
-        exact_rows.append((row, const))
-        system.add_row(row, const)
-
-    pending = sorted(rows, key=order.key)  # longest words first
-    fed = 0
-    for t in range(d - 1, -1, -1):
-        while fed < len(pending) and len(pending[fed]) >= 2 * t:
-            feed(rows[pending[fed]], 0)
-            fed += 1
-        layer = [i for i in range(m) if len(words[i]) == t]
-        zeros = _propagate(system, layer)
-        dropped |= zeros
-        if len(zeros) < len(layer):
-            break
-    for w in pending[fed:]:
-        feed(rows[w], 0)
-    face = [i for i in range(m) if i not in dropped]
+    face = list(range(m))
+    descending = True
+    for L in range(2 * d - 1, -1, -1):
+        rows = {}
+        on_face = {}
+        for i in face:
+            on_face.setdefault(len(words[i]), []).append(i)
+        for a in face:
+            for b in on_face.get(L - len(words[a]), ()):
+                w = stars[a] + words[b]
+                if w <= stars[b] + words[a]:  # the right side is w*
+                    row = rows.setdefault(w, {})
+                    var = ("g", a, b) if a <= b else ("g", b, a)
+                    row[var] = row.get(var, 0) + 1
+        for unknowns, terms in qblocks:
+            for lv, named in unknowns.items():
+                if L - lv in terms:
+                    for var, v in named:
+                        for u, c in terms[L - lv]:
+                            # the term c vu of q_j p_j and its adjoint of p_j^* q_j^*
+                            w = v + u
+                            ws = word_star(w)
+                            row = rows.setdefault(min(w, ws), {})
+                            row[var] = row.get(var, 0) - (2 * c if w == ws else c)
+        for w in sorted(rows, key=order.key):
+            exact_rows.append((rows[w], 0))
+            system.add_row(rows[w], 0)
+        if descending and L % 2 == 0:
+            layer = [i for i in face if len(words[i]) == L // 2]
+            zeros = _propagate(system, layer)
+            face = [i for i in face if i not in zeros]
+            descending = len(zeros) == len(layer)
     gvars = [("g", i, j) for a, i in enumerate(face) for j in face[a:]]
+    trace = {("g", i, i): 1 for i in face}
+    exact_rows.append((trace, 1))
     try:
-        feed({("g", i, i): 1 for i in face}, 1)
+        system.add_row(trace, 1)
     except Inconsistent:
         pass  # system.inconsistent records it
     return SdpProblem(m, words, face, exact_rows, gvars, qvars, system)
@@ -207,7 +213,7 @@ def _propagate(sys, indices):
                 for j in indices:
                     key = ("g", min(i, j), max(i, j))
                     if j != i and sys.pinned_value(key) != 0:
-                        sys.add_row({key: Fraction(1)}, Fraction(0))
+                        sys.add_row({key: 1}, 0)
     return zeros
 
 
@@ -275,9 +281,8 @@ def _exact_point(problem, sys, assignment):
     if not psd.is_psd:
         return None
     qdicts = {}
-    for var in problem.qvars:
-        c = sys.evaluate(var, assignment)
+    for n, (j, v, D) in enumerate(problem.qvars):
+        c = sys.evaluate(("q", n), assignment)
         if c:
-            _, j, v = var
-            qdicts.setdefault(j, {})[v] = c
+            qdicts.setdefault(j, {})[v] = D * c
     return psd, qdicts

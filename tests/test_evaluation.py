@@ -81,6 +81,15 @@ def test_point_from_json():
         MatrixPoint.from_json(json.dumps({"n": 3, "X": [[[1, 0], [0, 1]]]}))
 
 
+def test_a_first_matrix_that_is_not_2d_is_rejected_by_its_shape():
+    with pytest.raises(ValueError, match=r"matrices must be square, got shape \(\)"):
+        MatrixPoint([5.0])
+    with pytest.raises(ValueError, match=r"malformed point: matrices must be square, got shape \(1,\)"):
+        MatrixPoint.from_json('{"X": [[5]]}')
+    with pytest.raises(ValueError, match=r"malformed point: matrices must be square, got shape \(\)"):
+        MatrixPoint.from_json('{"X": [5]}')
+
+
 @pytest.mark.parametrize("n", [2.7, 2.0, "2", True, None, [2]])
 def test_point_from_json_rejects_an_n_that_is_not_an_int(n):
     text = json.dumps({"n": n, "X": [[[1, 0], [0, 1]]]})

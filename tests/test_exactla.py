@@ -181,6 +181,23 @@ def test_affine_system_priority_and_copy():
     assert not sys.inconsistent
 
 
+def test_affine_system_stores_integer_rows_over_a_denominator():
+    sys = ExactAffineSystem()
+    # a negative pivot and a gcd of 2: -2a + 4b = 6 is stored as a = 2b - 3
+    sys.add_row({"a": -2, "b": 4}, 6)
+    assert sys._rows["a"] == ({"b": 2}, -3, 1)
+    sys.add_row({"c": 3, "d": 1}, 1)
+    assert sys._rows["c"] == ({"d": -1}, 1, 3)
+    # d = -e/2 closes into c, a row over 3: c = (e + 2)/6
+    sys.add_row({"d": 2, "e": 1}, 0)
+    assert sys._rows["d"] == ({"e": -1}, 0, 2) and sys._rows["c"] == ({"e": 1}, 2, 6)
+    assert sys.expression("c") == ({"e": Fraction(1, 6)}, Fraction(1, 3))
+    # c/2 - e/12 = 1/6 on the solved form: 0 = 1/3 - 1/6, in the row's own scale
+    with pytest.raises(Inconsistent) as exc:
+        sys.add_row({"c": Fraction(1, 2), "e": Fraction(-1, 12)}, Fraction(1, 3))
+    assert exc.value.const == Fraction(1, 6)
+
+
 def test_affine_system_random_consistency():
     rng = random.Random(43)
     for _ in range(30):

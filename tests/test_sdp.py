@@ -32,7 +32,9 @@ from util import (
     problem_slice,
     project_affine,
     project_psd,
+    rand_poly,
     recover_multipliers,
+    reference_build,
     slice_from_dense,
     svec,
     svec_inverse,
@@ -458,9 +460,12 @@ def test_exact_assembly_matches_svd_assembly(name):
     assert A.shape == A_ref.shape
     assert np.abs(A.T @ A - A_ref.T @ A_ref).max() <= 1e-12
     assert np.abs(A.T @ b - A_ref.T @ b_ref).max() <= 1e-12
-    # one exact row per pair {w, w*}, besides the trace row
+    # one exact row per pair {w, w*} that holds an unknown still live when
+    # the descent reaches its length, besides the trace row
     pairs = {min(w, word_star(w)) for w in word_order}
-    assert len(problem.exact_rows) == 1 + len(pairs) < 1 + len(word_order)
+    _, _, fed = reference_build(basis)
+    assert len(fed) == 1 + len(pairs) < 1 + len(word_order)
+    assert len(problem.exact_rows) == 1 + sum(1 for row in fed[:-1] if row)
 
 
 # (generators, number of variables, face size)
@@ -491,6 +496,41 @@ def test_face_build_drops_only_words_the_full_system_pins_to_zero(name):
         system.add_row(row, const)
     dropped = set(range(problem.n)) - set(problem.face)
     assert dropped <= zero_diagonals(system, problem.n)
+
+
+def _assert_same_elimination(basis):
+    """build_real_sdp solves the G unknowns as util.reference_build does."""
+    problem = build_real_sdp(basis)
+    face, ref, _ = reference_build(basis)
+    assert problem.face == face
+    assert problem.system.inconsistent == ref.inconsistent
+    # the same free unknowns in the same order, the multipliers by (j, v)
+    names = {("q", n): ("q", j, v) for n, (j, v, _) in enumerate(problem.qvars)}
+    assert [names.get(v, v) for v in problem.system.free_variables()] == ref.free_variables()
+    for i in range(problem.n):
+        for j in range(i, problem.n):
+            assert problem.system.expression(("g", i, j)) == ref.expression(("g", i, j))
+    return problem
+
+
+@pytest.mark.parametrize("name", sorted(FACE_CASES))
+def test_layered_build_solves_as_the_sorted_build(name):
+    texts, g, _ = FACE_CASES[name]
+    _assert_same_elimination(left_groebner([parse_poly(t, g) for t in texts]))
+
+
+def test_layered_build_solves_as_the_sorted_build_on_random_bases():
+    rng = random.Random(61)
+    built = dropped = 0
+    while built < 20:
+        g = rng.choice((1, 2))
+        basis = left_groebner([rand_poly(rng, g, rng.randint(2, 4)) for _ in range(rng.randint(1, 2))])
+        if not basis.elements or any(p.degree() == 0 for p in basis.elements):
+            continue
+        problem = _assert_same_elimination(basis)
+        built += 1
+        dropped += len(problem.face) < problem.n
+    assert dropped
 
 
 def test_inconsistent_constraints_are_found_exactly():
@@ -576,8 +616,13 @@ def test_multiplier_unknowns_are_eliminated_first():
     q = recover_multipliers(problem, G)
     for row, const in problem.exact_rows:
         lhs = 0.0
-        for (kind, a, b), c in row.items():
-            lhs += float(c) * (G[a, b] if kind == "g" else q.get(a, {}).get(b, 0.0))
+        for var, c in row.items():
+            if var[0] == "g":
+                lhs += float(c) * G[var[1], var[2]]
+            else:
+                # ("q", n) is the coefficient of v in q_j over D
+                j, v, D = problem.qvars[var[1]]
+                lhs += float(c) * q.get(j, {}).get(v, 0.0) / D
         assert abs(lhs - float(const)) <= 1e-9
 
 

@@ -15,7 +15,9 @@ recover_multipliers reads the multipliers that go with a numeric G off the
 solved system.  full_sdp_rows
 is the realness SDP's row assembly over every Gram word, and zero_diagonals
 the PSD propagation run on it: the oracle for the words the face build
-drops.  gram_matrix fills the whole
+drops; reference_build solves those rows sorted and filtered for dropped
+words, in Fractions, as the build once did: the oracle for its layered,
+integer elimination.  gram_matrix fills the whole
 (d1, d2)-Gram matrix of a homogeneous polynomial, and
 dense_rank_one_split, dense_factor_homogeneous, dense_is_sos and
 dense_pm_sos_kind work on it,
@@ -27,7 +29,7 @@ analytic_antianalytic_oracle decides p = c + a + b* by splitting off its
 analytic part a and antianalytic part b*: the reference for the library's
 "p + p* is a nonzero constant" test.
 FractionAffineSystem is the sparse exact eliminator in Fraction arithmetic
-throughout, the oracle for the library's int-where-integral one.
+throughout, the oracle for the library's fraction-free one.
 """
 
 from fractions import Fraction
@@ -49,6 +51,7 @@ from ncreal.exactla import Inconsistent, psd_check_exact, to_fraction_matrix
 from ncreal.factor import is_irreducible_homogeneous
 from ncreal.realness import NOT_REAL, REAL, NonRealCertificate, RealnessVerdict
 from ncreal.sdp import _component_rows, _svec_index
+from ncreal.sdp_build import _propagate
 
 
 def rand_word(rng, g, d):
@@ -298,8 +301,17 @@ def full_sdp_rows(basis):
     Returns (words, exact_rows): the irreducible words of degree < d, and
     the trace row {("g", i, i): 1} = 1 followed by one homogeneous row per
     pair {w, w*}, kept under w <= w* and sorted by the basis order, each a
-    dict over ("g", i, j) with i <= j and ("q", j, v).
+    dict over ("g", i, j) with i <= j and ("q", j, v), the coefficient of v
+    in the multiplier of basis element j.
     """
+    words, rows = _sdp_rows_by_word(basis)
+    exact_rows = [({("g", i, i): 1 for i in range(len(words))}, 1)]
+    exact_rows += [(rows[w], 0) for w in sorted(rows, key=basis.order.key)]
+    return words, exact_rows
+
+
+def _sdp_rows_by_word(basis):
+    """full_sdp_rows' words and homogeneous rows, the rows keyed by w."""
     g, order = basis.g, basis.order
     d = max(p.degree() for p in basis.elements)
     words = [w for w in words_up_to(g, d - 1, order) if basis.is_irreducible_word(w)]
@@ -321,9 +333,49 @@ def full_sdp_rows(basis):
                     if w <= word_star(w):
                         row = rows.setdefault(w, {})
                         row[var] = row.get(var, 0) - c
-    exact_rows = [({("g", i, i): 1 for i in range(m)}, 1)]
-    exact_rows += [(rows[w], 0) for w in sorted(rows, key=order.key)]
-    return words, exact_rows
+    return words, rows
+
+
+def reference_build(basis):
+    """build_real_sdp's elimination as it was when it sorted every row of
+    full_sdp_rows by the basis order and filtered each for dropped words,
+    solved in Fractions (FractionAffineSystem).
+
+    The rows go in by decreasing word length, multipliers eliminated first;
+    after the rows of length >= 2t, PSD propagation over the words of
+    length t drops those pinned to 0 and later rows leave their G unknowns
+    out.  Returns (face, system, fed): fed lists the rows as fed, an
+    all-dropped row as {}, and the trace row on the face last.
+    """
+    words, rows = _sdp_rows_by_word(basis)
+    pending = sorted(rows, key=basis.order.key)
+    system = FractionAffineSystem(priority=lambda var: 0 if var[0] == "q" else 1)
+    dropped, fed = set(), []
+
+    def feed(row, const):
+        fed.append({v: c for v, c in row.items() if v[0] == "q" or not dropped & {v[1], v[2]}})
+        system.add_row(fed[-1], const)
+
+    at = 0
+    for t in range(max(p.degree() for p in basis.elements) - 1, -1, -1):
+        for w in pending[at:]:
+            if len(w) < 2 * t:
+                break
+            feed(rows[w], 0)
+            at += 1
+        layer = [i for i, w in enumerate(words) if len(w) == t]
+        zeros = _propagate(system, layer)
+        dropped |= zeros
+        if len(zeros) < len(layer):
+            break
+    for w in pending[at:]:
+        feed(rows[w], 0)
+    face = [i for i in range(len(words)) if i not in dropped]
+    try:
+        feed({("g", i, i): 1 for i in face}, 1)
+    except Inconsistent:
+        pass
+    return face, system, fed
 
 
 def greater(order, u, v):
@@ -359,14 +411,14 @@ def recover_multipliers(problem, G):
     One float word-dict per basis element.
     """
     out = {}
-    for var in problem.qvars:
-        expr, c0 = problem.system.expression(var)
+    for n, (j, v, D) in enumerate(problem.qvars):
+        # the unknown ("q", n) is the coefficient of v in q_j over D
+        expr, c0 = problem.system.expression(("q", n))
         val = float(c0) + sum(
             float(e) * float(G[f[1], f[2]]) for f, e in expr.items() if f[0] == "g"
         )
         if val:
-            _, j, v = var
-            out.setdefault(j, {})[v] = val
+            out.setdefault(j, {})[v] = D * val
     return out
 
 
@@ -408,7 +460,7 @@ def rank_exact(A):
 
 class FractionAffineSystem:
     """ExactAffineSystem as it was in Fraction arithmetic throughout: the
-    oracle for the int-where-integral kernel.
+    oracle for the fraction-free kernel.
 
     Rows sum(coeff * var) = const are kept in solved form var ->
     (expression over free variables, constant); a reduced row pivots on its
@@ -475,6 +527,14 @@ class FractionAffineSystem:
 
     def free_variables(self):
         return [v for v in self._order if v not in self.solved]
+
+    def expression(self, var):
+        expr, c0 = self.solved.get(var, ({var: 1}, 0))
+        return dict(expr), c0
+
+    def pinned_value(self, var):
+        entry = self.solved.get(var)
+        return entry[1] if entry is not None and not entry[0] else None
 
 
 def truncated_basis(basis, e):
