@@ -10,6 +10,7 @@ this layer.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
@@ -89,22 +90,17 @@ class MonomialOrder:
 
 
 def words_of_degree(g: int, d: int, order: MonomialOrder | None = None) -> list[Word]:
-    """All (2g)^d words of degree d, in descending monomial order."""
-    if order is None:
-        order = MonomialOrder(g)
-    words: list[Word] = [EMPTY_WORD]
-    for _ in range(d):
-        words = [w + (c,) for w in words for c in range(2 * g)]
-    words.sort(key=order.key)
-    return words
+    """All (2g)^d words of degree d, in descending monomial order: the d-fold
+    product of the ranking of the 2g letters (an order may rank more)."""
+    if order is not None and order.g < g:
+        raise ValueError(f"the order ranks {order.g} variable(s), the words use {g}")
+    letters = range(2 * g) if order is None else [c for c in order.ranking if c < 2 * g]
+    return list(product(letters, repeat=d))
 
 
 def words_up_to(g: int, d: int, order: MonomialOrder | None = None) -> list[Word]:
     """All words of degree <= d, ascending in degree, descending inside each degree."""
-    out: list[Word] = []
-    for k in range(d + 1):
-        out.extend(words_of_degree(g, k, order))
-    return out
+    return [w for k in range(d + 1) for w in words_of_degree(g, k, order)]
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +314,8 @@ class Poly:
 
 
 def iter_words(g: int, max_degree: int) -> Iterator[Word]:
-    """All words of degree <= max_degree in raw lexicographic generation order."""
-    frontier: list[Word] = [EMPTY_WORD]
-    yield EMPTY_WORD
-    for _ in range(max_degree):
-        nxt = []
-        for w in frontier:
-            for c in range(2 * g):
-                nw = w + (c,)
-                nxt.append(nw)
-                yield nw
-        frontier = nxt
+    """All words of degree <= max_degree in the default order: by degree, then lexicographic."""
+    return iter(words_up_to(g, max_degree))
 
 
 def is_left_unshrinkable(w: Word) -> bool:

@@ -154,14 +154,35 @@ def _ratio(a: int, den: int):
     return Fraction(a, den) if r else q
 
 
+def _lowest_terms(x: int, y: int, expr: dict, c: int, den: int):
+    """Bring x / y to lowest terms x' / m and scale the row expr, c over den
+    by m, expr in place: adding x / y times integers to the old numerators
+    is adding x' times them to the new.  Returns (x', c * m, den * m)."""
+    g = gcd(x, y)
+    m = y // g
+    if m != 1:
+        for v in expr:
+            expr[v] *= m
+        c *= m
+        den *= m
+    return x // g, c, den
+
+
+def _gcd_reduced(expr: dict, c: int, den: int):
+    """The row expr, c over den with the factor common to all three divided out."""
+    g = gcd(den, c, *expr.values())
+    return (expr, c, den) if g == 1 else ({v: e // g for v, e in expr.items()}, c // g, den // g)
+
+
 class ExactAffineSystem:
     """Rows sum(coeff * var) = const over named variables, kept in solved
     form var -> (expression over free variables, constant).
 
     The elimination is fraction-free (Bareiss's integer-preserving
-    elimination): each solved variable is stored as a row of ints over a
-    positive int denominator with no factor common to all of them, and
-    substitution multiplies through by denominators instead of dividing.
+    elimination): each solved variable is a row of ints over a positive int
+    denominator with no factor common to all of them (_gcd_reduced), and
+    substitution, into the new row as into every stored one, multiplies
+    through by denominators instead of dividing (_lowest_terms).
     A row given with Fraction coefficients is scaled to ints as it is read.
     Values are divided out only when read: solved, expression,
     pinned_value and Inconsistent.const give an int where a value is
@@ -197,8 +218,7 @@ class ExactAffineSystem:
     def solved(self) -> dict:
         """var -> (free-variable coefficients, constant) of every solved
         variable, in order of solution: a new dict, divided out, per read."""
-        return {var: ({f: _ratio(e, den) for f, e in expr.items()}, _ratio(c, den))
-                for var, (expr, c, den) in self._rows.items()}
+        return {var: self.expression(var) for var in self._rows}
 
     def add_row(self, row: dict, const) -> None:
         """Insert sum(coeff*var) = const, in ints and Fractions, and re-close the solved form."""
@@ -213,14 +233,7 @@ class ExactAffineSystem:
             expr, c, den = entry or (None, 0, 1)
             x, y = a.numerator * s, a.denominator * den
             if y != 1:
-                g = gcd(x, y)
-                m = y // g
-                if m != 1:
-                    s *= m
-                    rhs *= m
-                    for v in out:
-                        out[v] *= m
-                x //= g
+                x, rhs, s = _lowest_terms(x, y, out, rhs, s)
             if entry is None:
                 out[var] = out.get(var, 0) + x
             else:
@@ -240,11 +253,7 @@ class ExactAffineSystem:
         else:
             expr, c0, den = {v: -c for v, c in reduced.items()}, rhs, pc
         if den != 1:
-            g = gcd(den, c0, *expr.values())
-            if g != 1:
-                expr = {v: c // g for v, c in expr.items()}
-                c0 //= g
-                den //= g
+            expr, c0, den = _gcd_reduced(expr, c0, den)
         rows[pivot] = (expr, c0, den)
         uses = self._uses
         for fv in expr:
@@ -255,14 +264,7 @@ class ExactAffineSystem:
             vexpr, vc, vden = rows[var]
             f = vexpr.pop(pivot)
             if den != 1:
-                g = gcd(f, den)
-                m = den // g
-                f //= g
-                if m != 1:
-                    for v in vexpr:
-                        vexpr[v] *= m
-                    vc *= m
-                    vden *= m
+                f, vc, vden = _lowest_terms(f, den, vexpr, vc, vden)
             for fv, fc in expr.items():
                 val = vexpr.get(fv, 0) + f * fc
                 if val:
@@ -273,11 +275,7 @@ class ExactAffineSystem:
                     uses[fv].discard(var)
             vc += f * c0
             if vden != 1:
-                g = gcd(vden, vc, *vexpr.values())
-                if g != 1:
-                    vexpr = {v: e // g for v, e in vexpr.items()}
-                    vc //= g
-                    vden //= g
+                vexpr, vc, vden = _gcd_reduced(vexpr, vc, vden)
             rows[var] = (vexpr, vc, vden)
 
     def expression(self, var) -> tuple[dict, object]:

@@ -37,9 +37,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # the grammar's INT is ASCII; str.isdigit takes "²" too
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j

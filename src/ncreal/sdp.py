@@ -30,15 +30,16 @@ reduction), and A is written in the svec coordinates of the k x k block
 on the face.  The projection loop works on that k x k iterate itself,
 never forms svec, and solve_feasibility returns a feasible G as that
 k x k block.
-Once per solve the loop maps each nonzero of A to the flat index of its
-entry in the lower triangle and folds the svec scale into two copies of the
-values, so A x and A^T r are one np.bincount each, read from and written to
-that triangle.  np.linalg.eigh reads only the lower triangle, so the upper
-one is left stale between steps.  The PSD projection is built from the
-nonnegative eigenpairs, and the gap between the two projections is the
-norm of the negative eigenvalues.  The residual r = A x - b of the PSD
-iterate serves twice: ||r|| <= tol is the feasibility test for G, and it
-gives the next affine projection.
+Once per solve the loop builds the svec layout (_svec_index, not cached),
+maps each nonzero of A to the flat index of its lower-triangle entry and
+folds the svec scale into two copies of the values, so A x and A^T r are
+one np.bincount each, read from and written to that triangle.
+np.linalg.eigh reads only the lower triangle, so the upper one is left
+stale between steps.  The PSD projection is built from the nonnegative
+eigenpairs, and the gap between the two projections is the norm of the
+negative eigenvalues.  The residual r = A x - b of the PSD iterate serves
+twice: ||r|| <= tol is the feasibility test for G, and it gives the next
+affine projection.
 
 This module and evaluation import numpy inside the functions that use it,
 so only the first projection or matrix evaluation loads it: the exact path,
@@ -46,34 +47,18 @@ a presolve that decides the problem included, never does.
 """
 
 from bisect import bisect_left
-from functools import lru_cache
 from math import hypot, inf, sqrt
 
 
-@lru_cache(maxsize=None)
 def _svec_index(n):
-    """The svec layout of n x n matrices: (triu_indices(n), scale).
-
-    scale is 1 on the diagonal and sqrt(2) off it, so that svec(S) is
-    S[iu] * scale.  The arrays are shared and read-only.
-    """
+    """The svec layout of n x n matrices, the one statement of its order and
+    scale: (iu, scale), iu = triu_indices(n) the upper triangle row by row and
+    scale 1 on the diagonal and sqrt(2) off it, so that svec(S) = S[iu] * scale.
+    Built afresh per call: a solve makes two, for its slice and its loop."""
     import numpy as np
 
     iu = np.triu_indices(n)
-    scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    for arr in (*iu, scale):
-        arr.flags.writeable = False
-    return iu, scale
-
-
-@lru_cache(maxsize=None)
-def _lower_flat_index(n):
-    """For each svec coordinate of n x n matrices, the flat index of its
-    lower-triangle entry in a C-ordered array.  Shared and read-only."""
-    iu, _ = _svec_index(n)
-    flat = iu[1] * n + iu[0]
-    flat.flags.writeable = False
-    return flat
+    return iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
 
 
 def _component_rows(system, gvars, side):
@@ -212,8 +197,8 @@ def _alternating_projections(n, rows, cols, vals, b, tol, max_iter):
     import numpy as np
 
     m = len(b)
-    _, scale = _svec_index(n)
-    flat = _lower_flat_index(n)[cols]
+    (i, j), scale = _svec_index(n)
+    flat = (j * n + i)[cols]  # the C-order index of each nonzero's lower-triangle entry
     # A x = sum a_in * G[flat], and A^T r lands on G[flat] as a_out * r[rows]
     a_in = vals * scale[cols]
     a_out = vals / scale[cols]

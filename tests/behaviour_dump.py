@@ -1,0 +1,100 @@
+"""Behaviour dump: print one sha256 over what a checkout decides, so that
+two checkouts can be compared byte for byte.
+
+    python tests/behaviour_dump.py [CHECKOUT]
+
+CHECKOUT is the root of a source checkout, by default the one that holds
+this script; its src/, bench/ and tests/ are imported, so the package, the
+benchmark corpora and the random generators all come from it.  BLAS runs
+on one thread, as in bench/run.py, so the float results are reproducible.
+The digest covers, each record as its repr:
+
+- RealnessVerdict.to_json() of every seed-1 ideal of the three benchmark
+  workloads, at the workload's method and at "auto", with its max_iter;
+- for every ideal of the workloads run at method "sdp" that reaches the
+  SDP route, the built problem's system.solved and solve_feasibility's
+  status, iterations, final_gap, gaps and the bytes of G;
+- RealnessVerdict.to_json() of real_test on 120 random ideals
+  (random.Random(11), util.rand_poly: g in {1, 2}, 1-3 generators of
+  degree 2-3).
+
+An exception raised anywhere is recorded as its repr.  The output is the
+number of records and the digest.
+"""
+
+import hashlib
+import os
+import random
+import sys
+from pathlib import Path
+
+
+def records():
+    """Every record of the digest, in a fixed order, each a str."""
+    import corpora
+    from util import rand_poly
+
+    from ncreal.groebner import left_groebner
+    from ncreal.realness import real_test
+    from ncreal.sdp import solve_feasibility
+    from ncreal.sdp_build import build_real_sdp
+
+    def attempt(f, *args, **kwargs):
+        try:
+            return f(*args, **kwargs)
+        except Exception as exc:
+            return exc
+
+    def verdict(gens, **kwargs):
+        out = attempt(real_test, gens, **kwargs)
+        return repr(out if isinstance(out, Exception) else out.to_json())
+
+    for name, workload in corpora.WORKLOADS.items():
+        for ideal in corpora.build_corpus(workload, 1):
+            gens = ideal.parse()
+            for method in dict.fromkeys((workload.method, "auto")):
+                yield f"{name} {ideal.ident} {method} " + verdict(
+                    gens, method=method, max_iter=workload.max_iter)
+            if workload.method != "sdp":
+                continue
+            basis = left_groebner(gens)
+            if not basis.elements or any(p.is_constant() for p in basis.elements):
+                continue
+            problem = build_real_sdp(basis)
+            yield f"{name} {ideal.ident} solved {problem.system.solved!r}"
+            res = attempt(solve_feasibility, problem, max_iter=workload.max_iter)
+            if isinstance(res, Exception):
+                yield f"{name} {ideal.ident} solve {res!r}"
+                continue
+            G = None if res.G is None else res.G.tobytes().hex()
+            yield (f"{name} {ideal.ident} solve {res.status} {res.iterations} "
+                   f"{res.final_gap!r} {res.gaps!r} {G}")
+
+    rng = random.Random(11)
+    for k in range(120):
+        g = rng.choice((1, 2))
+        gens = [rand_poly(rng, g, rng.randint(2, 3)) for _ in range(rng.randint(1, 3))]
+        yield f"random {k} " + verdict(gens)
+
+
+def main(argv):
+    checkout = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    if not (checkout / "src" / "ncreal" / "__init__.py").is_file():
+        print(f"no ncreal package under {checkout / 'src'}", file=sys.stderr)
+        return 2
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    for sub in ("tests", "bench", "src"):
+        sys.path.insert(0, str(checkout / sub))
+    digest = hashlib.sha256()
+    count = 0
+    for record in records():
+        digest.update(record.encode() + b"\n")
+        count += 1
+    print(f"{count} records from {checkout}")
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

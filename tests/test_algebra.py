@@ -18,7 +18,14 @@ from ncreal.algebra import (
     words_up_to,
 )
 
-from util import brute_shrinkable, greater, is_antianalytic, rand_poly, rand_word
+from util import (
+    brute_shrinkable,
+    greater,
+    is_antianalytic,
+    rand_poly,
+    rand_word,
+    sorted_words_of_degree,
+)
 
 
 def test_letter_codes():
@@ -101,8 +108,25 @@ def test_words_of_degree_counts_and_sorting():
     assert degs == sorted(degs)
 
 
+def test_words_of_degree_matches_sorting_by_the_order_key():
+    rng = random.Random(12)
+    for _ in range(20):
+        g = rng.randint(1, 3)
+        ranking = list(range(2 * g))
+        rng.shuffle(ranking)
+        order = MonomialOrder(g, ranking)
+        for d in range(4):
+            assert words_of_degree(g, d, order) == sorted_words_of_degree(g, d, order)
+    # an order may rank more letters than the algebra has; those never occur
+    assert words_of_degree(1, 2, MonomialOrder(2)) == words_of_degree(1, 2)
+    assert words_of_degree(1, 2, MonomialOrder(2, [3, 1, 2, 0])) == [(1, 1), (1, 0), (0, 1), (0, 0)]
+    # one that ranks fewer would drop the letters it does not rank
+    with pytest.raises(ValueError, match="order ranks 1 variable"):
+        words_of_degree(2, 1, MonomialOrder(1))
+
+
 def test_iter_words_matches_words_up_to():
-    assert sorted(iter_words(2, 3)) == sorted(words_up_to(2, 3))
+    assert list(iter_words(2, 3)) == words_up_to(2, 3)
 
 
 def test_poly_basic_arithmetic():

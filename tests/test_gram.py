@@ -232,3 +232,11 @@ def test_zero_diagonal_in_a_nonzero_row_is_refuted_on_the_full_gram_matrix():
     assert len(res.witness) == len(words)
     assert all(not c for u, c in zip(words, res.witness) if u not in {(1,), (3,)})
     assert _full_gram_value(p, res.witness) < 0
+
+
+def test_sos_witness_under_a_wider_order_has_only_the_algebras_words():
+    # MonomialOrder(2) also ranks the letters of x2; a g = 1 witness has none
+    p = parse_poly("x1^2 x1*^2 - x1 x1* x1 x1*", g=1)
+    res = is_sos_homogeneous(p, MonomialOrder(2))
+    assert not res and len(res.witness) == len(words_of_degree(1, 2)) == 4
+    assert res.witness == is_sos_homogeneous(p).witness

@@ -74,6 +74,11 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError, match="expected '\\+' or '-' between terms") as e:
         parse_poly("x1 2")
     assert e.value.pos == 3
+    # only ASCII digits are INT: a superscript or Arabic-Indic digit is a stray character
+    for text, pos in (("x1\u00b2", 2), ("x1^\u00b2", 3), ("x\u0661", 1)):
+        with pytest.raises(ParseError, match="unexpected character") as e:
+            parse_poly(text)
+        assert e.value.pos == pos
 
 
 def test_parse_word_single_monomials_only():

@@ -9,6 +9,7 @@ import pytest
 
 from ncreal import realness, sdp_build
 from ncreal.algebra import MonomialOrder, Poly, word_star
+from ncreal.groebner import left_groebner
 from ncreal.parsing import parse_generators, parse_poly
 from ncreal.realness import (
     INCONCLUSIVE,
@@ -98,6 +99,22 @@ def test_order_over_fewer_variables_is_rejected(method):
     with pytest.raises(ValueError, match="order ranks 1 variable"):
         real_test([p], order=MonomialOrder(1), method=method)
     assert real_test([p], order=MonomialOrder(3), method=method).status == REAL
+
+
+@pytest.mark.parametrize("method", ["auto", "sdp"])
+@pytest.mark.parametrize("text, sdp_status, auto_status", [
+    ("x1 x1* - x1* x1 - 1", REAL, REAL),
+    ("x1 x1* + x1* x1", NOT_REAL, NOT_REAL),
+    ("2 x1* x1^2 - 2/3 x1* x1 x1*", INCONCLUSIVE, NOT_REAL),  # sdp: 50 steps run out
+])
+def test_order_over_more_variables_decides_as_the_default(method, text, sdp_status, auto_status):
+    # MonomialOrder(2) also ranks the letters of x2, which never enter a g = 1 problem
+    gens, wide = parse_generators(text, 1), MonomialOrder(2)
+    verdict = real_test(gens, method=method, max_iter=50)
+    assert verdict.status == (sdp_status if method == "sdp" else auto_status)
+    assert real_test(gens, order=wide, method=method, max_iter=50).to_json() == verdict.to_json()
+    build = sdp_build.build_real_sdp
+    assert build(left_groebner(gens, wide)).words == build(left_groebner(gens)).words
 
 
 # ---------------------------------------------------------------------------

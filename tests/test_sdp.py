@@ -332,7 +332,12 @@ def test_feasible_exits_return_an_exactly_symmetric_G():
     assert feasible >= 3
 
 
-def test_svec_layout_is_built_once_per_side(monkeypatch):
+def test_svec_layout_is_built_a_bounded_number_of_times_per_solve(monkeypatch):
+    # the layout is built afresh per solve and never inside the step loop:
+    # the count of np.triu_indices calls does not grow with the steps run
+    stalls = build_real_sdp(left_groebner(parse_generators(
+        "-2 x1^2 - 2 x1 x1* - x1* x1 - 3 x1*^2 + 2 x1 + x1* - 2", 1)))
+    cases = {"loop to the cap": _boundary_problem(), "solve to a stall": stalls}
     calls = []
     triu_indices = np.triu_indices
 
@@ -341,11 +346,15 @@ def test_svec_layout_is_built_once_per_side(monkeypatch):
         return triu_indices(n, *args, **kwargs)
 
     monkeypatch.setattr(np, "triu_indices", counting)
-    res = _solve(_boundary_problem(), max_iter=2000)
-    assert res.status == "max_iterations" and res.iterations == 2000
-    S = _rand_sym(random.Random(57), 5)
-    assert np.array_equal(svec_inverse(svec(S), 5), svec_inverse(svec(S), 5))
-    assert all(calls.count(n) <= 1 for n in set(calls))
+    for name, case in cases.items():
+        counts, steps = set(), set()
+        for max_iter in (20, 2000):
+            calls.clear()
+            res = _solve(case, max_iter=max_iter)
+            counts.add(len(calls))
+            steps.add(res.iterations)
+        assert len(steps) == 2 and max(steps) > 500, name
+        assert len(counts) == 1 and counts.pop() <= 2, name
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The generators take an explicit random.Random so individual tests stay
 reproducible.  The references (eigen_sym, project_psd, project_affine,
 rank_exact, truncated_basis, scalar_multiple_of) are plain-definition
 oracles that only the tests need, and greater and is_antianalytic the
-predicates on words and polynomials that only the tests ask.  svec and
+predicates on words and polynomials that only the tests ask;
+sorted_words_of_degree sorts every word of a degree by the order's key,
+the oracle for the library's enumeration in order.  svec and
 svec_inverse are the scaled vector coordinates the projection loop's
 affine slice is written in.  A slice is the loop's coordinate form
 (k, rows, cols, vals, b) of A svec(G) = b on k x k matrices:
@@ -381,6 +383,15 @@ def reference_build(basis):
 def greater(order, u, v):
     """u > v in the monomial order: u sorts before v under order.key."""
     return order.key(u) < order.key(v)
+
+
+def sorted_words_of_degree(g, d, order):
+    """Every word of degree d over the 2g letters, generated and then sorted
+    by order.key: the oracle for words_of_degree's ordered enumeration."""
+    words = [()]
+    for _ in range(d):
+        words = [w + (c,) for w in words for c in range(2 * g)]
+    return sorted(words, key=order.key)
 
 
 def is_antianalytic(p):
