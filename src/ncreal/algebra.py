@@ -89,13 +89,20 @@ class MonomialOrder:
         return f"MonomialOrder(g={self.g}, {' > '.join(letter_str(c) for c in self.ranking)})"
 
 
+def checked_order(g: int, order: MonomialOrder | None = None) -> MonomialOrder:
+    """order, or the default order on g variables when it is None; the one
+    range check: an order must rank all g variables (it may rank more)."""
+    if order is None:
+        return MonomialOrder(g)
+    if order.g < g:
+        raise ValueError(f"the order ranks {order.g} variable(s), the input uses {g}")
+    return order
+
+
 def words_of_degree(g: int, d: int, order: MonomialOrder | None = None) -> list[Word]:
     """All (2g)^d words of degree d, in descending monomial order: the d-fold
-    product of the ranking of the 2g letters (an order may rank more)."""
-    if order is not None and order.g < g:
-        raise ValueError(f"the order ranks {order.g} variable(s), the words use {g}")
-    letters = range(2 * g) if order is None else [c for c in order.ranking if c < 2 * g]
-    return list(product(letters, repeat=d))
+    product of the ranking of the 2g letters (checked_order; it may rank more)."""
+    return list(product([c for c in checked_order(g, order).ranking if c < 2 * g], repeat=d))
 
 
 def words_up_to(g: int, d: int, order: MonomialOrder | None = None) -> list[Word]:
@@ -277,7 +284,7 @@ class Poly:
     def leading_word(self, order: MonomialOrder) -> Word:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading word")
-        return order.max_word(self.terms)
+        return checked_order(self.g, order).max_word(self.terms)
 
     def leading_coeff(self, order: MonomialOrder) -> Fraction:
         return self.terms[self.leading_word(order)]

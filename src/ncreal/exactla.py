@@ -42,8 +42,9 @@ def psd_check_exact(A) -> PsdResult:
 
     Pivots on the first positive diagonal entry of the active block; a
     negative diagonal or a nonzero off-diagonal entry in an all-zero
-    diagonal block refutes PSD, and the refuting vector of the reduced
-    block is pulled back through the partial factorization.
+    diagonal block refutes PSD, and the refuting vector y of the reduced
+    block is pulled back through the partial factorization by one
+    back-substitution, z = L^-T (0, y).
     """
     M = to_fraction_matrix(A)
     n = len(M)
@@ -59,20 +60,13 @@ def psd_check_exact(A) -> PsdResult:
     diag: list[Fraction] = [Fraction(0)] * n
 
     def pull_back(k: int, reduced: list[Fraction]) -> list[Fraction]:
-        # Reduced witness y lives in permuted coordinates k..n-1.  Solve
-        # L11^T z1 = -L21^T y (back substitution) so that (z1, y) tests the
-        # original quadratic form with the same negative value, then undo
-        # the permutation.
-        rhs = [-sum(L[i][c] * reduced[i - k] for i in range(k, n)) for c in range(k)]
-        z = [Fraction(0)] * n
-        # back substitution on the unit upper-triangular system L11^T z1 = rhs
+        # Reduced witness y lives in permuted coordinates k..n-1.  One back
+        # substitution on the unit upper-triangular L^T gives z = L^-T (0, y),
+        # which tests the original quadratic form with the same negative
+        # value; then undo the permutation.
+        z = [Fraction(0)] * k + reduced
         for c in range(k - 1, -1, -1):
-            acc = rhs[c]
-            for r in range(c + 1, k):
-                acc -= L[r][c] * z[r]
-            z[c] = acc
-        for i in range(k, n):
-            z[i] = reduced[i - k]
+            z[c] = -sum(L[r][c] * z[r] for r in range(c + 1, n))
         out = [Fraction(0)] * n
         for pos, orig in enumerate(perm):
             out[orig] = z[pos]

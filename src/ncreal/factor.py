@@ -14,7 +14,7 @@ depend on tie-breaking, but the scan order below is deterministic anyway.)
 
 from fractions import Fraction
 
-from .algebra import MonomialOrder, Poly, word_star
+from .algebra import Poly, checked_order, word_star
 
 
 def rank_one_split(p, d1, order=None):
@@ -30,8 +30,7 @@ def rank_one_split(p, d1, order=None):
     d = p.degree()
     if not 1 <= d1 <= d - 1:
         raise ValueError("need 1 <= d1 <= deg(p) - 1")
-    if order is None:
-        order = MonomialOrder(p.g)
+    order = checked_order(p.g, order)
     rows = {}  # row word -> {column word: entry}
     cols = set()
     for w, c in p.terms.items():
@@ -81,31 +80,21 @@ class Factorization:
 
 
 def factor_homogeneous(p, order=None):
-    """Factor nonzero homogeneous p of degree >= 1 into monic irreducibles."""
+    """Factor nonzero homogeneous p of degree >= 1 into monic irreducibles:
+    each pass scales one head to monic, the left factor of the rest's first
+    rank-one split (the smallest d1, so irreducible) or else the whole rest."""
     if not p or not p.is_homogeneous() or p.degree() < 1:
         raise ValueError("input must be nonzero homogeneous of degree >= 1")
-    if order is None:
-        order = MonomialOrder(p.g)
+    order = checked_order(p.g, order)
     scalar = Fraction(1)
     factors = []
-    current = p
-    while True:
-        d = current.degree()
-        split = None
-        for d1 in range(1, d):
-            split = rank_one_split(current, d1, order)
-            if split is not None:
-                break
-        if split is None:
-            c = current.leading_coeff(order)
-            scalar *= c
-            factors.append((Fraction(1) / c) * current)
-            break
-        p1, p2 = split
-        c = p1.leading_coeff(order)
+    rest = p  # invariant: p == scalar * (product of factors) * rest, until rest is None
+    while rest is not None:
+        splits = (rank_one_split(rest, d1, order) for d1 in range(1, rest.degree()))
+        head, rest = next(filter(None, splits), (rest, None))
+        c = head.leading_coeff(order)
         scalar *= c
-        factors.append((Fraction(1) / c) * p1)
-        current = p2  # invariant: p == scalar * (product of factors) * current
+        factors.append((Fraction(1) / c) * head)
     out = Factorization(scalar, factors)
     if out.product(p.g) != p:
         raise AssertionError("internal error: factorization does not multiply back")

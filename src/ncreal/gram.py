@@ -17,7 +17,7 @@ vector, zero-padded onto W_d, certifies the negative case.
 
 from fractions import Fraction
 
-from .algebra import MonomialOrder, Poly, word_star, words_of_degree
+from .algebra import Poly, checked_order, word_star, words_of_degree
 from .exactla import ldl_squares, psd_check_exact
 
 
@@ -50,8 +50,7 @@ def is_sos_homogeneous(p, order=None):
     when the answer is yes, .witness refutes PSD-ness of the Gram matrix when
     the answer is no.
     """
-    if order is None:
-        order = MonomialOrder(p.g)
+    order = checked_order(p.g, order)
     if not p:
         return SosCheckResult(True, SosCertificate([], []))
     if not p.is_homogeneous():
@@ -108,22 +107,9 @@ def pm_sos_kind(p, order=None):
 
 
 def quad_poly(b0, b1, b2, b3, b4):
-    """Build b0 + b1(x+x*) + b2(x^2+x*^2) + b3 xx* + b4 x*x over g=1."""
-    b0, b1, b2, b3, b4 = (Fraction(b) for b in (b0, b1, b2, b3, b4))
-    terms = {}
-    if b0:
-        terms[()] = b0
-    if b1:
-        terms[(0,)] = b1
-        terms[(1,)] = b1
-    if b2:
-        terms[(0, 0)] = b2
-        terms[(1, 1)] = b2
-    if b3:
-        terms[(0, 1)] = b3
-    if b4:
-        terms[(1, 0)] = b4
-    return Poly(1, terms)
+    """Build b0 + b1(x+x*) + b2(x^2+x*^2) + b3 xx* + b4 x*x over g=1
+    (Poly takes each coefficient to a Fraction and drops the zeros)."""
+    return Poly(1, {(): b0, (0,): b1, (1,): b1, (0, 0): b2, (1, 1): b2, (0, 1): b3, (1, 0): b4})
 
 
 def quad_coeffs(p):

@@ -17,7 +17,7 @@ the basis in terms of their own input.
 
 from fractions import Fraction
 
-from .algebra import MonomialOrder, Poly, word_dict_add, word_dict_mul
+from .algebra import Poly, checked_order, word_dict_add, word_dict_mul
 
 
 class LeftGroebnerBasis:
@@ -62,16 +62,14 @@ def _suffix_hits(leads, w):
 
 
 def left_groebner(gens, order=None):
-    """Compute the left Groebner basis of the left ideal generated by gens."""
+    """Compute the left Groebner basis of the left ideal generated by gens,
+    under order (checked_order: the default one when None)."""
     if not gens:
         raise ValueError("need at least one generator")
     g = gens[0].g
     if any(p.g != g for p in gens):
         raise ValueError("generators live in algebras with different numbers of variables")
-    if order is None:
-        order = MonomialOrder(g)
-    elif order.g < g:
-        raise ValueError(f"the order ranks {order.g} variable(s), the generators use {g}")
+    order = checked_order(g, order)
     elements, reps = [], []
     for t, p in enumerate(gens):
         if not p:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import MonomialOrder, Poly, Word, letter, word_str
+from .algebra import MonomialOrder, Poly, Word, checked_order, letter, word_str
 
 
 class ParseError(ValueError):
@@ -199,10 +199,8 @@ def poly_str(p: Poly, order: MonomialOrder | None = None) -> str:
     """Canonical form: descending monomial order, explicit signs."""
     if not p.terms:
         return "0"
-    if order is None:
-        order = MonomialOrder(p.g)
     pieces = []
-    for w in sorted(p.terms, key=order.key):
+    for w in sorted(p.terms, key=checked_order(p.g, order).key):
         c = p.terms[w]
         mag = -c if c < 0 else c
         if not w:

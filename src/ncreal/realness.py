@@ -53,8 +53,8 @@ from fractions import Fraction
 from numbers import Rational
 
 from .algebra import (
-    MonomialOrder,
     Poly,
+    checked_order,
     shrink_length,
     word_star,
     word_str,
@@ -404,7 +404,7 @@ def real_principal_homogeneous(p, order=None):
     if not p or not p.is_homogeneous() or p.degree() < 1:
         raise ValueError("generator must be nonzero homogeneous of degree >= 1")
     g = p.g
-    hit = _signed_prefix(p, order or MonomialOrder(g), ("plus", "minus"))
+    hit = _signed_prefix(p, checked_order(g, order), ("plus", "minus"))
     if hit is None:
         return RealnessVerdict(
             REAL, "principal-homogeneous",
@@ -429,7 +429,7 @@ def realness_prefilter_principal(p, order=None):
     """
     if not p or p.is_constant():
         raise ValueError("generator must be nonconstant")
-    order = order or MonomialOrder(p.g)
+    order = checked_order(p.g, order)
     if _signed_prefix(p.leading_part(), order, ("zero", "plus", "minus")) is not None:
         return None
     return RealnessVerdict(

@@ -30,10 +30,10 @@ reduction), and A is written in the svec coordinates of the k x k block
 on the face.  The projection loop works on that k x k iterate itself,
 never forms svec, and solve_feasibility returns a feasible G as that
 k x k block.
-Once per solve the loop builds the svec layout (_svec_index, not cached),
-maps each nonzero of A to the flat index of its lower-triangle entry and
-folds the svec scale into two copies of the values, so A x and A^T r are
-one np.bincount each, read from and written to that triangle.
+Once per solve, solve_feasibility builds the svec layout (_svec_index, not
+cached) for the slice and the loop, and the loop maps each nonzero of A to
+the flat index of its lower-triangle entry and folds the svec scale into two
+copies of the values, so A x and A^T r are one np.bincount each on it.
 np.linalg.eigh reads only the lower triangle, so the upper one is left
 stale between steps.  The PSD projection is built from the nonnegative
 eigenpairs, and the gap between the two projections is the norm of the
@@ -54,16 +54,16 @@ def _svec_index(n):
     """The svec layout of n x n matrices, the one statement of its order and
     scale: (iu, scale), iu = triu_indices(n) the upper triangle row by row and
     scale 1 on the diagonal and sqrt(2) off it, so that svec(S) = S[iu] * scale.
-    Built afresh per call: a solve makes two, for its slice and its loop."""
+    Built afresh per call: a solve makes one, for its slice and its loop."""
     import numpy as np
 
     iu = np.triu_indices(n)
     return iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
 
 
-def _component_rows(system, gvars, side):
+def _component_rows(system, gvars, layout):
     """The orthonormal rows of the solved G pivots of the face, one QR per
-    component, in the svec coordinates of G on the face (side x side).
+    component, in the svec coordinates of G on the face (layout: _svec_index(k)).
 
     A G pivot's expression holds free G unknowns only, so joining each pivot
     with the unknowns of its expression splits the svec coordinates into
@@ -77,7 +77,7 @@ def _component_rows(system, gvars, side):
 
     # gvars runs through the upper triangle of the face row by row, as svec does.
     gindex = {v: k for k, v in enumerate(gvars)}
-    _, scale = _svec_index(side)
+    _, scale = layout
     parent = list(range(len(gvars)))
 
     def find(k):
@@ -182,14 +182,16 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000):
     if status == "feasible":
         return FeasibilityResult("feasible", None, 0, 0.0, [], point)
     k = len(problem.face)
+    layout = _svec_index(k)
     return _alternating_projections(
-        k, *_component_rows(problem.system, problem.gvars, k), tol, max_iter
+        k, layout, *_component_rows(problem.system, problem.gvars, layout), tol, max_iter
     )
 
 
-def _alternating_projections(n, rows, cols, vals, b, tol, max_iter):
+def _alternating_projections(n, layout, rows, cols, vals, b, tol, max_iter):
     """solve_feasibility's loop on n x n matrices, from G0 = I/n, for the
-    orthonormal-row system A svec(G) = b with A[rows[i], cols[i]] = vals[i].
+    orthonormal-row system A svec(G) = b with A[rows[i], cols[i]] = vals[i],
+    in the svec layout _svec_index(n).
 
     Returns a FeasibilityResult whose feasible G is exactly symmetric,
     n x n.
@@ -197,7 +199,7 @@ def _alternating_projections(n, rows, cols, vals, b, tol, max_iter):
     import numpy as np
 
     m = len(b)
-    (i, j), scale = _svec_index(n)
+    (i, j), scale = layout
     flat = (j * n + i)[cols]  # the C-order index of each nonzero's lower-triangle entry
     # A x = sum a_in * G[flat], and A^T r lands on G[flat] as a_out * r[rows]
     a_in = vals * scale[cols]

@@ -16,25 +16,42 @@ The digest covers, each record as its repr:
   status, iterations, final_gap, gaps and the bytes of G;
 - RealnessVerdict.to_json() of real_test on 120 random ideals
   (random.Random(11), util.rand_poly: g in {1, 2}, 1-3 generators of
-  degree 2-3).
+  degree 2-3);
+- psd_check_exact's is_psd, perm, lower, diag and witness on 600 near-PSD
+  matrices (random.Random(3), util.near_psd), most refuted after pivots;
+- factor_homogeneous's scalar and factors, and is_sos_homogeneous on
+  p + p* and on -(p + p*), for 200 products (random.Random(5),
+  util.rand_product: g in {1, 2, 3}, degree 2-5), under the default order
+  and under a random ranking;
+- poly_str(quad_poly(*b)) and decompose_quadratic_univariate(*b) for 300
+  coefficient sets b (random.Random(7), each coefficient in -1..3 over 1
+  or 2, so zeros occur).
 
-An exception raised anywhere is recorded as its repr.  The output is the
-number of records and the digest.
+Polynomials are recorded as their sorted terms.  An exception raised
+anywhere is recorded as its repr.  The output is the number of records and
+the digest.  util.near_psd is newer than the rest: to compare a checkout
+from before it, take the util.py of this one.
 """
 
 import hashlib
 import os
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 
 def records():
     """Every record of the digest, in a fixed order, each a str."""
     import corpora
-    from util import rand_poly
+    from util import near_psd, rand_poly, rand_product
 
+    from ncreal.algebra import MonomialOrder
+    from ncreal.exactla import psd_check_exact
+    from ncreal.factor import factor_homogeneous
+    from ncreal.gram import decompose_quadratic_univariate, is_sos_homogeneous, quad_poly
     from ncreal.groebner import left_groebner
+    from ncreal.parsing import poly_str
     from ncreal.realness import real_test
     from ncreal.sdp import solve_feasibility
     from ncreal.sdp_build import build_real_sdp
@@ -45,9 +62,19 @@ def records():
         except Exception as exc:
             return exc
 
+    def outcome(describe, f, *args, **kwargs):
+        """The repr of describe(f(*args, **kwargs)), or of what it raised."""
+        out = attempt(f, *args, **kwargs)
+        return repr(out if isinstance(out, Exception) else describe(out))
+
     def verdict(gens, **kwargs):
-        out = attempt(real_test, gens, **kwargs)
-        return repr(out if isinstance(out, Exception) else out.to_json())
+        return outcome(lambda v: v.to_json(), real_test, gens, **kwargs)
+
+    def terms(p):
+        return sorted(p.terms.items())
+
+    def certificate(cert):
+        return cert and (cert.weights, [terms(r) for r in cert.polys])
 
     for name, workload in corpora.WORKLOADS.items():
         for ideal in corpora.build_corpus(workload, 1):
@@ -75,6 +102,33 @@ def records():
         g = rng.choice((1, 2))
         gens = [rand_poly(rng, g, rng.randint(2, 3)) for _ in range(rng.randint(1, 3))]
         yield f"random {k} " + verdict(gens)
+
+    rng = random.Random(3)
+    for k in range(600):
+        yield f"psd {k} " + outcome(lambda r: (r.is_psd, r.perm, r.lower, r.diag, r.witness),
+                                    psd_check_exact, near_psd(rng))
+
+    rng = random.Random(5)
+    for k in range(200):
+        g = rng.randint(1, 3)
+        p = rand_product(rng, g, rng.randint(2, 5))
+        ranking = list(range(2 * g))
+        rng.shuffle(ranking)
+        for order in (None, MonomialOrder(g, ranking)):
+            yield f"factor {k} {ranking} {order is None} " + outcome(
+                lambda fac: (fac.scalar, [terms(f) for f in fac.factors]),
+                factor_homogeneous, p, order)
+            for sign in (1, -1):
+                yield f"sos {k} {order is None} {sign} " + outcome(
+                    lambda r: (r.is_sos, r.reason, r.witness, certificate(r.certificate)),
+                    is_sos_homogeneous, sign * (p + p.star()), order)
+
+    rng = random.Random(7)
+    for k in range(300):
+        # each coefficient is 0 one time in five; about one set in seven is SOS
+        b = [Fraction(rng.randint(-1, 3), rng.randint(1, 2)) for _ in range(5)]
+        yield (f"quad {k} {outcome(poly_str, quad_poly, *b)} "
+               + outcome(certificate, decompose_quadratic_univariate, *b))
 
 
 def main(argv):

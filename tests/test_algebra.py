@@ -17,6 +17,10 @@ from ncreal.algebra import (
     words_of_degree,
     words_up_to,
 )
+from ncreal.factor import factor_homogeneous, is_irreducible_homogeneous, rank_one_split
+from ncreal.gram import is_sos_homogeneous, pm_sos_kind
+from ncreal.parsing import parse_poly, poly_str
+from ncreal.realness import real_principal_homogeneous, realness_prefilter_principal
 
 from util import (
     brute_shrinkable,
@@ -123,6 +127,31 @@ def test_words_of_degree_matches_sorting_by_the_order_key():
     # one that ranks fewer would drop the letters it does not rank
     with pytest.raises(ValueError, match="order ranks 1 variable"):
         words_of_degree(2, 1, MonomialOrder(1))
+
+
+SYMMETRIC = "x1 x2* + x2 x1*"
+PRODUCT = "x1 x2* x2 x1*"
+
+
+@pytest.mark.parametrize("call, text", [
+    (is_sos_homogeneous, SYMMETRIC),
+    (pm_sos_kind, SYMMETRIC),
+    (factor_homogeneous, PRODUCT),
+    (lambda p, order: rank_one_split(p, 2, order), PRODUCT),
+    (is_irreducible_homogeneous, PRODUCT),
+    (poly_str, PRODUCT),
+    (Poly.leading_word, PRODUCT),
+    (Poly.leading_coeff, PRODUCT),
+    (Poly.monic, PRODUCT),
+    (real_principal_homogeneous, PRODUCT),
+    (realness_prefilter_principal, PRODUCT + " + 1"),
+], ids=["is_sos_homogeneous", "pm_sos_kind", "factor_homogeneous", "rank_one_split",
+        "is_irreducible_homogeneous", "poly_str", "leading_word", "leading_coeff", "monic",
+        "real_principal_homogeneous", "realness_prefilter_principal"])
+def test_every_entry_point_rejects_an_order_over_fewer_variables(call, text):
+    # one range check (checked_order) for every entry point that takes an order
+    with pytest.raises(ValueError, match="order ranks 1 variable"):
+        call(parse_poly(text, 2), MonomialOrder(1))
 
 
 def test_iter_words_matches_words_up_to():

@@ -11,7 +11,7 @@ from ncreal.exactla import (
     to_fraction_matrix,
 )
 
-from util import FractionAffineSystem, rank_exact
+from util import FractionAffineSystem, near_psd, rank_exact
 
 
 def _rand_int_matrix(rng, n, m=None, lo=-4, hi=4):
@@ -108,6 +108,29 @@ def test_psd_witness_on_random_indefinite():
             val = sum(w[i] * M[i][j] * w[j] for i in range(n) for j in range(n))
             assert val < 0
     assert found > 40  # random symmetric integer matrices are mostly indefinite
+
+
+def test_psd_witness_after_several_pivots():
+    # the witness is pulled back through every computed column of L; a
+    # refutation at pivot k >= 2 is the case that needs all of them, and
+    # near-PSD matrices (util.near_psd) reach it for both refutation kinds
+    rng = random.Random(3)
+    kinds = {1: 0, 2: 0}  # late refutations: a negative Schur diagonal, a zero diagonal block
+    for _ in range(1500):
+        A = near_psd(rng)
+        n = len(A)
+        res = psd_check_exact(A)
+        if res.is_psd:
+            assert _reconstructs(res, A)
+            continue
+        w = res.witness
+        assert sum(w[i] * A[i][j] * w[j] for i in range(n) for j in range(n)) < 0
+        k = sum(1 for d in res.diag if d)  # pivots taken before the refutation
+        if k >= 2:
+            # the reduced witness sits unchanged on the active block: one
+            # entry for a negative diagonal, two for a zero diagonal block
+            kinds[sum(1 for i in range(k, n) if w[res.perm[i]])] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_rank_exact_matches_numpy():

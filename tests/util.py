@@ -1,7 +1,8 @@
 """Shared random generators and reference implementations for the test suite.
 
 The generators take an explicit random.Random so individual tests stay
-reproducible.  The references (eigen_sym, project_psd, project_affine,
+reproducible; near_psd draws the barely indefinite matrices that an exact
+PSD refutation reaches only after several pivots.  The references (eigen_sym, project_psd, project_affine,
 rank_exact, truncated_basis, scalar_multiple_of) are plain-definition
 oracles that only the tests need, and greater and is_antianalytic the
 predicates on words and polynomials that only the tests ask;
@@ -126,6 +127,22 @@ def rand_product(rng, g, d, star_pair=False):
     for f in factors:
         p = p * f
     return p
+
+
+def near_psd(rng):
+    """B B^T for an n x r integer B with entries in -2..2 (n in 2..7, r in
+    1..n), with s in {0, -1, -1/2, 1} added to the whole diagonal or to one
+    off-diagonal pair, as Fractions."""
+    n = rng.randint(2, 7)
+    r = rng.randint(1, n)
+    B = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+    A = [[Fraction(sum(B[i][t] * B[j][t] for t in range(r))) for j in range(n)] for i in range(n)]
+    s = rng.choice((0, -1, Fraction(-1, 2), 1))
+    pairs = [(i, i) for i in range(n)] if rng.random() < 0.5 else [tuple(rng.sample(range(n), 2))]
+    for i, j in pairs:
+        A[i][j] += s
+        A[j][i] += s if i != j else 0
+    return A
 
 
 def brute_shrinkable(w):
@@ -285,7 +302,7 @@ def problem_slice(problem):
     """The slice that solve_feasibility projects a built problem onto, in
     the svec coordinates of G on the face."""
     k = len(problem.face)
-    return (k, *_component_rows(problem.system, problem.gvars, k))
+    return (k, *_component_rows(problem.system, problem.gvars, _svec_index(k)))
 
 
 def dense_rows(slice_):
