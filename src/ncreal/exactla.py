@@ -190,12 +190,13 @@ class ExactAffineSystem:
     variable of least key, ties going to the variable mentioned first.
     Variables of low key are thus eliminated first, and the solved form of
     a pivot of higher key never involves them.  Without priority, first
-    mention alone decides.
+    mention alone decides.  A variable's pivot rank, (key, first mention),
+    is fixed when it is first mentioned: priority runs once per variable.
     """
 
     def __init__(self, priority=None):
         self._rows: dict = {}           # var -> (dict free-var -> int, int, int denominator > 0)
-        self._order: dict = {}          # deterministic pivot tie-break
+        self._order: dict = {}          # var -> (priority, first mention): its pivot rank
         self._uses: dict = {}           # free var -> solved vars whose expression holds it
         self._priority = priority or (lambda var: 0)
         self.inconsistent = False
@@ -217,8 +218,6 @@ class ExactAffineSystem:
     def add_row(self, row: dict, const) -> None:
         """Insert sum(coeff*var) = const, in ints and Fractions, and re-close the solved form."""
         order, rows = self._order, self._rows
-        for var in row:
-            order.setdefault(var, len(order))
         # substitute the solved forms: out and rhs hold s times the reduced row
         s, rhs = const.denominator, const.numerator
         out: dict = {}
@@ -229,6 +228,8 @@ class ExactAffineSystem:
             if y != 1:
                 x, rhs, s = _lowest_terms(x, y, out, rhs, s)
             if entry is None:
+                if var not in order:
+                    order[var] = (self._priority(var), len(order))
                 out[var] = out.get(var, 0) + x
             else:
                 rhs -= x * c
@@ -240,7 +241,7 @@ class ExactAffineSystem:
                 self.inconsistent = True
                 raise Inconsistent(_ratio(rhs, s))
             return
-        pivot = min(reduced, key=lambda v: (self._priority(v), order[v]))
+        pivot = min(reduced, key=order.__getitem__)
         pc = reduced.pop(pivot)
         if pc < 0:
             expr, c0, den = reduced, -rhs, -pc

@@ -61,8 +61,8 @@ def is_irreducible_homogeneous(p, order=None):
     """True iff nonzero homogeneous p of degree >= 1 has no proper split."""
     if not p or not p.is_homogeneous() or p.degree() < 1:
         raise ValueError("input must be nonzero homogeneous of degree >= 1")
-    d = p.degree()
-    return all(rank_one_split(p, d1, order) is None for d1 in range(1, d))
+    order = checked_order(p.g, order)
+    return all(rank_one_split(p, d1, order) is None for d1 in range(1, p.degree()))
 
 
 class Factorization:

@@ -105,7 +105,12 @@ class SdpProblem:
 
 
 def build_real_sdp(basis):
-    """Build the feasibility SDP for the ideal of a left Groebner basis, on its face."""
+    """Build the feasibility SDP for the ideal of a left Groebner basis, on its face.
+
+    Words and terms carry their adjoints; each layer's rows go in sorted by
+    the basis order; the elimination fixes each unknown's pivot rank
+    (multipliers first, then first mention) when it is first mentioned.
+    """
     if not basis.elements:
         raise ValueError("empty basis: the zero ideal needs no SDP")
     if any(p.degree() == 0 for p in basis.elements):
@@ -116,19 +121,23 @@ def build_real_sdp(basis):
     words = [w for w in words_up_to(g, d - 1, order) if basis.is_irreducible_word(w)]
     stars = [word_star(w) for w in words]
     m = len(words)
-    # per basis element: its multiplier unknowns by the length of v, and the
-    # integer terms of D_j p_j by the length of u
+    # per basis element: its multiplier unknowns (name, v, v*) by the length
+    # of v, and the integer terms (u, u*, c) of D_j p_j by the length of u
     qvars, qblocks = [], []
     for j, p in enumerate(basis.elements):
         D = lcm(*(c.denominator for c in p.terms.values()))
         terms = {}
         for u, c in p.terms.items():
-            terms.setdefault(len(u), []).append((u, c.numerator * (D // c.denominator)))
+            terms.setdefault(len(u), []).append((u, word_star(u), c.numerator * (D // c.denominator)))
         unknowns = {}
         for v in words_up_to(g, 2 * d - 1 - p.degree(), order):
-            unknowns.setdefault(len(v), []).append((("q", len(qvars)), v))
+            unknowns.setdefault(len(v), []).append((("q", len(qvars)), v, word_star(v)))
             qvars.append((j, v, D))
         qblocks.append((unknowns, terms))
+    # a layer's words share one length: their letter ranks order them, or,
+    # under a ranking ascending in the letter codes (the default), the words
+    rank = order._rank[:2 * g]
+    layer_key = None if rank == sorted(rank) else (lambda w: tuple(map(rank.__getitem__, w)))
 
     # The rows of each word length L, top-down, built when the descent
     # reaches L: one per pair {w, w*}, kept under w <= w*, G unknowns of the
@@ -156,14 +165,13 @@ def build_real_sdp(basis):
         for unknowns, terms in qblocks:
             for lv, named in unknowns.items():
                 if L - lv in terms:
-                    for var, v in named:
-                        for u, c in terms[L - lv]:
-                            # the term c vu of q_j p_j and its adjoint of p_j^* q_j^*
-                            w = v + u
-                            ws = word_star(w)
-                            row = rows.setdefault(min(w, ws), {})
-                            row[var] = row.get(var, 0) - (2 * c if w == ws else c)
-        for w in sorted(rows, key=order.key):
+                    for var, v, vs in named:
+                        for u, us, c in terms[L - lv]:
+                            # the term c vu of q_j p_j and its adjoint c u*v* of p_j^* q_j^*
+                            w, ws = v + u, us + vs
+                            row = rows.setdefault(w if w < ws else ws, {})
+                            row[var] = row.get(var, 0) - (c if w != ws else 2 * c)
+        for w in sorted(rows, key=layer_key):
             exact_rows.append((rows[w], 0))
             system.add_row(rows[w], 0)
         if descending and L % 2 == 0:
@@ -211,7 +219,7 @@ def _propagate(sys, indices):
                 zeros.add(i)
                 progress = True
                 for j in indices:
-                    key = ("g", min(i, j), max(i, j))
+                    key = ("g", i, j) if i < j else ("g", j, i)
                     if j != i and sys.pinned_value(key) != 0:
                         sys.add_row({key: 1}, 0)
     return zeros

@@ -4,16 +4,20 @@ two checkouts can be compared byte for byte.
     python tests/behaviour_dump.py [CHECKOUT]
 
 CHECKOUT is the root of a source checkout, by default the one that holds
-this script; its src/, bench/ and tests/ are imported, so the package, the
-benchmark corpora and the random generators all come from it.  BLAS runs
-on one thread, as in bench/run.py, so the float results are reproducible.
-The digest covers, each record as its repr:
+this script; its src/ and bench/ are imported, so the package and the
+benchmark corpora come from it.  The random generators come from the
+util.py next to this script, so every checkout is dumped from the same
+draws (util.py's own imports from ncreal must resolve in CHECKOUT).  BLAS
+runs on one thread, as in bench/run.py, so the float results are
+reproducible.  The digest covers, each record as its repr:
 
 - RealnessVerdict.to_json() of every seed-1 ideal of the three benchmark
   workloads, at the workload's method and at "auto", with its max_iter;
 - for every ideal of the workloads run at method "sdp" that reaches the
   SDP route, the built problem's system.solved and solve_feasibility's
-  status, iterations, final_gap, gaps and the bytes of G;
+  status, iterations, final_gap, gaps and the bytes of G, and the face,
+  system.solved and system.free_variables() of the problem built under a
+  random ranking of the letters (random.Random(13), one per ideal);
 - RealnessVerdict.to_json() of real_test on 120 random ideals
   (random.Random(11), util.rand_poly: g in {1, 2}, 1-3 generators of
   degree 2-3);
@@ -29,8 +33,7 @@ The digest covers, each record as its repr:
 
 Polynomials are recorded as their sorted terms.  An exception raised
 anywhere is recorded as its repr.  The output is the number of records and
-the digest.  util.near_psd is newer than the rest: to compare a checkout
-from before it, take the util.py of this one.
+the digest.
 """
 
 import hashlib
@@ -76,6 +79,7 @@ def records():
     def certificate(cert):
         return cert and (cert.weights, [terms(r) for r in cert.polys])
 
+    ranked = random.Random(13)
     for name, workload in corpora.WORKLOADS.items():
         for ideal in corpora.build_corpus(workload, 1):
             gens = ideal.parse()
@@ -89,6 +93,12 @@ def records():
                 continue
             problem = build_real_sdp(basis)
             yield f"{name} {ideal.ident} solved {problem.system.solved!r}"
+            ranking = list(range(2 * basis.g))
+            ranked.shuffle(ranking)
+            yield f"{name} {ideal.ident} ranked {ranking} " + outcome(
+                lambda problem: (problem.face, problem.system.solved,
+                                 problem.system.free_variables()),
+                lambda: build_real_sdp(left_groebner(gens, MonomialOrder(basis.g, ranking))))
             res = attempt(solve_feasibility, problem, max_iter=workload.max_iter)
             if isinstance(res, Exception):
                 yield f"{name} {ideal.ident} solve {res!r}"
@@ -138,8 +148,9 @@ def main(argv):
         return 2
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    for sub in ("tests", "bench", "src"):
-        sys.path.insert(0, str(checkout / sub))
+    # the package and the corpora from the checkout, util from beside this script
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench"),
+                    str(Path(__file__).resolve().parent)]
     digest = hashlib.sha256()
     count = 0
     for record in records():

@@ -139,6 +139,7 @@ PRODUCT = "x1 x2* x2 x1*"
     (factor_homogeneous, PRODUCT),
     (lambda p, order: rank_one_split(p, 2, order), PRODUCT),
     (is_irreducible_homogeneous, PRODUCT),
+    (is_irreducible_homogeneous, "x2"),  # degree 1: no split to try
     (poly_str, PRODUCT),
     (Poly.leading_word, PRODUCT),
     (Poly.leading_coeff, PRODUCT),
@@ -146,8 +147,9 @@ PRODUCT = "x1 x2* x2 x1*"
     (real_principal_homogeneous, PRODUCT),
     (realness_prefilter_principal, PRODUCT + " + 1"),
 ], ids=["is_sos_homogeneous", "pm_sos_kind", "factor_homogeneous", "rank_one_split",
-        "is_irreducible_homogeneous", "poly_str", "leading_word", "leading_coeff", "monic",
-        "real_principal_homogeneous", "realness_prefilter_principal"])
+        "is_irreducible_homogeneous", "is_irreducible_homogeneous_degree_1", "poly_str",
+        "leading_word", "leading_coeff", "monic", "real_principal_homogeneous",
+        "realness_prefilter_principal"])
 def test_every_entry_point_rejects_an_order_over_fewer_variables(call, text):
     # one range check (checked_order) for every entry point that takes an order
     with pytest.raises(ValueError, match="order ranks 1 variable"):

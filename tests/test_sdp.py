@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ncreal import realness, sdp, sdp_build
-from ncreal.algebra import word_star, words_up_to
+from ncreal.algebra import MonomialOrder, word_star, words_up_to
 from ncreal.exactla import ExactAffineSystem, Inconsistent
 from ncreal.groebner import left_groebner
 from ncreal.parsing import parse_generators, parse_poly
@@ -541,6 +541,46 @@ def test_layered_build_solves_as_the_sorted_build_on_random_bases():
         built += 1
         dropped += len(problem.face) < problem.n
     assert dropped
+
+
+def test_layered_build_solves_as_the_sorted_build_under_random_rankings():
+    # each layer's rows go in as order.key sorts them, for any ranking and
+    # for letter codes past 255 (x129 and x130 are codes 256..259)
+    rng = random.Random(67)
+    built = reranked = 0
+    while built < 20:
+        g = rng.choice((1, 2))
+        ranking = list(range(2 * g))
+        rng.shuffle(ranking)
+        gens = [rand_poly(rng, g, rng.randint(2, 4)) for _ in range(rng.randint(1, 2))]
+        basis = left_groebner(gens, MonomialOrder(g, ranking))
+        if not basis.elements or any(p.degree() == 0 for p in basis.elements):
+            continue
+        _assert_same_elimination(basis)
+        built += 1
+        reranked += ranking != sorted(ranking)
+    assert reranked
+    ranking = list(range(260))
+    rng.shuffle(ranking)
+    for order in (MonomialOrder(130), MonomialOrder(130, ranking)):
+        _assert_same_elimination(left_groebner([parse_poly("x130 + x129 - 1", 130)], order))
+
+
+def test_the_elimination_ranks_each_unknown_once(monkeypatch):
+    # the pivot rank (priority, first mention) is fixed when an unknown is
+    # first mentioned, not recomputed per candidate per row
+    calls = {}
+
+    def counting(priority):
+        def counted(var):
+            calls[var] = calls.get(var, 0) + 1
+            return priority(var)
+        return ExactAffineSystem(counted)
+
+    monkeypatch.setattr(sdp_build, "ExactAffineSystem", counting)
+    problem = build_real_sdp(left_groebner([parse_poly("x1 x1* - x1* x1 - 1")]))
+    assert set(calls) == set(problem.system.solved) | set(problem.system.free_variables())
+    assert set(calls.values()) == {1}
 
 
 def test_inconsistent_constraints_are_found_exactly():
