@@ -79,8 +79,11 @@ class MonomialOrder:
 
     def key(self, w: Word) -> tuple:
         """Sort key; ascending in this key = descending monomial order."""
-        rank = self._rank
-        return (-len(w), tuple(rank[c] for c in w))
+        return (-len(w), self.letter_key(w))
+
+    def letter_key(self, w: Word) -> tuple:
+        """Sort key among words of one length: the ranks of their letters."""
+        return tuple(map(self._rank.__getitem__, w))
 
     def max_word(self, words: Iterable[Word]) -> Word:
         return min(words, key=self.key)

@@ -134,10 +134,6 @@ def build_real_sdp(basis):
             unknowns.setdefault(len(v), []).append((("q", len(qvars)), v, word_star(v)))
             qvars.append((j, v, D))
         qblocks.append((unknowns, terms))
-    # a layer's words share one length: their letter ranks order them, or,
-    # under a ranking ascending in the letter codes (the default), the words
-    rank = order._rank[:2 * g]
-    layer_key = None if rank == sorted(rank) else (lambda w: tuple(map(rank.__getitem__, w)))
 
     # The rows of each word length L, top-down, built when the descent
     # reaches L: one per pair {w, w*}, kept under w <= w*, G unknowns of the
@@ -171,7 +167,7 @@ def build_real_sdp(basis):
                             w, ws = v + u, us + vs
                             row = rows.setdefault(w if w < ws else ws, {})
                             row[var] = row.get(var, 0) - (c if w != ws else 2 * c)
-        for w in sorted(rows, key=layer_key):
+        for w in sorted(rows, key=order.letter_key):
             exact_rows.append((rows[w], 0))
             system.add_row(rows[w], 0)
         if descending and L % 2 == 0:
