@@ -192,6 +192,9 @@ class ExactAffineSystem:
     a pivot of higher key never involves them.  Without priority, first
     mention alone decides.  A variable's pivot rank, (key, first mention),
     is fixed when it is first mentioned: priority runs once per variable.
+    A homogeneous row of one unsolved unknown pins it by a short path
+    (add_row); a pinned row holds no free variable, so no row changes it
+    and copy() shares it.
     """
 
     def __init__(self, priority=None):
@@ -202,9 +205,11 @@ class ExactAffineSystem:
         self.inconsistent = False
 
     def copy(self) -> ExactAffineSystem:
-        """An independent copy: rows added to it leave this system as it is."""
+        """An independent copy: rows added to it leave this system as it is.
+        Pinned rows, which no row can change, are shared, not copied."""
         other = copy.copy(self)
-        other._rows = {var: (dict(expr), c, den) for var, (expr, c, den) in self._rows.items()}
+        other._rows = {var: (dict(row[0]), row[1], row[2]) if row[0] else row
+                       for var, row in self._rows.items()}
         other._order = dict(self._order)
         other._uses = {var: set(users) for var, users in self._uses.items()}
         return other
@@ -216,15 +221,30 @@ class ExactAffineSystem:
         return {var: self.expression(var) for var in self._rows}
 
     def add_row(self, row: dict, const) -> None:
-        """Insert sum(coeff*var) = const, in ints and Fractions, and re-close the solved form."""
+        """Insert sum(coeff*var) = const, in ints and Fractions, and re-close the solved form.
+        A row a var = 0, var unsolved, skips to the general step's result: var registered
+        and, if a != 0, pinned ({}, 0, 1) and deleted from its users (gcd-reduced if den > 1)."""
         order, rows = self._order, self._rows
+        if len(row) == 1 and not const:
+            (var, a), = row.items()
+            if var not in rows:
+                if var not in order:
+                    order[var] = (self._priority(var), len(order))
+                if a:
+                    rows[var] = ({}, 0, 1)
+                    for user in self._uses.pop(var, ()):
+                        vexpr, vc, vden = rows[user]
+                        del vexpr[var]
+                        if vden != 1:
+                            rows[user] = _gcd_reduced(vexpr, vc, vden)
+                return
         # substitute the solved forms: out and rhs hold s times the reduced row
-        s, rhs = const.denominator, const.numerator
+        s, rhs = (1, const) if type(const) is int else (const.denominator, const.numerator)
         out: dict = {}
         for var, a in row.items():
             entry = rows.get(var)
             expr, c, den = entry or (None, 0, 1)
-            x, y = a.numerator * s, a.denominator * den
+            x, y = (a * s, den) if type(a) is int else (a.numerator * s, a.denominator * den)
             if y != 1:
                 x, rhs, s = _lowest_terms(x, y, out, rhs, s)
             if entry is None:
@@ -235,7 +255,7 @@ class ExactAffineSystem:
                 rhs -= x * c
                 for f, e in expr.items():
                     out[f] = out.get(f, 0) + x * e
-        reduced = {v: c for v, c in out.items() if c}
+        reduced = {v: c for v, c in out.items() if c} if 0 in out.values() else out
         if not reduced:
             if rhs:
                 self.inconsistent = True

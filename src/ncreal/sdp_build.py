@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra import word_star, words_up_to
+from .algebra import MonomialOrder, word_star, words_up_to
 from .exactla import ExactAffineSystem, Inconsistent, psd_check_exact
 
 
@@ -107,9 +107,10 @@ class SdpProblem:
 def build_real_sdp(basis):
     """Build the feasibility SDP for the ideal of a left Groebner basis, on its face.
 
-    Words and terms carry their adjoints; each layer's rows go in sorted by
-    the basis order; the elimination fixes each unknown's pivot rank
-    (multipliers first, then first mention) when it is first mentioned.
+    Words are enumerated with their adjoints (_words_with_stars: the words of
+    the flipped ranking, reversed) and terms carry theirs; each layer's rows go
+    in sorted by the basis order; the elimination fixes each unknown's pivot
+    rank (multipliers first, then first mention) when it is first mentioned.
     """
     if not basis.elements:
         raise ValueError("empty basis: the zero ideal needs no SDP")
@@ -118,8 +119,8 @@ def build_real_sdp(basis):
     g = basis.g
     order = basis.order
     d = max(p.degree() for p in basis.elements)
-    words = [w for w in words_up_to(g, d - 1, order) if basis.is_irreducible_word(w)]
-    stars = [word_star(w) for w in words]
+    pairs = [ww for ww in _words_with_stars(g, d - 1, order) if basis.is_irreducible_word(ww[0])]
+    words, stars = [w for w, _ in pairs], [ws for _, ws in pairs]
     m = len(words)
     # per basis element: its multiplier unknowns (name, v, v*) by the length
     # of v, and the integer terms (u, u*, c) of D_j p_j by the length of u
@@ -130,8 +131,8 @@ def build_real_sdp(basis):
         for u, c in p.terms.items():
             terms.setdefault(len(u), []).append((u, word_star(u), c.numerator * (D // c.denominator)))
         unknowns = {}
-        for v in words_up_to(g, 2 * d - 1 - p.degree(), order):
-            unknowns.setdefault(len(v), []).append((("q", len(qvars)), v, word_star(v)))
+        for v, vs in _words_with_stars(g, 2 * d - 1 - p.degree(), order):
+            unknowns.setdefault(len(v), []).append((("q", len(qvars)), v, vs))
             qvars.append((j, v, D))
         qblocks.append((unknowns, terms))
 
@@ -183,6 +184,13 @@ def build_real_sdp(basis):
     except Inconsistent:
         pass  # system.inconsistent records it
     return SdpProblem(m, words, face, exact_rows, gvars, qvars, system)
+
+
+def _words_with_stars(g, k, order):
+    """(w, w*) for each w of words_up_to(g, k, order), in its order: the words
+    w* are those of the flipped ranking (each letter starred), each reversed."""
+    flipped = MonomialOrder(order.g, [c ^ 1 for c in order.ranking])
+    return [(w, ws[::-1]) for w, ws in zip(words_up_to(g, k, order), words_up_to(g, k, flipped))]
 
 
 def _exact_system(problem):

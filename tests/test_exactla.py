@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -300,3 +301,81 @@ def test_affine_system_expression_is_a_copy():
     assert sys.expression("b") == ({"b": 1}, 0)
     # neither a free variable nor one no row mentions is pinned
     assert sys.pinned_value("b") is None and sys.pinned_value("never") is None
+
+
+def _add_to_both(sys, ref, row, const):
+    """Add a row to the system and to the Fraction oracle; both must agree."""
+    raised = []
+    for s in (sys, ref):
+        try:
+            s.add_row(dict(row), const)
+        except Inconsistent as exc:
+            raised.append(exc.const)
+    assert len(raised) in (0, 2) and len(set(raised)) <= 1
+    assert sys.solved == ref.solved and list(sys.solved) == list(ref.solved)
+    assert sys.free_variables() == ref.free_variables()
+    assert {v: u for v, u in sys._uses.items() if u} == {v: u for v, u in ref._uses.items() if u}
+
+
+def test_one_unknown_rows_match_the_fraction_oracle():
+    priority = lambda v: 0 if v[0] == "q" else 1  # noqa: E731
+    sys, ref = ExactAffineSystem(priority), FractionAffineSystem(priority)
+    # a fresh unknown is pinned; a zero coefficient registers "g0" and pins nothing
+    _add_to_both(sys, ref, {"g9": 3}, 0)
+    _add_to_both(sys, ref, {"g0": 0}, 0)
+    assert sys._rows["g9"] == ({}, 0, 1) and "g0" not in sys._rows
+    # q0 = -(g1 + 2 g2) / 2 and q1 = (g1 - g2) / 3 hold g1 over a denominator
+    _add_to_both(sys, ref, {"q0": 2, "g1": 1, "g2": 2}, 0)
+    _add_to_both(sys, ref, {"q1": -3, "g1": 1, "g2": -1}, Fraction(0))
+    assert sys._rows["q0"] == ({"g1": -1, "g2": -2}, 0, 2)
+    # pinning g1 deletes it from both users; q0 = -2 g2 / 2 gcd-reduces to -g2
+    _add_to_both(sys, ref, {"g1": Fraction(-1, 2)}, Fraction(0))
+    assert sys._rows["q0"] == ({"g2": -1}, 0, 1) and sys._rows["q1"] == ({"g2": -1}, 0, 3)
+    # an already solved unknown goes through the general step: q1 = 0 pins g2
+    _add_to_both(sys, ref, {"q1": 5}, 0)
+    assert sys._rows["g2"] == ({}, 0, 1) and sys.pinned_value("q0") == 0
+    # and with a constant, a fresh unknown is not pinned to 0
+    _add_to_both(sys, ref, {"g3": 2}, 1)
+    assert sys.pinned_value("g3") == Fraction(1, 2)
+    with pytest.raises(Inconsistent):
+        sys.add_row({"g9": 1}, 1)
+
+
+def test_a_copy_shares_pinned_rows_and_leaves_them_unchanged():
+    sys, ref = ExactAffineSystem(), FractionAffineSystem()
+    for row, const in (({"a": 2, "b": 1, "c": 1}, 0), ({"d": 1}, 0), ({"c": 1, "e": 1}, 4)):
+        _add_to_both(sys, ref, row, const)
+    before = {var: (dict(expr), c, den) for var, (expr, c, den) in sys._rows.items()}
+    other, other_ref = sys.copy(), copy.deepcopy(ref)
+    assert other._rows["d"] is sys._rows["d"]
+    assert other._rows["a"] is not sys._rows["a"] and other._rows["a"][0] is not sys._rows["a"][0]
+    for row, const in (({"e": 1}, 0), ({"b": 1}, 0), ({"d": 3, "f": 1}, 0), ({"f": 1}, 0)):
+        _add_to_both(other, other_ref, row, const)
+    assert other.pinned_value("a") == -2 and other.pinned_value("f") == 0
+    assert sys._rows == before and sys.solved == ref.solved
+    assert sys.free_variables() == ref.free_variables() == ["b", "e"]
+
+
+def test_random_one_unknown_rows_match_the_fraction_oracle():
+    rng = random.Random(71)
+    for trial in range(120):
+        names = [(rng.choice("gq"), k) for k in range(rng.randint(2, 8))]
+        priority = (lambda v: 0 if v[0] == "q" else 1) if trial % 2 else None
+        sys, ref = ExactAffineSystem(priority), FractionAffineSystem(priority)
+        kept = []
+        for _ in range(rng.randint(1, 14)):
+            if rng.random() < 0.6:
+                # one unknown, fresh or solved, zero coefficients included
+                row = {rng.choice(names): rng.choice([0, 1, -2, Fraction(3, 2), Fraction(0)])}
+                const = rng.choice([0, 0, Fraction(0), 1])
+            else:
+                row = {v: _rand_value(rng) for v in rng.sample(names, rng.randint(2, min(4, len(names))))}
+                const = rng.choice([0, 1, Fraction(-1, 2)])
+            if rng.random() < 0.2:
+                # rows go on into a copy; the system copied must not change
+                kept.append((sys, ref.solved, ref.free_variables()))
+                sys, ref = sys.copy(), copy.deepcopy(ref)
+            _add_to_both(sys, ref, row, const)
+            assert sys.inconsistent == ref.inconsistent
+        for old, solved, free in kept:
+            assert old.solved == solved and old.free_variables() == free

@@ -20,6 +20,7 @@ from ncreal.sdp_build import (
     SdpProblem,
     _exact_system,
     _propagate,
+    _words_with_stars,
     build_real_sdp,
     exact_infeasibility_check,
     exact_lift,
@@ -564,6 +565,23 @@ def test_layered_build_solves_as_the_sorted_build_under_random_rankings():
     rng.shuffle(ranking)
     for order in (MonomialOrder(130), MonomialOrder(130, ranking)):
         _assert_same_elimination(left_groebner([parse_poly("x130 + x129 - 1", 130)], order))
+
+
+def test_words_come_with_their_adjoints_in_the_order_of_words_up_to():
+    rng = random.Random(73)
+    for g in (1, 2, 3):
+        orders = [MonomialOrder(g)]
+        for _ in range(3):
+            ranking = list(range(2 * g))
+            rng.shuffle(ranking)
+            orders.append(MonomialOrder(g, ranking))
+        # an order may rank more letters than the words use
+        orders.append(MonomialOrder(g + 1, rng.sample(range(2 * g + 2), 2 * g + 2)))
+        for order in orders:
+            for d in range(6):
+                pairs = _words_with_stars(g, d, order)
+                assert [w for w, _ in pairs] == words_up_to(g, d, order)
+                assert all(ws == word_star(w) for w, ws in pairs)
 
 
 def test_the_elimination_ranks_each_unknown_once(monkeypatch):
