@@ -9,7 +9,6 @@ feasibility argument with rational post-checks otherwise.
 from .algebra import (
     MonomialOrder,
     Poly,
-    is_left_unshrinkable,
     letter,
     shrink_length,
     word_star,
@@ -58,7 +57,7 @@ from .sdp_build import build_real_sdp, exact_infeasibility_check, exact_lift
 __version__ = "0.1.0"
 
 __all__ = [
-    "MonomialOrder", "Poly", "is_left_unshrinkable", "letter", "shrink_length",
+    "MonomialOrder", "Poly", "letter", "shrink_length",
     "word_star", "word_str", "words_of_degree", "words_up_to",
     "MatrixPoint", "apply_to_vector", "common_kernel", "evaluate",
     "psd_check_exact",

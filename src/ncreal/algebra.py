@@ -10,7 +10,7 @@ this layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
@@ -43,13 +43,9 @@ def word_str(w: Word) -> str:
     if not w:
         return "1"
     parts = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j < len(w) and w[j] == w[i]:
-            j += 1
-        parts.append(letter_str(w[i]) + (f"^{j - i}" if j - i > 1 else ""))
-        i = j
+    for code, run in groupby(w):
+        k = len(list(run))
+        parts.append(letter_str(code) + (f"^{k}" if k > 1 else ""))
     return " ".join(parts)
 
 
@@ -328,17 +324,9 @@ def iter_words(g: int, max_degree: int) -> Iterator[Word]:
     return iter(words_up_to(g, max_degree))
 
 
-def is_left_unshrinkable(w: Word) -> bool:
-    """True unless w = u u* v with u nonempty.
-
-    Checked by scanning shrink lengths k = 1..len(w)//2: the block
-    w[k:2k] must be the starred reversal of w[:k].
-    """
-    return shrink_length(w) is None
-
-
 def shrink_length(w: Word) -> int | None:
-    """Smallest k >= 1 with w[:k] (w[:k])* a prefix of w, or None."""
+    """Smallest k >= 1 with w[:k] (w[:k])* a prefix of w, or None when w is
+    left unshrinkable: no w = u u* v with u nonempty."""
     for k in range(1, len(w) // 2 + 1):
         if word_star(w[:k]) == tuple(w[k:2 * k]):
             return k

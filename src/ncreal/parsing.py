@@ -9,141 +9,104 @@ Grammar (whitespace between tokens is insignificant):
     TERM   := COEFF [MONO] | MONO
     POLY   := ['-'] TERM (('+'|'-') TERM)*
 
-so "x1 x1*^2 - 1" and "3/2x2 x1 - x1" both parse.  The printer emits terms
-in descending monomial order and round-trips through the parser.
+so "x1 x1*^2 - 1" and "3/2x2 x1 - x1" both parse.  Nothing nests, so one
+regex scan splits the text into tokens and one loop over them reads the
+terms.  The printer emits terms in descending monomial order and
+round-trips through the parser.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .algebra import MonomialOrder, Poly, Word, checked_order, letter, word_str
 
 
 class ParseError(ValueError):
-    """Syntax error with the offending position in the input string."""
+    """Syntax error with the offending position in the input string; message
+    is the error without the position."""
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
+        self.message = message
         self.pos = pos
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Split into (kind, value, pos) tokens; kinds: int, x, and punctuation."""
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif "0" <= ch <= "9":  # the grammar's INT is ASCII; str.isdigit takes "²" too
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-        elif ch == "x":
-            tokens.append(("x", ch, i))
-            i += 1
-        elif ch in "*^/+-":
-            tokens.append((ch, ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
+# the grammar's INT is ASCII (str.isdigit takes "²" too); \s is str.isspace
+_TOKEN = re.compile(r"[0-9]+|\S")
+
+
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """(token, pos) pairs, each a run of digits or one other character, then
+    ("", len(text)) to end them."""
+    tokens = [(m[0], m.start()) for m in _TOKEN.finditer(text)]
+    for tok, pos in tokens:
+        if tok[0] not in "0123456789x*^/+-":
+            raise ParseError(f"unexpected character {tok!r}", pos)
+    tokens.append(("", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, g: int | None):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.g = g
-        self.end = len(text)
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def here(self) -> int:
-        return self.tokens[self.pos][2] if self.pos < len(self.tokens) else self.end
-
-    def take(self, kind: str) -> str:
-        if self.peek() != kind:
-            raise ParseError(f"expected {kind!r}", self.here())
-        value = self.tokens[self.pos][1]
-        self.pos += 1
-        return value
-
-    def parse_letter(self) -> int:
-        pos = self.here()
-        self.take("x")
-        if self.peek() != "int":
-            raise ParseError("variable needs an index, like x1", self.here())
-        idx = int(self.take("int"))
-        if idx < 1:
-            raise ParseError("variable indices start at 1", pos)
-        if self.g is not None and idx > self.g:
-            raise ParseError(f"variable x{idx} out of range for g={self.g}", pos)
-        star = False
-        if self.peek() == "*":
-            self.take("*")
-            star = True
-        return letter(idx, star)
-
-    def parse_mono(self) -> Word:
-        word: list[int] = []
-        while self.peek() == "x":
-            code = self.parse_letter()
-            power = 1
-            if self.peek() == "^":
-                self.take("^")
-                power = int(self.take("int"))
-            word.extend([code] * power)
-        return tuple(word)
-
-    def parse_term(self) -> tuple[Fraction, Word]:
-        if self.peek() == "int":
-            num = int(self.take("int"))
-            den = 1
-            if self.peek() == "/":
-                pos = self.here()
-                self.take("/")
-                den = int(self.take("int"))
-                if den == 0:
-                    raise ParseError("zero denominator", pos)
-            word = self.parse_mono() if self.peek() == "x" else ()
-            return Fraction(num, den), word
-        if self.peek() == "x":
-            return Fraction(1), self.parse_mono()
-        raise ParseError("expected a coefficient or a monomial", self.here())
-
-    def parse_poly(self) -> dict[Word, Fraction]:
-        terms: dict[Word, Fraction] = {}
-        sign = Fraction(1)
-        if self.peek() == "-":
-            self.take("-")
-            sign = Fraction(-1)
-        while True:
-            coeff, word = self.parse_term()
-            terms[word] = terms.get(word, Fraction(0)) + sign * coeff
-            nxt = self.peek()
-            if nxt is None:
-                return terms
-            if nxt == "+":
-                self.take("+")
-                sign = Fraction(1)
-            elif nxt == "-":
-                self.take("-")
-                sign = Fraction(-1)
-            else:
-                raise ParseError("expected '+' or '-' between terms", self.here())
+def _int(token: tuple[str, int], message: str = "expected 'int'") -> int:
+    """The value of an INT token; ParseError(message) at any other token."""
+    tok, pos = token
+    if not tok.isdigit():  # past _tokenize, only an INT token is all digits
+        raise ParseError(message, pos)
+    return int(tok)
 
 
 def _terms(text: str, g: int | None) -> dict[Word, Fraction]:
-    """The terms of one polynomial, letters checked against g when given."""
-    if not text.strip():
+    """The terms of one polynomial, letters checked against g when given.
+
+    One loop reads a term's coefficient and letters until '+', '-' or the
+    end closes it; a term must hold one of them, and only an empty term
+    takes a coefficient."""
+    tokens = _tokenize(text)
+    if len(tokens) == 1:
         raise ParseError("empty input", 0)
-    return _Parser(text, g).parse_poly()
+    terms: dict[Word, Fraction] = {}
+    sign, i = (-1, 1) if tokens[0][0] == "-" else (1, 0)
+    coeff, word, empty = Fraction(1), [], True
+    while True:
+        tok, pos = tokens[i]
+        if tok == "x":
+            idx = _int(tokens[i + 1], "variable needs an index, like x1")
+            if idx < 1:
+                raise ParseError("variable indices start at 1", pos)
+            if g is not None and idx > g:
+                raise ParseError(f"variable x{idx} out of range for g={g}", pos)
+            i += 2
+            star = tokens[i][0] == "*"
+            i += star
+            power = 1
+            if tokens[i][0] == "^":
+                power = _int(tokens[i + 1])
+                i += 2
+            word += [letter(idx, star)] * power
+            empty = False
+        elif empty and tok.isdigit():
+            num, den = int(tok), 1
+            if tokens[i + 1][0] == "/":
+                den = _int(tokens[i + 2])
+                if den == 0:
+                    raise ParseError("zero denominator", tokens[i + 1][1])
+                i += 2
+            coeff = Fraction(num, den)
+            i += 1
+            empty = False
+        elif empty:
+            raise ParseError("expected a coefficient or a monomial", pos)
+        else:
+            key = tuple(word)
+            terms[key] = terms.get(key, Fraction(0)) + sign * coeff
+            if not tok:
+                return terms
+            if tok not in "+-":
+                raise ParseError("expected '+' or '-' between terms", pos)
+            sign = -1 if tok == "-" else 1
+            coeff, word, empty = Fraction(1), [], True
+            i += 1
 
 
 def _line_terms(text: str, g: int | None) -> list[dict[Word, Fraction]]:
@@ -158,7 +121,7 @@ def _line_terms(text: str, g: int | None) -> list[dict[Word, Fraction]]:
         try:
             out.append(_terms(line, g))
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}", exc.pos) from exc
+            raise ParseError(f"line {lineno}: {exc.message}", exc.pos) from exc
     if not out:
         raise ParseError("no generators found", 0)
     return out

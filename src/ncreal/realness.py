@@ -118,7 +118,7 @@ class NonRealCertificate:
                 [Fraction(w) for w in weights],
                 [parse_poly(r, g) for r in polys],
             )
-        except (AttributeError, TypeError, OverflowError, ZeroDivisionError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed certificate: {exc}") from None
 
 
@@ -153,10 +153,6 @@ class RealnessVerdict:
 # ---------------------------------------------------------------------------
 # certificate verification
 # ---------------------------------------------------------------------------
-
-def _terms(p):
-    return p.terms if isinstance(p, Poly) else p
-
 
 def _defect(gens, multipliers, weights, members):
     """sum_t (q_t gen_t + gen_t^* q_t^*) - sum_k w_k r_k^* r_k as one coefficient dict.
@@ -198,23 +194,22 @@ def _defect(gens, multipliers, weights, members):
 def verify_nonreal_certificate(gens, cert, tol=None, basis=None):
     """Check a NonRealCertificate against the generators it claims to refute.
 
-    The certificate must hold rational numbers only, its defect (lhs - rhs
-    of the identity, on the canonical words) must be empty, its weights
-    positive, and some member must have a nonzero normal form.  basis, when
-    given, is a left Groebner basis of the ideal generated by gens;
-    otherwise one is computed.  tol is accepted for compatibility and
-    unused: the check is exact.
+    The weights must be rational numbers (a Poly's coefficients always
+    are), the defect (lhs - rhs of the identity, on the canonical words)
+    must be empty, the weights positive, and some member must have a
+    nonzero normal form.  basis, when given, is a left Groebner basis of
+    the ideal generated by gens; otherwise one is computed.  tol is
+    accepted for compatibility and unused: the check is exact.
     """
     gens = list(gens)
     if not gens or len(cert.multipliers) != len(gens):
         return False
     if len(cert.weights) != len(cert.members):
         return False
-    qs = [_terms(q) for q in cert.multipliers]
-    rs = [_terms(r) for r in cert.members]
-    numbers = [*cert.weights, *(c for d in qs + rs for c in d.values())]
-    if not all(isinstance(c, Rational) for c in numbers):
+    if not all(isinstance(w, Rational) for w in cert.weights):
         return False
+    qs = [q.terms for q in cert.multipliers]
+    rs = [r.terms for r in cert.members]
     if _defect(gens, qs, cert.weights, rs) or any(w <= 0 for w in cert.weights):
         return False
     if basis is None:

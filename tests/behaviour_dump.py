@@ -29,7 +29,14 @@ reproducible.  The digest covers, each record as its repr:
   and under a random ranking;
 - poly_str(quad_poly(*b)) and decompose_quadratic_univariate(*b) for 300
   coefficient sets b (random.Random(7), each coefficient in -1..3 over 1
-  or 2, so zeros occur).
+  or 2, so zeros occur);
+- parse_poly(text, g) of 4,000 random strings (random.Random(17),
+  util.rand_text: grammar tokens mixed with stray characters, Unicode
+  spaces and non-ASCII digits; g in {None, 1, 2, 3}): g and the sorted
+  terms, or a ParseError's message and position;
+- word_str of every word and poly_str under the default order and under a
+  random ranking of 300 polynomials (random.Random(19), util.rand_poly:
+  g in {1, 2, 3}, degree <= 5).
 
 Polynomials are recorded as their sorted terms.  An exception raised
 anywhere is recorded as its repr.  The output is the number of records and
@@ -47,14 +54,14 @@ from pathlib import Path
 def records():
     """Every record of the digest, in a fixed order, each a str."""
     import corpora
-    from util import near_psd, rand_poly, rand_product
+    from util import near_psd, rand_poly, rand_product, rand_text
 
-    from ncreal.algebra import MonomialOrder
+    from ncreal.algebra import MonomialOrder, word_str
     from ncreal.exactla import psd_check_exact
     from ncreal.factor import factor_homogeneous
     from ncreal.gram import decompose_quadratic_univariate, is_sos_homogeneous, quad_poly
     from ncreal.groebner import left_groebner
-    from ncreal.parsing import poly_str
+    from ncreal.parsing import ParseError, parse_poly, poly_str
     from ncreal.realness import real_test
     from ncreal.sdp import solve_feasibility
     from ncreal.sdp_build import build_real_sdp
@@ -139,6 +146,26 @@ def records():
         b = [Fraction(rng.randint(-1, 3), rng.randint(1, 2)) for _ in range(5)]
         yield (f"quad {k} {outcome(poly_str, quad_poly, *b)} "
                + outcome(certificate, decompose_quadratic_univariate, *b))
+
+    rng = random.Random(17)
+    for k in range(4000):
+        text = rand_text(rng)
+        g = rng.choice((None, 1, 2, 3))
+        out = attempt(parse_poly, text, g)
+        if isinstance(out, ParseError):
+            out = (str(out), out.pos)
+        elif not isinstance(out, Exception):
+            out = (out.g, terms(out))
+        yield f"text {k} {text!r} {g} {out!r}"
+
+    rng = random.Random(19)
+    for k in range(300):
+        g = rng.randint(1, 3)
+        p = rand_poly(rng, g, 5, nterms=rng.randint(1, 5))
+        ranking = list(range(2 * g))
+        rng.shuffle(ranking)
+        yield (f"print {k} {ranking} {[word_str(w) for w, _ in terms(p)]} "
+               f"{poly_str(p)!r} {poly_str(p, MonomialOrder(g, ranking))!r}")
 
 
 def main(argv):

@@ -6,7 +6,6 @@ import pytest
 from ncreal.algebra import (
     MonomialOrder,
     Poly,
-    is_left_unshrinkable,
     iter_words,
     letter,
     letter_str,
@@ -277,11 +276,11 @@ def test_shrinkability_against_definition_scan():
     for w in iter_words(1, 5):
         if not w:
             continue
-        assert is_left_unshrinkable(w) == (not brute_shrinkable(w))
+        assert (shrink_length(w) is None) == (not brute_shrinkable(w))
     rng = random.Random(5)
     for _ in range(300):
         w = rand_word(rng, 2, rng.randint(1, 7))
-        assert is_left_unshrinkable(w) == (not brute_shrinkable(w))
+        assert (shrink_length(w) is None) == (not brute_shrinkable(w))
 
 
 def test_shrink_length_is_minimal_and_consistent():
@@ -295,7 +294,7 @@ def test_shrink_length_is_minimal_and_consistent():
         w = rand_word(rng, 2, rng.randint(1, 8))
         k = shrink_length(w)
         if k is None:
-            assert is_left_unshrinkable(w)
+            assert not brute_shrinkable(w)
             continue
         assert word_star(w[:k]) == w[k : 2 * k]
         for j in range(1, k):

@@ -173,6 +173,14 @@ def test_missing_file_exits_1(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_a_parse_error_names_its_line_and_position_once(capsys, tmp_path):
+    gens = tmp_path / "gens.txt"
+    gens.write_text("x1 x1*\n# note\nx1 + 1/0\n")
+    code, _, err = _run(capsys, "real", "-f", str(gens))
+    assert code == 1
+    assert err == "error: line 3: zero denominator (at position 6)\n"
+
+
 def test_vars_flag_widens_algebra(capsys):
     code, data = _run_json(capsys, "parse", "-e", "x1", "--vars", "3")
     assert code == 0 and data["g"] == 3
@@ -199,12 +207,15 @@ def test_verify_rejects_non_finite_certificate(capsys, tmp_path):
     '{"exact": false, "multipliers": [{"1": 5.0}], "sos": {"weights": [[1]], "polys": [{"x1": 1.0}]}}',
     '{"exact": true, "multipliers": ["1"], "sos": {"weights": [0.5], "polys": ["x1"]}}',
     '{"exact": true, "multipliers": ["1"], "sos": {"weights": [true], "polys": ["x1"]}}',
+    # numbers and polynomials that do not parse
+    *(f'{{"exact": true, "multipliers": ["{q}"], "sos": {{"weights": ["{w}"], "polys": ["x1"]}}}}'
+      for w, q in (("nan", "1"), ("inf", "1"), ("abc", "1"), ("1", "x0"), ("1", "x1 +"))),
 ])
 def test_verify_malformed_certificate_exits_1(capsys, tmp_path, text):
     cert = tmp_path / "cert.json"
     cert.write_text(text)
     code, _, err = _run(capsys, "verify", "-e", "x1* x1", "-c", str(cert))
-    assert code == 1 and "error:" in err
+    assert code == 1 and err.startswith("error: malformed certificate: ")
 
 
 @pytest.mark.parametrize("text", [

@@ -81,6 +81,27 @@ def test_parse_errors_carry_positions():
         assert e.value.pos == pos
 
 
+@pytest.mark.parametrize("text, g, message, pos", [
+    ("x0", None, "variable indices start at 1", 0),
+    ("x1 x3", 2, "variable x3 out of range for g=2", 3),
+    ("x1^", None, "expected 'int'", 3),
+    ("2/x1", None, "expected 'int'", 2),
+    ("-", None, "expected a coefficient or a monomial", 1),
+    ("x1 + ", None, "expected a coefficient or a monomial", 5),
+    ("*x1", None, "expected a coefficient or a monomial", 0),
+    ("  ", None, "empty input", 0),
+    ("x", None, "variable needs an index, like x1", 1),
+    ("3 ^2", None, "expected '+' or '-' between terms", 2),
+    ("x1**", None, "expected '+' or '-' between terms", 3),
+    ("x0 ?", None, "unexpected character '?'", 3),
+])
+def test_every_parse_error_message_and_position(text, g, message, pos):
+    with pytest.raises(ParseError) as e:
+        parse_poly(text, g)
+    assert str(e.value) == f"{message} (at position {pos})"
+    assert e.value.pos == pos
+
+
 def test_parse_word_single_monomials_only():
     assert parse_word("x1 x2* x2 x1", 2) == (0, 3, 2, 0)
     assert parse_word("1", 1) == ()
@@ -106,8 +127,9 @@ def test_parse_generators_shares_g_and_skips_comments():
     gens2 = parse_generators(text2)
     assert all(p.g == 2 for p in gens2)
     # a parse error names its line, counting blank and comment lines
-    with pytest.raises(ParseError, match="^line 3: zero denominator") as e:
+    with pytest.raises(ParseError) as e:
         parse_generators("x1\n# note\n1/0 x1")
+    assert str(e.value) == "line 3: zero denominator (at position 1)"
     assert e.value.pos == 1
     with pytest.raises(ParseError, match="no generators found"):
         parse_generators("# only a comment\n\n")

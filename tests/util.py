@@ -32,7 +32,8 @@ analytic_antianalytic_oracle decides p = c + a + b* by splitting off its
 analytic part a and antianalytic part b*: the reference for the library's
 "p + p* is a nonzero constant" test.
 FractionAffineSystem is the sparse exact eliminator in Fraction arithmetic
-throughout, the oracle for the library's fraction-free one.
+throughout, the oracle for the library's fraction-free one.  rand_text
+draws parser input from TEXT_PIECES, most of it malformed.
 """
 
 from fractions import Fraction
@@ -127,6 +128,31 @@ def rand_product(rng, g, d, star_pair=False):
     for f in factors:
         p = p * f
     return p
+
+
+# pieces of parser input: grammar tokens, stray characters, Unicode spaces
+# (no-break, em, ideographic, the file separator) and non-ASCII digits
+# (superscript two, Arabic-Indic one, fullwidth one)
+TEXT_PIECES = (
+    ["x1", "x2", "x3", "x1*", "x2*", "x1 ", "x2* "] * 3
+    + [" + ", " - ", "+", "-", "^2", "^", " ", "2 ", "1", "3/2 ", "1/"] * 2
+    + ["x", "x0", "*", "/", "0", "10", "007", "/0", "^0", "\t", "\n",
+       "\u00a0", "\u2003", "\u3000", "\x1c", "\u00b2", "\u0661", "\uff11",
+       "(", ".", "y", "#", "**"]
+)
+
+
+def rand_text(rng, max_pieces=8):
+    """A random string of 1..max_pieces TEXT_PIECES, most of them malformed.
+    A piece that would lengthen a run of ASCII digits is skipped, so no run
+    is longer than three digits and no power is large."""
+    text = ""
+    for _ in range(rng.randint(1, max_pieces)):
+        piece = rng.choice(TEXT_PIECES)
+        if not (text[-1:].isascii() and text[-1:].isdigit()
+                and piece[0].isascii() and piece[0].isdigit()):
+            text += piece
+    return text
 
 
 def near_psd(rng):
