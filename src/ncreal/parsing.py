@@ -36,6 +36,10 @@ class ParseError(ValueError):
 # the grammar's INT is ASCII (str.isdigit takes "²" too); \s is str.isspace
 _TOKEN = re.compile(r"[0-9]+|\S")
 
+# far above any word the package can decide: a short power cannot ask for
+# gigabytes of letters
+MAX_WORD_LETTERS = 10_000
+
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     """(token, pos) pairs, each a run of digits or one other character, then
@@ -53,7 +57,10 @@ def _int(token: tuple[str, int], message: str = "expected 'int'") -> int:
     tok, pos = token
     if not tok.isdigit():  # past _tokenize, only an INT token is all digits
         raise ParseError(message, pos)
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise ParseError(f"integer of {len(tok)} digits is too long", pos) from None
 
 
 def _terms(text: str, g: int | None) -> dict[Word, Fraction]:
@@ -81,12 +88,15 @@ def _terms(text: str, g: int | None) -> dict[Word, Fraction]:
             i += star
             power = 1
             if tokens[i][0] == "^":
+                pos = tokens[i][1]
                 power = _int(tokens[i + 1])
                 i += 2
+            if len(word) + power > MAX_WORD_LETTERS:
+                raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters", pos)
             word += [letter(idx, star)] * power
             empty = False
         elif empty and tok.isdigit():
-            num, den = int(tok), 1
+            num, den = _int(tokens[i]), 1
             if tokens[i + 1][0] == "/":
                 den = _int(tokens[i + 2])
                 if den == 0:

@@ -20,6 +20,10 @@ D_j the lcm of p_j's denominators, so that D_j p_j has integer terms.  It
 builds the rows one word length at a time, top-down, as the descent
 reaches that length, and feeds them into one fraction-free exact
 elimination (ExactAffineSystem) that pivots on multiplier unknowns first.
+The words of a layer are integers, not tuples: a word's letters, and
+their ranks under the basis order, read as digits in base B = 2 order.g,
+so the pair {w, w^*} is chosen by comparing letter codes and the layer's
+rows sort by rank code, both as the tuples would.
 Once every row of length >= 2t is in, PSD propagation over the words of
 length t (t = d - 1 first) finds the words whose diagonal entry the rows
 pin to 0.  Such a word z leaves the face: G_zz = 0 forces its whole row
@@ -67,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra import MonomialOrder, word_star, words_up_to
+from .algebra import word_star
 from .exactla import ExactAffineSystem, Inconsistent, psd_check_exact
 
 
@@ -107,10 +111,19 @@ class SdpProblem:
 def build_real_sdp(basis):
     """Build the feasibility SDP for the ideal of a left Groebner basis, on its face.
 
-    Words are enumerated with their adjoints (_words_with_stars: the words of
-    the flipped ranking, reversed) and terms carry theirs; each layer's rows go
-    in sorted by the basis order; the elimination fixes each unknown's pivot
-    rank (multipliers first, then first mention) when it is first mentioned.
+    Inside the build a word is two integers in base B = 2 order.g
+    (_coded_words): its letter code, its letters as digits, and its rank
+    code, its letter ranks (letter_key) as digits.  A product is one
+    multiply-add, code(xy) = code(x) B^|y| + code(y), and Gram words, terms
+    and multiplier words carry the codes of their adjoints too.  Among words
+    of one length letter-code order is tuple order, so the pair {w, w*} is
+    kept under the smaller letter code, as the tuples would choose it; and
+    rank-code order is letter_key order, the basis order, so a layer's rows,
+    keyed by rank code (all of one length, so no two share a code), go in
+    as sorted(rows).  Words become tuples only where they leave the build:
+    problem.words and the v of problem.qvars.  The elimination fixes each
+    unknown's pivot rank (multipliers first, then first mention) when it is
+    first mentioned.
     """
     if not basis.elements:
         raise ValueError("empty basis: the zero ideal needs no SDP")
@@ -119,30 +132,36 @@ def build_real_sdp(basis):
     g = basis.g
     order = basis.order
     d = max(p.degree() for p in basis.elements)
-    pairs = [ww for ww in _words_with_stars(g, d - 1, order) if basis.is_irreducible_word(ww[0])]
-    words, stars = [w for w, _ in pairs], [ws for _, ws in pairs]
+    B = 2 * order.g
+    power = [B**k for k in range(2 * d)]
+    gram = [cw for cw in _coded_words(g, d - 1, order) if basis.is_irreducible_word(cw[0])]
+    words, code, rank, star_code, star_rank = map(list, zip(*gram))
     m = len(words)
-    # per basis element: its multiplier unknowns (name, v, v*) by the length
-    # of v, and the integer terms (u, u*, c) of D_j p_j by the length of u
+    # per basis element: its multiplier unknowns (name, codes of v and v*) by
+    # the length of v, and the integer terms (codes of u and u*, c) of D_j p_j
+    # by the length of u
     qvars, qblocks = [], []
     for j, p in enumerate(basis.elements):
         D = lcm(*(c.denominator for c in p.terms.values()))
         terms = {}
         for u, c in p.terms.items():
-            terms.setdefault(len(u), []).append((u, word_star(u), c.numerator * (D // c.denominator)))
+            us = word_star(u)
+            codes = [_value(x, B) for x in (u, order.letter_key(u), us, order.letter_key(us))]
+            terms.setdefault(len(u), []).append((*codes, c.numerator * (D // c.denominator)))
         unknowns = {}
-        for v, vs in _words_with_stars(g, 2 * d - 1 - p.degree(), order):
-            unknowns.setdefault(len(v), []).append((("q", len(qvars)), v, vs))
+        for v, *codes in _coded_words(g, 2 * d - 1 - p.degree(), order):
+            unknowns.setdefault(len(v), []).append((("q", len(qvars)), *codes))
             qvars.append((j, v, D))
         qblocks.append((unknowns, terms))
 
     # The rows of each word length L, top-down, built when the descent
-    # reaches L: one per pair {w, w*}, kept under w <= w*, G unknowns of the
-    # face first, in (a, b) order, then multipliers, since the elimination
-    # breaks pivot ties by first mention.  After the rows of length 2t,
-    # propagation over the words of length t drops those pinned to 0.  Every
-    # row but the trace row is homogeneous, so the descent meets neither a
-    # negative diagonal nor a contradiction.
+    # reaches L: one per pair {w, w*}, kept under w <= w* (letter codes),
+    # G unknowns of the face first, in (a, b) order, then multipliers, since
+    # the elimination breaks pivot ties by first mention; a row is keyed by
+    # the rank code of its word, so sorted(rows) is the basis order.  After
+    # the rows of length 2t, propagation over the words of length t drops
+    # those pinned to 0.  Every row but the trace row is homogeneous, so the
+    # descent meets neither a negative diagonal nor a contradiction.
     system = ExactAffineSystem(priority=lambda var: 0 if var[0] == "q" else 1)
     exact_rows = []
     face = list(range(m))
@@ -153,24 +172,38 @@ def build_real_sdp(basis):
         for i in face:
             on_face.setdefault(len(words[i]), []).append(i)
         for a in face:
-            for b in on_face.get(L - len(words[a]), ()):
-                w = stars[a] + words[b]
-                if w <= stars[b] + words[a]:  # the right side is w*
-                    row = rows.setdefault(w, {})
+            la = len(words[a])
+            bs = on_face.get(L - la)
+            if bs is None:
+                continue
+            # w = a* b and w* = b* a: a*'s codes shifted past b, plus b's
+            pa, pb = power[la], power[L - la]
+            head, head_rank = star_code[a] * pb, star_rank[a] * pb
+            for b in bs:
+                if head + code[b] <= star_code[b] * pa + code[a]:
+                    row = rows.setdefault(head_rank + rank[b], {})
                     var = ("g", a, b) if a <= b else ("g", b, a)
                     row[var] = row.get(var, 0) + 1
         for unknowns, terms in qblocks:
             for lv, named in unknowns.items():
                 if L - lv in terms:
-                    for var, v, vs in named:
-                        for u, us, c in terms[L - lv]:
-                            # the term c vu of q_j p_j and its adjoint c u*v* of p_j^* q_j^*
-                            w, ws = v + u, us + vs
-                            row = rows.setdefault(w if w < ws else ws, {})
-                            row[var] = row.get(var, 0) - (c if w != ws else 2 * c)
-        for w in sorted(rows, key=order.letter_key):
-            exact_rows.append((rows[w], 0))
-            system.add_row(rows[w], 0)
+                    # the term c vu of q_j p_j and its adjoint c u*v* of p_j^* q_j^*
+                    pu, pv = power[L - lv], power[lv]
+                    scaled = [(xu, ru, xus * pv, rus * pv, c) for xu, ru, xus, rus, c in terms[L - lv]]
+                    for var, xv, rv, xvs, rvs in named:
+                        xv, rv = xv * pu, rv * pu
+                        for xu, ru, xus, rus, c in scaled:
+                            w, ws = xv + xu, xus + xvs
+                            if w < ws:
+                                row = rows.setdefault(rv + ru, {})
+                            else:
+                                row = rows.setdefault(rus + rvs, {})
+                                if w == ws:
+                                    c *= 2
+                            row[var] = row.get(var, 0) - c
+        for key in sorted(rows):
+            exact_rows.append((rows[key], 0))
+            system.add_row(rows[key], 0)
         if descending and L % 2 == 0:
             layer = [i for i in face if len(words[i]) == L // 2]
             zeros = _propagate(system, layer)
@@ -186,11 +219,33 @@ def build_real_sdp(basis):
     return SdpProblem(m, words, face, exact_rows, gvars, qvars, system)
 
 
-def _words_with_stars(g, k, order):
-    """(w, w*) for each w of words_up_to(g, k, order), in its order: the words
-    w* are those of the flipped ranking (each letter starred), each reversed."""
-    flipped = MonomialOrder(order.g, [c ^ 1 for c in order.ranking])
-    return [(w, ws[::-1]) for w, ws in zip(words_up_to(g, k, order), words_up_to(g, k, flipped))]
+def _coded_words(g, k, order):
+    """(w, code, rank, star code, star rank) for each w of words_up_to(g, k,
+    order), in its order.  In base B = 2 order.g, the code of w reads its
+    letters as digits and its rank code reads their ranks (letter_key(w));
+    the star code and star rank are those of w*.  Each length is built from
+    the one below, one multiply-add per code: w c is w's codes times B plus
+    c's, and (w c)* = c* w* is c*'s codes times B^|w| plus w*'s."""
+    B = 2 * order.g
+    rank = order.letter_key(range(B))
+    letters = [(c, rank[c], c ^ 1, rank[c ^ 1]) for c in order.ranking if c < 2 * g]
+    layer = [((), 0, 0, 0, 0)]
+    coded = layer[:]
+    scale = 1  # B^n, n the length of the words of layer
+    for _ in range(k):
+        layer = [(w + (c,), x * B + c, r * B + rc, cs * scale + xs, rcs * scale + rs)
+                 for w, x, r, xs, rs in layer for c, rc, cs, rcs in letters]
+        scale *= B
+        coded += layer
+    return coded
+
+
+def _value(digits, base):
+    """The integer whose base-`base` digits are digits, most significant first."""
+    x = 0
+    for digit in digits:
+        x = x * base + digit
+    return x
 
 
 def _exact_system(problem):
@@ -222,10 +277,12 @@ def _propagate(sys, indices):
             if val == 0:
                 zeros.add(i)
                 progress = True
+                # a pair with an earlier zero was forced when that one was
                 for j in indices:
-                    key = ("g", i, j) if i < j else ("g", j, i)
-                    if j != i and sys.pinned_value(key) != 0:
-                        sys.add_row({key: 1}, 0)
+                    if j not in zeros:
+                        key = ("g", i, j) if i < j else ("g", j, i)
+                        if sys.pinned_value(key) != 0:
+                            sys.add_row({key: 1}, 0)
     return zeros
 
 

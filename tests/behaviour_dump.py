@@ -18,6 +18,9 @@ reproducible.  The digest covers, each record as its repr:
   status, iterations, final_gap, gaps and the bytes of G, and the face,
   system.solved and system.free_variables() of the problem built under a
   random ranking of the letters (random.Random(13), one per ideal);
+- the face, system.solved and system.free_variables() of the problems
+  built for the two FRONTIER ideals (n = 85 at g = 2, n = 259 at g = 3),
+  under the default order and under a random ranking (random.Random(23));
 - RealnessVerdict.to_json() of real_test on 120 random ideals
   (random.Random(11), util.rand_poly: g in {1, 2}, 1-3 generators of
   degree 2-3);
@@ -49,6 +52,10 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+# two frontier ideals, built at g = 2 (n = 85) and g = 3 (n = 259): more
+# letters and longer words than any ideal of the SDP workloads
+FRONTIER = ("x1 x2 x1* x2* - x2 x1 + 2", "x1 x2 x3* x1* - x3 x2 + 2")
 
 
 def records():
@@ -113,6 +120,18 @@ def records():
             G = None if res.G is None else res.G.tobytes().hex()
             yield (f"{name} {ideal.ident} solve {res.status} {res.iterations} "
                    f"{res.final_gap!r} {res.gaps!r} {G}")
+
+    rng = random.Random(23)
+    for text in FRONTIER:
+        gens = [parse_poly(text)]
+        g = gens[0].g
+        ranking = list(range(2 * g))
+        rng.shuffle(ranking)
+        for order in (MonomialOrder(g), MonomialOrder(g, ranking)):
+            yield f"frontier {text!r} {order.ranking} " + outcome(
+                lambda problem: (problem.face, problem.system.solved,
+                                 problem.system.free_variables()),
+                lambda: build_real_sdp(left_groebner(gens, order)))
 
     rng = random.Random(11)
     for k in range(120):

@@ -5,6 +5,7 @@ import pytest
 
 from ncreal.algebra import MonomialOrder, Poly
 from ncreal.parsing import (
+    MAX_WORD_LETTERS,
     ParseError,
     parse_generators,
     parse_poly,
@@ -94,12 +95,27 @@ def test_parse_errors_carry_positions():
     ("3 ^2", None, "expected '+' or '-' between terms", 2),
     ("x1**", None, "expected '+' or '-' between terms", 3),
     ("x0 ?", None, "unexpected character '?'", 3),
+    # an INT past Python's int-string limit (4,300 digits by default)
+    ("1" * 5000, None, "integer of 5000 digits is too long", 0),
+    ("x" + "1" * 5000, None, "integer of 5000 digits is too long", 1),
+    ("x1^" + "1" * 5000, None, "integer of 5000 digits is too long", 3),
+    ("1/" + "1" * 5000, None, "integer of 5000 digits is too long", 2),
+    ("x1^9999 x2^2", None, "word longer than 10000 letters", 10),
+    ("x1^10000 x2", None, "word longer than 10000 letters", 9),
 ])
 def test_every_parse_error_message_and_position(text, g, message, pos):
     with pytest.raises(ParseError) as e:
         parse_poly(text, g)
     assert str(e.value) == f"{message} (at position {pos})"
     assert e.value.pos == pos
+
+
+def test_a_huge_power_fails_before_allocating():
+    # without the bound this asks for about 16 GB
+    with pytest.raises(ParseError, match="word longer than 10000 letters") as e:
+        parse_poly("x1^2000000000")
+    assert e.value.pos == 2
+    assert len(parse_word(f"x1^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
 
 
 def test_parse_word_single_monomials_only():

@@ -19,8 +19,8 @@ from ncreal.sdp import _alternating_projections, _component_rows, _svec_index, s
 from ncreal.sdp_build import (
     SdpProblem,
     _exact_system,
+    _coded_words,
     _propagate,
-    _words_with_stars,
     build_real_sdp,
     exact_infeasibility_check,
     exact_lift,
@@ -567,7 +567,10 @@ def test_layered_build_solves_as_the_sorted_build_under_random_rankings():
         _assert_same_elimination(left_groebner([parse_poly("x130 + x129 - 1", 130)], order))
 
 
-def test_words_come_with_their_adjoints_in_the_order_of_words_up_to():
+def test_coded_words_follow_words_up_to_with_their_base_B_codes():
+    def value(digits, B):
+        return sum(x * B**e for e, x in enumerate(reversed(digits)))
+
     rng = random.Random(73)
     for g in (1, 2, 3):
         orders = [MonomialOrder(g)]
@@ -575,13 +578,46 @@ def test_words_come_with_their_adjoints_in_the_order_of_words_up_to():
             ranking = list(range(2 * g))
             rng.shuffle(ranking)
             orders.append(MonomialOrder(g, ranking))
-        # an order may rank more letters than the words use
+        # an order may rank more letters than the words use: B = 2 order.g
         orders.append(MonomialOrder(g + 1, rng.sample(range(2 * g + 2), 2 * g + 2)))
         for order in orders:
+            B = 2 * order.g
             for d in range(6):
-                pairs = _words_with_stars(g, d, order)
-                assert [w for w, _ in pairs] == words_up_to(g, d, order)
-                assert all(ws == word_star(w) for w, ws in pairs)
+                coded = _coded_words(g, d, order)
+                assert [w for w, *_ in coded] == words_up_to(g, d, order)
+                for w, x, r, xs, rs in coded:
+                    ws = word_star(w)
+                    assert (x, r, xs, rs) == (value(w, B), value(order.letter_key(w), B),
+                                              value(ws, B), value(order.letter_key(ws), B))
+                # inside one length, letter codes sort as tuples and rank
+                # codes as letter_key: the pair choice and the layer sort
+                of_length = [cw for cw in coded if len(cw[0]) == d]
+                assert sorted(of_length, key=lambda cw: cw[1]) == sorted(of_length)
+                assert (sorted(of_length, key=lambda cw: cw[2])
+                        == sorted(of_length, key=lambda cw: order.letter_key(cw[0])))
+
+
+def test_propagation_asks_no_off_diagonal_pair_twice(monkeypatch):
+    # a pair with an earlier zero diagonal was forced when that one was
+    asked = []
+    pinned_value = ExactAffineSystem.pinned_value
+
+    def recorded(self, var):
+        if var[1] != var[2]:
+            asked.append(var)
+        return pinned_value(self, var)
+
+    monkeypatch.setattr(ExactAffineSystem, "pinned_value", recorded)
+    sys = ExactAffineSystem()
+    sys.add_row({("g", 0, 0): 1}, 0)
+    sys.add_row({("g", 1, 1): 1, ("g", 0, 1): -1}, 0)
+    assert _propagate(sys, [0, 1, 2]) == {0, 1}
+    assert sorted(asked) == [("g", 0, 1), ("g", 0, 2), ("g", 1, 2)]
+    asked.clear()
+    problem = build_real_sdp(left_groebner(parse_generators(LIFTED_ON_A_FACE, 2)))
+    asked.clear()
+    zeros = _propagate(_exact_system(problem), range(problem.n))
+    assert len(zeros) >= 2 and len(asked) == len(set(asked))
 
 
 def test_the_elimination_ranks_each_unknown_once(monkeypatch):
