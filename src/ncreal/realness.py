@@ -230,7 +230,7 @@ def real_monomial_ideal(gens):
     shape w = u u* v with u nonempty.  The first shrinkable survivor yields
     the certificate q = v^*/2 against the basis element w, with member
     u^* v: q w + w^* q^* = v^* w = (u^* v)^* (u^* v); realigned through
-    basis.reps, q is v^*/(2c) against the generator c*w.
+    basis.reps and verified (_checked), q is v^*/(2c) against the generator c*w.
     """
     gens = list(gens)
     if not gens:
@@ -238,10 +238,7 @@ def real_monomial_ideal(gens):
     if any(not p.is_monomial() or p.is_constant() for p in gens):
         raise ValueError("generators must be nonconstant monomials")
     basis = left_groebner(gens)
-    verdict = _real_monomial_basis(basis)
-    if verdict.certificate is not None:
-        verdict.certificate = _realigned(verdict.certificate, basis, len(gens))
-    return verdict
+    return _checked(_real_monomial_basis(basis), gens, basis)
 
 
 def _real_monomial_basis(basis):
@@ -437,26 +434,19 @@ def realness_prefilter_principal(p, order=None):
 # realignment
 # ---------------------------------------------------------------------------
 
-def _realigned(cert, basis, ngens):
-    """cert with multipliers q_i against basis.elements -> [q_t] against the gens.
-
-    basis.elements[i] = sum_t basis.reps[i][t] gens[t], so the multiplier of
-    gens[t] is sum_i q_i basis.reps[i][t].
-    """
-    mult = [sum((q * rep[t] for q, rep in zip(cert.multipliers, basis.reps)), Poly.zero(basis.g))
-            for t in range(ngens)]
-    return NonRealCertificate(mult, cert.weights, cert.members)
-
-
 def _checked(verdict, gens, basis):
     """Realign a verdict's certificate onto gens through basis.reps and verify it once.
 
-    The certificate's multipliers refer to basis.elements, a left Groebner
-    basis of gens.  A certificate that fails is an internal error,
-    whichever route built it.
+    The certificate's multipliers q_i refer to basis.elements, a left
+    Groebner basis of gens: basis.elements[i] = sum_t basis.reps[i][t] gens[t],
+    so the multiplier of gens[t] is sum_i q_i basis.reps[i][t].  A
+    certificate that fails is an internal error, whichever route built it.
     """
-    if verdict.certificate is not None:
-        cert = _realigned(verdict.certificate, basis, len(gens))
+    cert = verdict.certificate
+    if cert is not None:
+        mult = [sum((q * rep[t] for q, rep in zip(cert.multipliers, basis.reps)), Poly.zero(basis.g))
+                for t in range(len(gens))]
+        cert = NonRealCertificate(mult, cert.weights, cert.members)
         if not verify_nonreal_certificate(gens, cert, basis=basis):
             raise AssertionError(f"internal error: {verdict.method} certificate failed to verify")
         verdict.certificate = cert

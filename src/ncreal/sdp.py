@@ -20,26 +20,23 @@ B = [I | -E], which is almost empty: joining each pivot with the free
 unknowns of its expression splits the coordinates into many small
 independent components.  One QR factorization B_c^T = Q_c R_c per
 component gives the orthonormal rows A_c = Q_c^T and b_c = R_c^-T c_c,
-kept sparse as coordinate triples (rows, cols, vals), so A is
-block-diagonal up to a permutation of the coordinates; no dense A and no
-QR over all of B is ever formed.  The rank is the number of G pivots; no
+kept sparse, one entry per nonzero, so A is block-diagonal up to a
+permutation of the coordinates; no dense A and no QR over all of B is
+ever formed.  The rank is the number of G pivots; no
 float threshold decides it.
 
 G is 0 off a face of k of its n words (build_real_sdp's facial
-reduction), and A is written in the svec coordinates of the k x k block
-on the face.  The projection loop works on that k x k iterate itself,
-never forms svec, and solve_feasibility returns a feasible G as that
-k x k block.
-Once per solve, solve_feasibility builds the svec layout (_svec_index, not
-cached) for the slice and the loop, and the loop maps each nonzero of A to
-the flat index of its lower-triangle entry and folds the svec scale into two
-copies of the values, so A x and A^T r are one np.bincount each on it.
-np.linalg.eigh reads only the lower triangle, so the upper one is left
-stale between steps.  The PSD projection is built from the nonnegative
-eigenpairs, and the gap between the two projections is the norm of the
-negative eigenvalues.  The residual r = A x - b of the PSD iterate serves
-twice: ||r|| <= tol is the feasibility test for G, and it gives the next
-affine projection.
+reduction), and the svec coordinates of A are the G unknowns of the k x k
+block on the face, problem.gvars.  _component_rows reads each one's entry
+and scale off the unknown itself and folds the scale into two copies of
+the values, so the projection loop works on the k x k iterate, never forms
+svec, and computes A x and A^T r as one np.bincount each; a feasible G is
+returned as that k x k block.  np.linalg.eigh reads only the lower
+triangle, so the upper one is left stale between steps.  The PSD
+projection is built from the nonnegative eigenpairs, and the gap between
+the two projections is the norm of the negative eigenvalues.  The
+residual r = A x - b of the PSD iterate serves twice: ||r|| <= tol is the
+feasibility test for G, and it gives the next affine projection.
 
 This module and evaluation import numpy inside the functions that use it,
 so only the first projection or matrix evaluation loads it: the exact path,
@@ -48,36 +45,30 @@ a presolve that decides the problem included, never does.
 
 from bisect import bisect_left
 from math import hypot, inf, sqrt
+from numbers import Real
 
 
-def _svec_index(n):
-    """The svec layout of n x n matrices, the one statement of its order and
-    scale: (iu, scale), iu = triu_indices(n) the upper triangle row by row and
-    scale 1 on the diagonal and sqrt(2) off it, so that svec(S) = S[iu] * scale.
-    Built afresh per call: a solve makes one, for its slice and its loop."""
-    import numpy as np
-
-    iu = np.triu_indices(n)
-    return iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-
-
-def _component_rows(system, gvars, layout):
+def _component_rows(problem):
     """The orthonormal rows of the solved G pivots of the face, one QR per
-    component, in the svec coordinates of G on the face (layout: _svec_index(k)).
+    component, in svec coordinates: the G unknown ("g", i, j) of
+    problem.gvars is the entry of words i and j in the lower triangle of the
+    k x k face, with scale 1 on the diagonal and sqrt(2) off it.
 
     A G pivot's expression holds free G unknowns only, so joining each pivot
-    with the unknowns of its expression splits the svec coordinates into
+    with the unknowns of its expression splits the coordinates into
     independent components.  Each component that holds a pivot gives
     B_c = [I | -E_c] in svec scaling and one QR B_c^T = Q_c R_c, so that
     A_c = Q_c^T and b_c = R_c^-T c_c; a component without a pivot adds no
-    rows.  Returns the rows of all A_c in coordinate form (rows, cols, vals)
-    and the stacked b.
+    rows.  Returns, per nonzero of the A_c, its row, the flat C-order index
+    of its entry and its value times and over the scale, then the stacked b.
     """
     import numpy as np
 
-    # gvars runs through the upper triangle of the face row by row, as svec does.
+    gvars = problem.gvars
     gindex = {v: k for k, v in enumerate(gvars)}
-    _, scale = layout
+    at = {w: a for a, w in enumerate(problem.face)}
+    flat = np.array([at[j] * len(at) + at[i] for _, i, j in gvars], dtype=np.intp)
+    scale = np.array([1.0 if i == j else sqrt(2.0) for _, i, j in gvars])
     parent = list(range(len(gvars)))
 
     def find(k):
@@ -88,7 +79,7 @@ def _component_rows(system, gvars, layout):
 
     # a G pivot off the face is pinned to the 0 it has in G; solved is
     # divided out on every read, so it is read once
-    solved = system.solved
+    solved = problem.system.solved
     pivots = sorted(gindex[var] for var in solved if var in gindex)
     for p in pivots:
         for f in solved[gvars[p]][0]:
@@ -123,7 +114,8 @@ def _component_rows(system, gvars, layout):
         nrows += len(cpivots)
     rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
     keep = vals != 0.0
-    return rows[keep], cols[keep], vals[keep], np.concatenate(b)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return rows, flat[cols], vals * scale[cols], vals / scale[cols], np.concatenate(b)
 
 
 STALL_WINDOW = 500  # steps over which a stalled gap changes by at most tol
@@ -147,8 +139,8 @@ class FeasibilityResult:
 
 
 def _check_tol_and_max_iter(tol, max_iter):
-    """ValueError unless tol is finite and > 0 and max_iter an int >= 0, neither a bool."""
-    if isinstance(tol, bool) or not 0 < tol < inf:
+    """ValueError unless tol is a finite real > 0 and max_iter an int >= 0, neither a bool."""
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 0:
         raise ValueError(f"max_iter must be an int >= 0, got {max_iter!r}")
@@ -181,17 +173,14 @@ def solve_feasibility(problem, tol=1e-8, max_iter=20000):
         return FeasibilityResult("likely_infeasible", None, 0, float("inf"), [])
     if status == "feasible":
         return FeasibilityResult("feasible", None, 0, 0.0, [], point)
-    k = len(problem.face)
-    layout = _svec_index(k)
-    return _alternating_projections(
-        k, layout, *_component_rows(problem.system, problem.gvars, layout), tol, max_iter
-    )
+    return _alternating_projections(len(problem.face), *_component_rows(problem), tol, max_iter)
 
 
-def _alternating_projections(n, layout, rows, cols, vals, b, tol, max_iter):
+def _alternating_projections(n, rows, flat, a_in, a_out, b, tol, max_iter):
     """solve_feasibility's loop on n x n matrices, from G0 = I/n, for the
-    orthonormal-row system A svec(G) = b with A[rows[i], cols[i]] = vals[i],
-    in the svec layout _svec_index(n).
+    orthonormal-row system A svec(G) = b in the form _component_rows
+    returns it: A x is bincount(rows, a_in * x[flat]) over the flat
+    iterate, and A^T r lands on it at flat as a_out * r[rows].
 
     Returns a FeasibilityResult whose feasible G is exactly symmetric,
     n x n.
@@ -199,11 +188,6 @@ def _alternating_projections(n, layout, rows, cols, vals, b, tol, max_iter):
     import numpy as np
 
     m = len(b)
-    (i, j), scale = layout
-    flat = (j * n + i)[cols]  # the C-order index of each nonzero's lower-triangle entry
-    # A x = sum a_in * G[flat], and A^T r lands on G[flat] as a_out * r[rows]
-    a_in = vals * scale[cols]
-    a_out = vals / scale[cols]
 
     def residual(G):  # A svec(G) - b, read from the lower triangle
         return np.bincount(rows, a_in * G.ravel()[flat], minlength=m) - b

@@ -88,7 +88,8 @@ class SdpProblem:
     build_real_sdp also records exact_rows, the rows as (row, const) pairs
     in the order they were solved, each row a dict of ints over the
     unknowns that were live when it was built, the trace row last; gvars,
-    the G unknowns ("g", i, j) on the face, i <= j, in svec order; qvars,
+    the G unknowns ("g", i, j) on the face, i <= j, the coordinates of the
+    float slice (sdp._component_rows); qvars,
     one triple (j, v, D_j) per multiplier unknown ("q", n), n its index:
     the unknown is the coefficient of the word v in the multiplier of basis
     element j over D_j; and system: the rows solved exactly with the

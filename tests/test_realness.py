@@ -72,6 +72,8 @@ def test_input_validation():
 @pytest.mark.parametrize("kwargs", [
     {"max_iter": -3}, {"max_iter": 2000.0}, {"max_iter": "10"},
     {"tol": float("nan")}, {"tol": -1.0}, {"tol": 0.0}, {"tol": float("inf")},
+    # not a number: no order comparison may decide these
+    {"tol": None}, {"tol": "1e-8"},
     # bool is an int: True would run one step, or at tol 1
     {"max_iter": True}, {"tol": True},
 ])
@@ -203,6 +205,19 @@ def test_monomial_basis_of_non_monomial_generators(text, status):
     for w in (v, sdp):
         if w.status == NOT_REAL:
             assert verify_nonreal_certificate(gens, w.certificate)
+
+
+def test_monomial_ideal_verifies_its_certificate(monkeypatch):
+    decide = realness._real_monomial_basis
+
+    def tampered(basis):
+        v = decide(basis)
+        v.certificate.weights = [2 * w for w in v.certificate.weights]
+        return v
+
+    monkeypatch.setattr(realness, "_real_monomial_basis", tampered)
+    with pytest.raises(AssertionError, match="internal error: monomial certificate"):
+        real_monomial_ideal(_gens("x1 x1* x2"))
 
 
 def test_monomial_rejects_non_monomials():

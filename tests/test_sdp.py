@@ -4,6 +4,7 @@ assembly of the realness SDP against the dense construction it replaced."""
 import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from ncreal.exactla import ExactAffineSystem, Inconsistent
 from ncreal.groebner import left_groebner
 from ncreal.parsing import parse_generators, parse_poly
 from ncreal.realness import NOT_REAL, REAL, real_test
-from ncreal.sdp import _alternating_projections, _component_rows, _svec_index, solve_feasibility
+from ncreal.sdp import _alternating_projections, _component_rows, solve_feasibility
 from ncreal.sdp_build import (
     SdpProblem,
     _exact_system,
@@ -30,6 +31,7 @@ from util import (
     dense_rows,
     eigen_sym,
     full_sdp_rows,
+    loop_arrays,
     problem_slice,
     project_affine,
     project_psd,
@@ -39,6 +41,7 @@ from util import (
     slice_from_dense,
     svec,
     svec_inverse,
+    svec_layout,
     zero_diagonals,
 )
 
@@ -52,8 +55,7 @@ def _solve(case, tol=1e-8, max_iter=20000):
     """solve_feasibility on a built problem, its loop on a hand-built slice."""
     if isinstance(case, SdpProblem):
         return solve_feasibility(case, tol, max_iter)
-    n, *slice_ = case
-    return _alternating_projections(n, _svec_index(n), *slice_, tol, max_iter)
+    return _alternating_projections(*loop_arrays(case), tol, max_iter)
 
 
 def test_svec_round_trip_and_inner_products():
@@ -334,29 +336,27 @@ def test_feasible_exits_return_an_exactly_symmetric_G():
     assert feasible >= 3
 
 
-def test_svec_layout_is_built_a_bounded_number_of_times_per_solve(monkeypatch):
-    # the layout is built afresh per solve, once for the slice and the loop,
-    # and never inside the step loop: one np.triu_indices call at any step count
+def test_slice_is_built_once_per_solve_and_never_inside_the_step_loop(monkeypatch):
+    # the coordinates are read off the G unknowns by one _component_rows call
+    # per solve that reaches the loop, at any step count; no svec layout is built
     stalls = build_real_sdp(left_groebner(parse_generators(
         "-2 x1^2 - 2 x1 x1* - x1* x1 - 3 x1*^2 + 2 x1 + x1* - 2", 1)))
-    cases = {"loop to the cap": _boundary_problem(), "solve to a stall": stalls}
-    calls = []
-    triu_indices = np.triu_indices
+    layouts, sliced = [], []
+    monkeypatch.setattr(np, "triu_indices", lambda *args, **kwargs: layouts.append(args))
 
-    def counting(n, *args, **kwargs):
-        calls.append(n)
-        return triu_indices(n, *args, **kwargs)
+    def recording(problem):
+        sliced.append(problem)
+        return _component_rows(problem)
 
-    monkeypatch.setattr(np, "triu_indices", counting)
-    for name, case in cases.items():
-        counts, steps = set(), set()
-        for max_iter in (20, 2000):
-            calls.clear()
-            res = _solve(case, max_iter=max_iter)
-            counts.add(len(calls))
-            steps.add(res.iterations)
-        assert len(steps) == 2 and max(steps) > 500, name
-        assert counts == {1}, name
+    monkeypatch.setattr(sdp, "_component_rows", recording)
+    steps = set()
+    for max_iter in (20, 2000):
+        sliced.clear()
+        res = solve_feasibility(stalls, max_iter=max_iter)
+        assert sliced == [stalls]
+        steps.add(res.iterations)
+    assert steps == {20, res.iterations} and res.iterations > 500
+    assert res.status == "likely_infeasible" and layouts == []
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +742,7 @@ def test_affine_rows_are_factored_per_component(monkeypatch):
     problem = build_real_sdp(left_groebner([parse_poly("-3 x1* x1 x1* x1 - 2 x2^2 x1 - 3 x1", 2)]))
     # the exact build factors nothing; the slice is solve_feasibility's work
     assert shapes == []
-    layout = _svec_index(len(problem.face))
-    rows, cols, vals, b = _component_rows(problem.system, problem.gvars, layout)
+    _, rows, cols, vals, b = problem_slice(problem)
     monkeypatch.setattr(np.linalg, "qr", qr)
     N = len(problem.gvars)
     assert (problem.n, len(problem.face), N, len(b)) == (85, 22, 253, 194)
@@ -754,8 +753,10 @@ def test_affine_rows_are_factored_per_component(monkeypatch):
         at = cols == k
         AAt[np.ix_(rows[at], rows[at])] += np.outer(vals[at], vals[at])
     assert np.abs(AAt - np.eye(len(b))).max() <= 1e-12
-    # each row's support lies inside one component of the solved system
-    gindex = {v: k for k, v in enumerate(problem.gvars)}
+    # each row's support lies inside one component of the solved system;
+    # the G unknowns are numbered by their svec columns
+    (i, j), _ = svec_layout(len(problem.face))
+    gindex = {("g", problem.face[a], problem.face[c]): k for k, (a, c) in enumerate(zip(i, j))}
     parent = list(range(N))
 
     def find(k):
@@ -770,6 +771,41 @@ def test_affine_rows_are_factored_per_component(monkeypatch):
     roots = np.array([find(k) for k in cols])
     for r in range(len(b)):
         assert len(set(roots[rows == r])) == 1
+
+
+def test_component_rows_match_the_dense_svec_reference(monkeypatch):
+    # A svec(G) and A^T r on the loop's flat indices and scaled values agree
+    # with the dense A written in the tests' own svec layout, on every
+    # seed-1 sdp_small problem that reaches the loop and two builds at
+    # n = 85: the frontier ideal, whose face is empty, and one on 22 words
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import corpora
+
+    problems = []
+    for ideal in corpora.build_corpus(corpora.WORKLOADS["sdp_small"], 1):
+        basis = left_groebner(ideal.parse())
+        if basis.elements and not any(p.is_constant() for p in basis.elements):
+            problem = build_real_sdp(basis)
+            if exact_infeasibility_check(problem)[0] == "unknown":
+                problems.append(problem)
+    assert problems
+    for text in ("x1 x2 x1* x2* - x2 x1 + 2", "-3 x1* x1 x1* x1 - 2 x2^2 x1 - 3 x1"):
+        problems.append(build_real_sdp(left_groebner([parse_poly(text)])))
+    assert [(p.n, len(p.face)) for p in problems[-2:]] == [(85, 0), (85, 22)]
+    rng = np.random.default_rng(31)
+    for problem in problems:
+        k = len(problem.face)
+        rows, flat, a_in, a_out, b = _component_rows(problem)
+        A, _ = dense_rows(problem_slice(problem))
+        G = rng.standard_normal((k, k))
+        G += G.T
+        r = rng.standard_normal(len(b))
+        Ax = np.bincount(rows, a_in * G.ravel()[flat], minlength=len(b))
+        assert np.abs(Ax - A @ svec(G)).max(initial=0.0) <= 1e-12
+        # A^T r lands on the lower triangle
+        Atr = np.bincount(flat, a_out * r[rows], minlength=k * k).reshape(k, k)
+        Atr = np.tril(Atr) + np.tril(Atr, -1).T
+        assert np.abs(Atr - svec_inverse(A.T @ r, k)).max(initial=0.0) <= 1e-12
 
 
 def _count_systems(monkeypatch):

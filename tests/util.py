@@ -9,11 +9,12 @@ predicates on words and polynomials that only the tests ask;
 sorted_words_of_degree sorts every word of a degree by the order's key,
 the oracle for the library's enumeration in order.  svec and
 svec_inverse are the scaled vector coordinates the projection loop's
-affine slice is written in.  A slice is the loop's coordinate form
-(k, rows, cols, vals, b) of A svec(G) = b on k x k matrices:
-slice_from_dense writes a dense A in it, problem_slice reads a built
-problem's slice off its exact system by the library's own slice function,
-and dense_rows gives such a slice back as the dense (A, b);
+affine slice is written in, in the layout svec_layout states.  A slice is
+the coordinate form (k, rows, cols, vals, b) of A svec(G) = b on k x k
+matrices: slice_from_dense writes a dense A in it, problem_slice reads a
+built problem's slice off its exact system by the library's own slice
+function, dense_rows gives such a slice back as the dense (A, b), and
+loop_arrays gives it in the form the projection loop takes;
 recover_multipliers reads the multipliers that go with a numeric G off the
 solved system.  full_sdp_rows
 is the realness SDP's row assembly over every Gram word, and zero_diagonals
@@ -54,7 +55,7 @@ from ncreal.algebra import (
 from ncreal.exactla import Inconsistent, psd_check_exact, to_fraction_matrix
 from ncreal.factor import is_irreducible_homogeneous
 from ncreal.realness import NOT_REAL, REAL, NonRealCertificate, RealnessVerdict
-from ncreal.sdp import _component_rows, _svec_index
+from ncreal.sdp import _component_rows
 from ncreal.sdp_build import _propagate
 
 
@@ -298,17 +299,25 @@ def project_psd(S):
     return (out + out.T) / 2.0
 
 
+def svec_layout(n):
+    """The svec layout of n x n matrices: (iu, scale), iu = triu_indices(n)
+    the upper triangle row by row and scale 1 on the diagonal and sqrt(2)
+    off it, so that svec(S) = S[iu] * scale."""
+    iu = np.triu_indices(n)
+    return iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+
+
 def svec(S):
     """Upper-triangle vectorization with sqrt(2) on off-diagonal entries.
 
     Preserves inner products: <svec(S), svec(T)> == trace(S T).
     """
-    iu, scale = _svec_index(S.shape[0])
+    iu, scale = svec_layout(S.shape[0])
     return S[iu] * scale
 
 
 def svec_inverse(x, n):
-    iu, scale = _svec_index(n)
+    iu, scale = svec_layout(n)
     vals = x / scale
     S = np.empty((n, n))
     S[iu] = vals
@@ -324,11 +333,27 @@ def slice_from_dense(n, A, b):
     return n, rows, cols, A[rows, cols], np.asarray(b, dtype=float)
 
 
+def loop_arrays(slice_):
+    """A slice as the projection loop takes it, (k, rows, flat, a_in, a_out, b):
+    per nonzero, the flat C-order index of its lower-triangle entry and its
+    value times and over the svec scale."""
+    k, rows, cols, vals, b = slice_
+    (i, j), scale = svec_layout(k)
+    return k, rows, (j * k + i)[cols], vals * scale[cols], vals / scale[cols], b
+
+
 def problem_slice(problem):
     """The slice that solve_feasibility projects a built problem onto, in
-    the svec coordinates of G on the face."""
+    the svec coordinates of G on the face: _component_rows's flat indices
+    mapped back to svec columns, its values taken out of the svec scale."""
     k = len(problem.face)
-    return (k, *_component_rows(problem.system, problem.gvars, _svec_index(k)))
+    rows, flat, a_in, _, b = _component_rows(problem)
+    (i, j), scale = svec_layout(k)
+    column = np.full(k * k, -1)  # the svec column of each lower-triangle entry
+    column[j * k + i] = np.arange(len(scale))
+    cols = column[flat]
+    assert (cols >= 0).all()
+    return k, rows, cols, a_in / scale[cols], b
 
 
 def dense_rows(slice_):
