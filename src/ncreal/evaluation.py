@@ -3,42 +3,34 @@
 A point is (X_1, ..., X_g, v): square matrices of one common size plus an
 optional vector.  Starred letters evaluate to transposes, so p |-> p(X) is
 a *-representation.  Evaluation works in floating point, as does the SDP
-route's projection loop (sdp); the rest of the core is exact.  numpy is
-imported inside the functions here, so importing this module does not load
-it.
+route's projection loop (sdp); the rest of the core is exact.  numpy, and
+json for from_json, are imported inside the functions here, so importing
+this module loads neither.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from .algebra import Poly
 
 
-@dataclass
 class MatrixPoint:
-    matrices: list[np.ndarray]
-    vector: np.ndarray | None = None
-
-    def __post_init__(self):
+    def __init__(self, matrices: list[np.ndarray], vector: np.ndarray | None = None):
         import numpy as np
 
-        if not self.matrices:
+        if not matrices:
             raise ValueError("a point needs at least one matrix")
-        mats = [np.asarray(X, dtype=float) for X in self.matrices]
+        mats = [np.asarray(X, dtype=float) for X in matrices]
         if mats[0].ndim != 2:
             raise ValueError(f"matrices must be square, got shape {mats[0].shape}")
         n = mats[0].shape[0]
         for X in mats:
             if X.shape != (n, n):
                 raise ValueError(f"matrices must all be {n}x{n}, got {X.shape}")
-        self.matrices = mats
-        if self.vector is not None:
-            v = np.asarray(self.vector, dtype=float).reshape(-1)
-            if v.shape != (n,):
-                raise ValueError(f"vector must have length {n}, got {v.shape}")
-            self.vector = v
+        if vector is not None:
+            vector = np.asarray(vector, dtype=float).reshape(-1)
+            if vector.shape != (n,):
+                raise ValueError(f"vector must have length {n}, got {vector.shape}")
+        self.matrices, self.vector = mats, vector
 
     @property
     def n(self) -> int:
@@ -51,6 +43,8 @@ class MatrixPoint:
     @classmethod
     def from_json(cls, text: str) -> "MatrixPoint":
         """Load {"n": ..., "X": [matrix, ...], "v": [...]} (v optional)."""
+        import json
+
         import numpy as np
 
         data = json.loads(text)

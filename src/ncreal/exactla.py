@@ -11,7 +11,6 @@ value is read, so on the integer SDP rows it does no Fraction work.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -22,7 +21,6 @@ def to_fraction_matrix(A) -> Matrix:
     return [[Fraction(x) for x in row] for row in A]
 
 
-@dataclass
 class PsdResult:
     """Outcome of the exact PSD check.
 
@@ -30,11 +28,13 @@ class PsdResult:
     with L unit lower triangular and D = diag(diag) >= 0.  Otherwise
     witness is a rational vector with witness^T A witness < 0.
     """
-    is_psd: bool
-    perm: list[int]
-    lower: Matrix
-    diag: list[Fraction]
-    witness: list[Fraction] | None
+
+    __slots__ = ("is_psd", "perm", "lower", "diag", "witness")
+
+    def __init__(self, is_psd: bool, perm: list[int], lower: Matrix, diag: list[Fraction],
+                 witness: list[Fraction] | None):
+        self.is_psd, self.perm, self.lower, self.diag = is_psd, perm, lower, diag
+        self.witness = witness
 
 
 def psd_check_exact(A) -> PsdResult:

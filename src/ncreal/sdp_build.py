@@ -67,7 +67,6 @@ rational G on the face passes the exact PSD test, as that test's result
 unknown ("q", n) times its D_j.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -75,7 +74,6 @@ from .algebra import word_star
 from .exactla import ExactAffineSystem, Inconsistent, psd_check_exact
 
 
-@dataclass(eq=False)
 class SdpProblem:
     """Feasibility problem: find G psd, 0 off the face, that meets the
     exact rows for some multipliers.
@@ -100,13 +98,11 @@ class SdpProblem:
     to 0.
     """
 
-    n: int
-    words: list
-    face: list
-    exact_rows: list
-    gvars: list
-    qvars: list
-    system: object
+    __slots__ = ("n", "words", "face", "exact_rows", "gvars", "qvars", "system")
+
+    def __init__(self, n, words, face, exact_rows, gvars, qvars, system):
+        self.n, self.words, self.face, self.exact_rows = n, words, face, exact_rows
+        self.gvars, self.qvars, self.system = gvars, qvars, system
 
 
 def build_real_sdp(basis):

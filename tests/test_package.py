@@ -64,3 +64,32 @@ def test_exact_path_never_imports_numpy():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+IMPORT_PATH_WITHOUT_DATACLASSES = """
+import sys
+
+before = set(sys.modules)
+import ncreal.realness
+from ncreal.parsing import parse_generators
+from ncreal.realness import real_test
+
+v = real_test(parse_generators("x1 x1* - x1*^2 + 2 x1 + 4"))
+assert (v.status, v.method) == ("NotReal", "quadratic-univariate"), (v.status, v.method)
+v = real_test(parse_generators("x1 x1* - x1* x1 - 1"), method="sdp")
+assert (v.status, v.method) == ("Real", "sdp-exact"), (v.status, v.method)
+assert "numpy" not in sys.modules
+loaded = sorted({"dataclasses", "inspect", "json"} & (set(sys.modules) - before))
+assert not loaded, f"the decision path loaded {loaded}"
+"""
+
+
+def test_decision_path_never_imports_dataclasses_inspect_or_json():
+    # a verdict uses none of them, so a fresh process should not pay their import
+    src = Path(ncreal.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH_WITHOUT_DATACLASSES],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

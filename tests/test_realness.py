@@ -35,6 +35,7 @@ from util import (
     rand_poly,
     rand_product,
     rand_word,
+    star_automorphism,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -842,3 +843,41 @@ def test_every_benchmark_certificate_verifies(monkeypatch, name):
             assert copying_defect(gens, qs, cert.weights, rs) == {}, ideal.ident
     assert certified == not_real
     assert certified > 0 or name == "sdp_large"
+
+
+ROTATION = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+
+
+def test_verdicts_agree_under_a_star_automorphism():
+    # phi(x_i) = sum_j U_ij x_j + c_i keeps realness, and the closed forms
+    # read supports, so a closed-form preimage sends its image to the SDP
+    # route with a known verdict and, for NotReal, a known certificate
+    rng = random.Random(131)
+    undecided = moved_certificates = 0
+    for draw in range(200):
+        g = rng.choice((1, 2))
+        if draw % 2:
+            gens = [rand_product(rng, g, rng.choice((2, 3)))]
+        else:
+            gens = [Poly.from_word(g, rand_word(rng, g, rng.randint(2, 3)))
+                    for _ in range(rng.randint(1, 2))]
+        U = ROTATION if g == 2 else [[1]]
+        c = [rng.choice((0, 1, -1, 2) if g == 2 else (1, -1, 2)) for _ in range(g)]
+        images = [star_automorphism(p, U, c) for p in gens]
+        pre = real_test(gens)
+        img = real_test(images, method="sdp", max_iter=2000)
+        label = (draw, [str(p) for p in gens], c, pre.status, img.status)
+        assert {pre.status, img.status} != {REAL, NOT_REAL}, label
+        for v, ideal in ((pre, gens), (img, images)):
+            if v.certificate is not None:
+                assert verify_nonreal_certificate(ideal, v.certificate), label
+        if pre.status == NOT_REAL and not pre.method.startswith("sdp"):
+            cert = pre.certificate
+            moved = NonRealCertificate(
+                [star_automorphism(q, U, c) for q in cert.multipliers], cert.weights,
+                [star_automorphism(r, U, c) for r in cert.members])
+            assert verify_nonreal_certificate(images, moved), label
+            moved_certificates += 1
+        undecided += img.status not in (REAL, NOT_REAL)
+    print(f"{undecided} of 200 images undecided at method='sdp', max_iter=2000; "
+          f"{moved_certificates} closed-form certificates carried over by phi")

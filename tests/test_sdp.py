@@ -1,7 +1,6 @@
 """Numeric SDP layer: svec coordinates, alternating projections, and the
 assembly of the realness SDP against the dense construction it replaced."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -667,8 +666,11 @@ def test_a_free_entry_far_outside_the_psd_cone_lifts_to_no_point():
 
 
 def test_problem_holds_no_second_infeasibility_record():
-    names = {f.name for f in dataclasses.fields(SdpProblem)}
+    names = set(SdpProblem.__slots__)
     assert names == {"n", "words", "face", "exact_rows", "gvars", "qvars", "system"}
+    # slots and no __dict__: a built problem takes no attribute beyond them
+    problem = build_real_sdp(left_groebner([parse_poly(OPEN_CASE)]))
+    assert not hasattr(problem, "__dict__")
 
 
 def test_negative_pinned_diagonal_raises_in_propagation():

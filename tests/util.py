@@ -35,6 +35,8 @@ analytic part a and antianalytic part b*: the reference for the library's
 FractionAffineSystem is the sparse exact eliminator in Fraction arithmetic
 throughout, the oracle for the library's fraction-free one.  rand_text
 draws parser input from TEXT_PIECES, most of it malformed.
+star_automorphism applies the real affine change of variables
+x_i -> sum_j U_ij x_j + c_i, a *-automorphism, which keeps realness.
 """
 
 from fractions import Fraction
@@ -129,6 +131,28 @@ def rand_product(rng, g, d, star_pair=False):
     for f in factors:
         p = p * f
     return p
+
+
+def star_automorphism(p, U, c):
+    """phi(p) for phi(x_i) = sum_j U[i][j] x_j + c[i] and phi(x_i*) its adjoint.
+
+    For U invertible and real (a rational orthogonal U keeps the image's
+    coefficients small) phi is a *-automorphism: it maps I onto phi(I),
+    sums of squares onto sums of squares, and a certificate (q, w, r) of
+    non-realness of I onto (phi(q), w, phi(r)) for phi(I).
+    """
+    g = p.g
+    images = []
+    for i in range(g):
+        x = sum((U[i][j] * Poly.gen(g, j + 1) for j in range(g)), Poly.constant(g, c[i]))
+        images += [x, x.star()]
+    out = Poly.zero(g)
+    for word, coeff in p.terms.items():
+        term = Poly.constant(g, coeff)
+        for code in word:
+            term = term * images[code]
+        out = out + term
+    return out
 
 
 # pieces of parser input: grammar tokens, stray characters, Unicode spaces
