@@ -55,15 +55,19 @@ assert "numpy" in sys.modules
 """
 
 
-def test_exact_path_never_imports_numpy():
-    # a fresh interpreter: this process has numpy loaded already
+def _run_fresh(script):
+    # a fresh interpreter: this process has numpy, dataclasses and json loaded already
     src = Path(ncreal.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
-        [sys.executable, "-c", EXACT_PATH_WITHOUT_NUMPY],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_exact_path_never_imports_numpy():
+    _run_fresh(EXACT_PATH_WITHOUT_NUMPY)
 
 
 IMPORT_PATH_WITHOUT_DATACLASSES = """
@@ -86,10 +90,4 @@ assert not loaded, f"the decision path loaded {loaded}"
 
 def test_decision_path_never_imports_dataclasses_inspect_or_json():
     # a verdict uses none of them, so a fresh process should not pay their import
-    src = Path(ncreal.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run(
-        [sys.executable, "-c", IMPORT_PATH_WITHOUT_DATACLASSES],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
+    _run_fresh(IMPORT_PATH_WITHOUT_DATACLASSES)
