@@ -16,7 +16,6 @@ parse errors.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -72,6 +71,7 @@ def _order_for(args, g):
 
 def _emit(args, data, text_lines):
     if args.json:
+        import json
         print(json.dumps(data, indent=2))
     else:
         for line in text_lines:
@@ -166,8 +166,10 @@ def cmd_real(args):
         lines.append(f"detail: {verdict.detail}")
     if verdict.residual is not None:
         lines.append(f"residual: {verdict.residual:.3e}")
-    if verdict.certificate is not None and not args.json:
-        lines.append("certificate: " + json.dumps(verdict.certificate.to_json()))
+    if verdict.certificate is not None:
+        import json  # a certificate, which only NotReal has, is written as JSON
+        if not args.json:
+            lines.append("certificate: " + json.dumps(verdict.certificate.to_json()))
     _emit(args, verdict.to_json(), lines)
     if args.cert and verdict.certificate is not None:
         with open(args.cert, "w") as fh:
@@ -176,6 +178,8 @@ def cmd_real(args):
 
 
 def cmd_verify(args):
+    import json
+
     gens = _load_polys(args)
     with open(args.certificate) as fh:
         cert = NonRealCertificate.from_json(json.load(fh), gens[0].g)
@@ -275,7 +279,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -186,12 +186,12 @@ class ExactAffineSystem:
     forced zeros back in); expressions stay closed under the current set
     of pivots.
 
-    priority maps a variable to a sort key: a reduced row pivots on its
-    variable of least key, ties going to the variable mentioned first.
-    Variables of low key are thus eliminated first, and the solved form of
-    a pivot of higher key never involves them.  Without priority, first
-    mention alone decides.  A variable's pivot rank, (key, first mention),
-    is fixed when it is first mentioned: priority runs once per variable.
+    priority maps a variable to an int class: a reduced row pivots on its
+    variable of least class, ties going to the variable mentioned first.
+    Variables of low class are thus eliminated first, and the solved form
+    of a pivot of higher class never involves them.  Without priority,
+    first mention alone decides.  The pivot rank, one int class * 2^32 +
+    first mention, is fixed at first mention: priority runs once per variable.
     A homogeneous row of one unsolved unknown pins it by a short path
     (add_row); a pinned row holds no free variable, so no row changes it
     and copy() shares it.
@@ -199,7 +199,7 @@ class ExactAffineSystem:
 
     def __init__(self, priority=None):
         self._rows: dict = {}           # var -> (dict free-var -> int, int, int denominator > 0)
-        self._order: dict = {}          # var -> (priority, first mention): its pivot rank
+        self._order: dict = {}          # var -> its pivot rank, priority * 2^32 + first mention
         self._uses: dict = {}           # free var -> solved vars whose expression holds it
         self._priority = priority or (lambda var: 0)
         self.inconsistent = False
@@ -212,6 +212,16 @@ class ExactAffineSystem:
                        for var, row in self._rows.items()}
         other._order = dict(self._order)
         other._uses = {var: set(users) for var, users in self._uses.items()}
+        return other
+
+    def renamed(self, name, priority) -> ExactAffineSystem:
+        """A copy, each variable var named name(var) and ranked as here; priority ranks new ones."""
+        other = ExactAffineSystem(priority)
+        other.inconsistent = self.inconsistent
+        other._rows = {name(var): ({name(f): e for f, e in expr.items()}, c, den)
+                       for var, (expr, c, den) in self._rows.items()}
+        other._order = {name(var): rank for var, rank in self._order.items()}
+        other._uses = {name(var): set(map(name, users)) for var, users in self._uses.items()}
         return other
 
     @property
@@ -229,7 +239,7 @@ class ExactAffineSystem:
             (var, a), = row.items()
             if var not in rows:
                 if var not in order:
-                    order[var] = (self._priority(var), len(order))
+                    order[var] = (self._priority(var) << 32) + len(order)
                 if a:
                     rows[var] = ({}, 0, 1)
                     for user in self._uses.pop(var, ()):
@@ -249,7 +259,7 @@ class ExactAffineSystem:
                 x, rhs, s = _lowest_terms(x, y, out, rhs, s)
             if entry is None:
                 if var not in order:
-                    order[var] = (self._priority(var), len(order))
+                    order[var] = (self._priority(var) << 32) + len(order)
                 out[var] = out.get(var, 0) + x
             else:
                 rhs -= x * c

@@ -50,9 +50,9 @@ from numbers import Real
 
 def _component_rows(problem):
     """The orthonormal rows of the solved G pivots of the face, one QR per
-    component, in svec coordinates: the G unknown ("g", i, j) of
-    problem.gvars is the entry of words i and j in the lower triangle of the
-    k x k face, with scale 1 on the diagonal and sqrt(2) off it.
+    component, in svec coordinates: the G unknown i n + j of problem.gvars,
+    n = problem.n, is the entry of words i and j in the lower triangle of
+    the k x k face, with scale 1 on the diagonal and sqrt(2) off it.
 
     A G pivot's expression holds free G unknowns only, so joining each pivot
     with the unknowns of its expression splits the coordinates into
@@ -67,8 +67,9 @@ def _component_rows(problem):
     gvars = problem.gvars
     gindex = {v: k for k, v in enumerate(gvars)}
     at = {w: a for a, w in enumerate(problem.face)}
-    flat = np.array([at[j] * len(at) + at[i] for _, i, j in gvars], dtype=np.intp)
-    scale = np.array([1.0 if i == j else sqrt(2.0) for _, i, j in gvars])
+    pairs = [divmod(v, problem.n) for v in gvars]
+    flat = np.array([at[j] * len(at) + at[i] for i, j in pairs], dtype=np.intp)
+    scale = np.array([1.0 if i == j else sqrt(2.0) for i, j in pairs])
     parent = list(range(len(gvars)))
 
     def find(k):

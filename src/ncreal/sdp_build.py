@@ -14,12 +14,13 @@ word by word gives exact linear constraints, one row per pair {w, w^*}
 (the rows of w and w^* are the same row).
 
 build_real_sdp writes each row once, as a dict of ints over the unknowns
-of the system: ("g", i, j) for G[i][j] with i <= j, and ("q", n) for the
-coefficient of v in q_j over D_j, with problem.qvars[n] = (j, v, D_j) and
-D_j the lcm of p_j's denominators, so that D_j p_j has integer terms.  It
-builds the rows one word length at a time, top-down, as the descent
-reaches that length, and feeds them into one fraction-free exact
-elimination (ExactAffineSystem) that pivots on multiplier unknowns first.
+of the system, each named by an int: i n + j for G[i][j] with i <= j and
+n = problem.n, and -1 - k for the coefficient of v in q_j over D_j, with
+problem.qvars[k] = (j, v, D_j) and D_j the lcm of p_j's denominators, so
+that D_j p_j has integer terms.  It builds the rows one word length at a
+time, top-down, as the descent reaches that length, and feeds them into
+one fraction-free exact elimination (ExactAffineSystem) that pivots on
+multiplier unknowns, the negative names, first.
 The words of a layer are integers, not tuples: a word's letters, and
 their ranks under the basis order, read as digits in base B = 2 order.g,
 so the pair {w, w^*} is chosen by comparing letter codes and the layer's
@@ -37,7 +38,7 @@ partial facial reduction: the free-algebra analogue of the Newton chip
 method (Burgdorf, Klep and Povh, Optimization of Polynomials in
 Non-Commuting Variables, 2016) and of Permenter and Parrilo's partial
 facial reduction.  The k words that stay are the face; problem.words,
-problem.n and the names ("g", i, j) still index the full word list, but G
+problem.n and the G names i n + j still index the full word list, but G
 is 0 off the face: every G after the build is the k x k block on it, in
 problem.face order.
 
@@ -64,7 +65,7 @@ Both read their point through one routine, _exact_point: evaluate the
 solved system at an assignment of its free unknowns, keep it when the k x k
 rational G on the face passes the exact PSD test, as that test's result
 (its LDL^T gives the certificate's squares) and the multipliers, each
-unknown ("q", n) times its D_j.
+unknown -1 - k times its D_j.
 """
 
 from fractions import Fraction
@@ -79,19 +80,19 @@ class SdpProblem:
     exact rows for some multipliers.
 
     n            -- the number of Gram words
-    words        -- the Gram words, which the names ("g", i, j) index
+    words        -- the Gram words, which the G names i n + j index
     face         -- the indices of the k words G may be nonzero on,
                     ascending; G itself is the k x k block on them
 
     build_real_sdp also records exact_rows, the rows as (row, const) pairs
     in the order they were solved, each row a dict of ints over the
     unknowns that were live when it was built, the trace row last; gvars,
-    the G unknowns ("g", i, j) on the face, i <= j, the coordinates of the
-    float slice (sdp._component_rows); qvars,
-    one triple (j, v, D_j) per multiplier unknown ("q", n), n its index:
-    the unknown is the coefficient of the word v in the multiplier of basis
-    element j over D_j; and system: the rows solved exactly with the
-    multipliers eliminated first (an ExactAffineSystem).
+    the G unknowns, ints i n + j on the face, i <= j, the coordinates of the
+    float slice (sdp._component_rows); qvars, one triple (j, v, D_j) per
+    multiplier unknown, the int -1 - k, k its index: the unknown is the
+    coefficient of the word v in the multiplier of basis element j over D_j;
+    and system: the rows solved exactly with the multipliers, the negative
+    names, eliminated first (an ExactAffineSystem).
     solve_feasibility and the exact post-checks read that one system; its
     inconsistent flag is set when the constraints admit no solution on the
     face.  The system holds a G unknown off the face only when it pins it
@@ -147,7 +148,7 @@ def build_real_sdp(basis):
             terms.setdefault(len(u), []).append((*codes, c.numerator * (D // c.denominator)))
         unknowns = {}
         for v, *codes in _coded_words(g, 2 * d - 1 - p.degree(), order):
-            unknowns.setdefault(len(v), []).append((("q", len(qvars)), *codes))
+            unknowns.setdefault(len(v), []).append((-1 - len(qvars), *codes))
             qvars.append((j, v, D))
         qblocks.append((unknowns, terms))
 
@@ -159,7 +160,7 @@ def build_real_sdp(basis):
     # the rows of length 2t, propagation over the words of length t drops
     # those pinned to 0.  Every row but the trace row is homogeneous, so the
     # descent meets neither a negative diagonal nor a contradiction.
-    system = ExactAffineSystem(priority=lambda var: 0 if var[0] == "q" else 1)
+    system = ExactAffineSystem(priority=lambda var: 0 if var < 0 else 1)
     exact_rows = []
     face = list(range(m))
     descending = True
@@ -179,7 +180,7 @@ def build_real_sdp(basis):
             for b in bs:
                 if head + code[b] <= star_code[b] * pa + code[a]:
                     row = rows.setdefault(head_rank + rank[b], {})
-                    var = ("g", a, b) if a <= b else ("g", b, a)
+                    var = a * m + b if a <= b else b * m + a
                     row[var] = row.get(var, 0) + 1
         for unknowns, terms in qblocks:
             for lv, named in unknowns.items():
@@ -203,11 +204,11 @@ def build_real_sdp(basis):
             system.add_row(rows[key], 0)
         if descending and L % 2 == 0:
             layer = [i for i in face if len(words[i]) == L // 2]
-            zeros = _propagate(system, layer)
+            zeros = _propagate(system, layer, m)
             face = [i for i in face if i not in zeros]
             descending = len(zeros) == len(layer)
-    gvars = [("g", i, j) for a, i in enumerate(face) for j in face[a:]]
-    trace = {("g", i, i): 1 for i in face}
+    gvars = [i * m + j for a, i in enumerate(face) for j in face[a:]]
+    trace = {i * m + i: 1 for i in face}
     exact_rows.append((trace, 1))
     try:
         system.add_row(trace, 1)
@@ -246,12 +247,15 @@ def _value(digits, base):
 
 
 def _exact_system(problem):
-    """A copy of the problem's solved exact system, free to take more rows."""
-    return problem.system.copy()
+    """A copy of the problem's solved exact system, free to take more rows,
+    its unknowns named ("g", i, j) for i n + j and ("q", k) for -1 - k."""
+    return problem.system.renamed(
+        lambda v: ("q", -1 - v) if v < 0 else ("g", *divmod(v, problem.n)),
+        lambda var: 0 if var[0] == "q" else 1)
 
 
-def _propagate(sys, indices):
-    """PSD propagation over the G unknowns among indices, to a fixed point.
+def _propagate(sys, indices, n):
+    """PSD propagation over the G unknowns i n + j among indices, to a fixed point.
 
     A diagonal entry pinned to 0 forces the rest of its row and column
     among indices to 0, which may pin more diagonal entries.  Returns the
@@ -266,7 +270,7 @@ def _propagate(sys, indices):
         for i in indices:
             if i in zeros:
                 continue
-            val = sys.pinned_value(("g", i, i))
+            val = sys.pinned_value(i * n + i)
             if val is None:
                 continue
             if val < 0:
@@ -277,7 +281,7 @@ def _propagate(sys, indices):
                 # a pair with an earlier zero was forced when that one was
                 for j in indices:
                     if j not in zeros:
-                        key = ("g", i, j) if i < j else ("g", j, i)
+                        key = i * n + j if i < j else j * n + i
                         if sys.pinned_value(key) != 0:
                             sys.add_row({key: 1}, 0)
     return zeros
@@ -297,9 +301,9 @@ def exact_infeasibility_check(problem):
     """
     if problem.system.inconsistent:
         return "infeasible", None
-    sys = _exact_system(problem)
+    sys = problem.system.copy()
     try:
-        _propagate(sys, problem.face)
+        _propagate(sys, problem.face, problem.n)
     except Inconsistent:
         return "infeasible", None
     if any(sys.pinned_value(v) is None for v in problem.gvars):
@@ -319,8 +323,8 @@ def exact_lift(problem, G_face):
     sys = problem.system
     if sys.inconsistent:
         return None
-    at = {i: a for a, i in enumerate(problem.face)}
-    numeric = {v: float(G_face[at[v[1]]][at[v[2]]]) if v[0] == "g" else 0.0
+    at, n = {i: a for a, i in enumerate(problem.face)}, problem.n
+    numeric = {v: float(G_face[at[v // n]][at[v % n]]) if v >= 0 else 0.0
                for v in sys.free_variables()}
     for den in (10, 100, 10**4, 10**6):
         assignment = {v: Fraction(x).limit_denominator(den) for v, x in numeric.items()}
@@ -341,14 +345,14 @@ def _exact_point(problem, sys, assignment):
     at = {i: a for a, i in enumerate(problem.face)}
     G = [[None] * len(at) for _ in at]
     for var in problem.gvars:
-        _, i, j = var
+        i, j = divmod(var, problem.n)
         G[at[i]][at[j]] = G[at[j]][at[i]] = sys.evaluate(var, assignment)
     psd = psd_check_exact(G)
     if not psd.is_psd:
         return None
     qdicts = {}
-    for n, (j, v, D) in enumerate(problem.qvars):
-        c = sys.evaluate(("q", n), assignment)
+    for k, (j, v, D) in enumerate(problem.qvars):
+        c = sys.evaluate(-1 - k, assignment)
         if c:
             qdicts.setdefault(j, {})[v] = D * c
     return psd, qdicts

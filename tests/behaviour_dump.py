@@ -14,13 +14,13 @@ reproducible.  The digest covers, each record as its repr:
 - RealnessVerdict.to_json() of every seed-1 ideal of the three benchmark
   workloads, at the workload's method and at "auto", with its max_iter;
 - for every ideal of the workloads run at method "sdp" that reaches the
-  SDP route, the built problem's system.solved and solve_feasibility's
+  SDP route, the built problem's solved system and solve_feasibility's
   status, iterations, final_gap, gaps and the bytes of G, and the face,
-  system.solved and system.free_variables() of the problem built under a
-  random ranking of the letters (random.Random(13), one per ideal);
-- the face, system.solved and system.free_variables() of the problems
-  built for the two FRONTIER ideals (n = 85 at g = 2, n = 259 at g = 3),
-  under the default order and under a random ranking (random.Random(23));
+  solved system and free unknowns of the problem built under a random
+  ranking of the letters (random.Random(13), one per ideal);
+- the face, solved system and free unknowns of the problems built for the
+  two FRONTIER ideals (n = 85 at g = 2, n = 259 at g = 3), under the
+  default order and under a random ranking (random.Random(23));
 - RealnessVerdict.to_json() of real_test on 120 random ideals
   (random.Random(11), util.rand_poly: g in {1, 2}, 1-3 generators of
   degree 2-3);
@@ -41,6 +41,9 @@ reproducible.  The digest covers, each record as its repr:
   random ranking of 300 polynomials (random.Random(19), util.rand_poly:
   g in {1, 2, 3}, degree <= 5).
 
+A solved system and its free unknowns are solved and free_variables() of
+sdp_build._exact_system(problem), the system under the names ("g", i, j)
+and ("q", k), whatever names the checkout's build gives its unknowns.
 Polynomials are recorded as their sorted terms.  An exception raised
 anywhere is recorded as its repr.  The output is the number of records and
 the digest.
@@ -71,7 +74,7 @@ def records():
     from ncreal.parsing import ParseError, parse_poly, poly_str
     from ncreal.realness import real_test
     from ncreal.sdp import solve_feasibility
-    from ncreal.sdp_build import build_real_sdp
+    from ncreal.sdp_build import _exact_system, build_real_sdp
 
     def attempt(f, *args, **kwargs):
         try:
@@ -90,6 +93,10 @@ def records():
     def terms(p):
         return sorted(p.terms.items())
 
+    def system(problem):
+        named = _exact_system(problem)
+        return problem.face, named.solved, named.free_variables()
+
     def certificate(cert):
         return cert and (cert.weights, [terms(r) for r in cert.polys])
 
@@ -106,13 +113,11 @@ def records():
             if not basis.elements or any(p.is_constant() for p in basis.elements):
                 continue
             problem = build_real_sdp(basis)
-            yield f"{name} {ideal.ident} solved {problem.system.solved!r}"
+            yield f"{name} {ideal.ident} solved {_exact_system(problem).solved!r}"
             ranking = list(range(2 * basis.g))
             ranked.shuffle(ranking)
             yield f"{name} {ideal.ident} ranked {ranking} " + outcome(
-                lambda problem: (problem.face, problem.system.solved,
-                                 problem.system.free_variables()),
-                lambda: build_real_sdp(left_groebner(gens, MonomialOrder(basis.g, ranking))))
+                system, lambda: build_real_sdp(left_groebner(gens, MonomialOrder(basis.g, ranking))))
             res = attempt(solve_feasibility, problem, max_iter=workload.max_iter)
             if isinstance(res, Exception):
                 yield f"{name} {ideal.ident} solve {res!r}"
@@ -129,9 +134,7 @@ def records():
         rng.shuffle(ranking)
         for order in (MonomialOrder(g), MonomialOrder(g, ranking)):
             yield f"frontier {text!r} {order.ranking} " + outcome(
-                lambda problem: (problem.face, problem.system.solved,
-                                 problem.system.free_variables()),
-                lambda: build_real_sdp(left_groebner(gens, order)))
+                system, lambda: build_real_sdp(left_groebner(gens, order)))
 
     rng = random.Random(11)
     for k in range(120):

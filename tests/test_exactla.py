@@ -205,6 +205,25 @@ def test_affine_system_priority_and_copy():
     assert not sys.inconsistent
 
 
+def test_the_pivot_rank_is_one_int_that_sorts_as_priority_then_mention():
+    # a reduced row pivots on its unknown of least (priority, first mention),
+    # for negative and positive classes and hundreds of mentions
+    rng = random.Random(83)
+    for _ in range(30):
+        names = [f"v{k}" for k in range(rng.randint(2, 400))]
+        klass = {v: rng.choice((-3, -1, 0, 1, 2, 7)) for v in names}
+        sys = ExactAffineSystem(priority=klass.__getitem__)
+        for v in names:
+            sys.add_row({v: 0}, 0)  # mentioned, not solved
+        assert sys.free_variables() == names
+        assert all(type(rank) is int for rank in sys._order.values())
+        for _ in range(20):
+            row = {v: rng.choice((-2, -1, 1, 3)) for v in rng.sample(names, rng.randint(1, 6))}
+            other = sys.copy()
+            other.add_row(row, 1)
+            assert list(other.solved) == [min(row, key=lambda v: (klass[v], names.index(v)))]
+
+
 def test_affine_system_stores_integer_rows_over_a_denominator():
     sys = ExactAffineSystem()
     # a negative pivot and a gcd of 2: -2a + 4b = 6 is stored as a = 2b - 3

@@ -91,3 +91,29 @@ assert not loaded, f"the decision path loaded {loaded}"
 def test_decision_path_never_imports_dataclasses_inspect_or_json():
     # a verdict uses none of them, so a fresh process should not pay their import
     _run_fresh(IMPORT_PATH_WITHOUT_DATACLASSES)
+
+
+CLI_REAL_WITHOUT_JSON = """
+import contextlib
+import io
+import sys
+
+before = set(sys.modules)
+from ncreal.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["real", "-e", "x1"])
+assert code == 0 and out.getvalue().startswith("status: Real"), out.getvalue()
+loaded = "json" in set(sys.modules) - before
+assert not loaded, "ncreal real on a Real closed form loaded json"
+
+# a NotReal verdict prints its certificate as JSON
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["real", "-e", "x1 x1* + 1"])
+assert code == 0 and '"multipliers": ["1"]' in out.getvalue(), out.getvalue()
+"""
+
+
+def test_cli_real_on_a_real_closed_form_never_imports_json():
+    # only --json, a NotReal certificate, verify and eval write or read JSON
+    _run_fresh(CLI_REAL_WITHOUT_JSON)

@@ -33,6 +33,7 @@ from util import (
     loop_arrays,
     problem_slice,
     project_affine,
+    propagate_named,
     project_psd,
     rand_poly,
     recover_multipliers,
@@ -41,6 +42,7 @@ from util import (
     svec,
     svec_inverse,
     svec_layout,
+    unknown_name,
     zero_diagonals,
 )
 
@@ -515,11 +517,12 @@ def _assert_same_elimination(basis):
     assert problem.face == face
     assert problem.system.inconsistent == ref.inconsistent
     # the same free unknowns in the same order, the multipliers by (j, v)
+    sys = _exact_system(problem)
     names = {("q", n): ("q", j, v) for n, (j, v, _) in enumerate(problem.qvars)}
-    assert [names.get(v, v) for v in problem.system.free_variables()] == ref.free_variables()
+    assert [names.get(v, v) for v in sys.free_variables()] == ref.free_variables()
     for i in range(problem.n):
         for j in range(i, problem.n):
-            assert problem.system.expression(("g", i, j)) == ref.expression(("g", i, j))
+            assert sys.expression(("g", i, j)) == ref.expression(("g", i, j))
     return problem
 
 
@@ -602,21 +605,23 @@ def test_propagation_asks_no_off_diagonal_pair_twice(monkeypatch):
     pinned_value = ExactAffineSystem.pinned_value
 
     def recorded(self, var):
-        if var[1] != var[2]:
-            asked.append(var)
+        asked.append(var)
         return pinned_value(self, var)
+
+    def off_diagonal(n):  # the pairs (i, j), i != j, of the G unknowns i n + j asked
+        return [(i, j) for i, j in (divmod(var, n) for var in asked) if i != j]
 
     monkeypatch.setattr(ExactAffineSystem, "pinned_value", recorded)
     sys = ExactAffineSystem()
-    sys.add_row({("g", 0, 0): 1}, 0)
-    sys.add_row({("g", 1, 1): 1, ("g", 0, 1): -1}, 0)
-    assert _propagate(sys, [0, 1, 2]) == {0, 1}
-    assert sorted(asked) == [("g", 0, 1), ("g", 0, 2), ("g", 1, 2)]
-    asked.clear()
+    sys.add_row({0: 1}, 0)  # G[0][0] = 0, names i 3 + j
+    sys.add_row({4: 1, 1: -1}, 0)  # G[1][1] = G[0][1]
+    assert _propagate(sys, [0, 1, 2], 3) == {0, 1}
+    assert sorted(off_diagonal(3)) == [(0, 1), (0, 2), (1, 2)]
     problem = build_real_sdp(left_groebner(parse_generators(LIFTED_ON_A_FACE, 2)))
     asked.clear()
-    zeros = _propagate(_exact_system(problem), range(problem.n))
-    assert len(zeros) >= 2 and len(asked) == len(set(asked))
+    zeros = _propagate(problem.system.copy(), range(problem.n), problem.n)
+    pairs = off_diagonal(problem.n)
+    assert len(zeros) >= 2 and pairs and len(pairs) == len(set(pairs))
 
 
 def test_the_elimination_ranks_each_unknown_once(monkeypatch):
@@ -634,6 +639,50 @@ def test_the_elimination_ranks_each_unknown_once(monkeypatch):
     problem = build_real_sdp(left_groebner([parse_poly("x1 x1* - x1* x1 - 1")]))
     assert set(calls) == set(problem.system.solved) | set(problem.system.free_variables())
     assert set(calls.values()) == {1}
+
+
+def _propagation_outcome(propagate, *args):
+    """The zero diagonals a propagation finds, or the const of the Inconsistent it raises."""
+    try:
+        return propagate(*args)
+    except Inconsistent as exc:
+        return exc.const
+
+
+def test_unknowns_are_ints_that_decode_to_gvars_pairs_and_qvars_indices():
+    # G[i][j], i <= j, is the unknown i n + j and the k-th multiplier is
+    # -1 - k; _exact_system is the same system under ("g", i, j) and ("q", k)
+    for name in sorted(FACE_CASES):
+        texts, g, _ = FACE_CASES[name]
+        problem = build_real_sdp(left_groebner([parse_poly(t, g) for t in texts]))
+        n, face, sys = problem.n, problem.face, problem.system
+        solved = sys.solved
+        names = [*solved, *sys.free_variables(), *(f for expr, _ in solved.values() for f in expr),
+                 *(var for row, _ in problem.exact_rows for var in row)]
+        assert names and all(type(var) is int for var in [*names, *problem.gvars])
+        assert [divmod(var, n) for var in problem.gvars] == [
+            (i, j) for a, i in enumerate(face) for j in face[a:]]
+        assert all(i <= j < n for i, j in (divmod(var, n) for var in names if var >= 0))
+        assert {-1 - var for var in names if var < 0} <= set(range(len(problem.qvars)))
+        assert any(var < 0 for var in names)
+
+        def named(var):
+            return unknown_name(problem, var)
+
+        decoded = _exact_system(problem)
+        assert decoded.inconsistent == sys.inconsistent
+        assert decoded.free_variables() == [named(var) for var in sys.free_variables()]
+        assert list(decoded.solved) == [named(var) for var in solved]
+        for var, (expr, c0) in solved.items():
+            assert decoded.expression(named(var)) == ({named(f): e for f, e in expr.items()}, c0)
+        # both go on alike: propagation over every word mentions new unknowns
+        if not sys.inconsistent:
+            copied = sys.copy()
+            assert (_propagation_outcome(_propagate, copied, range(n), n)
+                    == _propagation_outcome(propagate_named, decoded, range(n)))
+            assert decoded.free_variables() == [named(var) for var in copied.free_variables()]
+            assert decoded.solved == {named(var): ({named(f): e for f, e in expr.items()}, c0)
+                                      for var, (expr, c0) in copied.solved.items()}
 
 
 def test_inconsistent_constraints_are_found_exactly():
@@ -661,7 +710,7 @@ def test_a_free_entry_far_outside_the_psd_cone_lifts_to_no_point():
     # one free G unknown, off the diagonal; the diagonal is pinned below 1,
     # so 100 rounds to no PSD point at any denominator
     problem = build_real_sdp(left_groebner([parse_poly(OPEN_CASE)]))
-    assert problem.system.free_variables() == [("g", 0, 2)]
+    assert _exact_system(problem).free_variables() == [("g", 0, 2)]
     assert exact_lift(problem, np.full((3, 3), 100.0)) is None
 
 
@@ -676,9 +725,9 @@ def test_problem_holds_no_second_infeasibility_record():
 def test_negative_pinned_diagonal_raises_in_propagation():
     # criterion 1: the rows pin G[x1*, x1*] to -1
     problem = build_real_sdp(left_groebner([parse_poly("x1 x1* - x1* x1 - 1")]))
-    sys = _exact_system(problem)
+    sys = problem.system.copy()
     with pytest.raises(Inconsistent):
-        _propagate(sys, problem.face)
+        _propagate(sys, problem.face, problem.n)
 
 
 # (x2 + x2*)^2 (2 x1 - x1*): the presolve leaves it open, the projections lift it
@@ -706,14 +755,15 @@ def test_route_carries_G_on_the_face_only():
 
 def test_multiplier_unknowns_are_eliminated_first():
     problem = build_real_sdp(left_groebner([parse_poly("x1^2 x1*^2 + x1* x1 - 1")]))
-    solved = problem.system.solved
-    on_face = set(problem.gvars)
+    sys = _exact_system(problem)
+    solved = sys.solved
+    on_face = {unknown_name(problem, var) for var in problem.gvars}
     gpivots = [var for var in solved if var in on_face]
     A, b = dense_rows(problem_slice(problem))
     assert len(gpivots) == A.shape[0] > 0
     assert all(f in on_face and f not in solved for var in gpivots for f in solved[var][0])
     # a G unknown off the face is never free, and pinned to 0 when solved
-    assert all(var in on_face for var in problem.system.free_variables() if var[0] == "g")
+    assert all(var in on_face for var in sys.free_variables() if var[0] == "g")
     assert all(solved[var] == ({}, 0) for var in solved if var[0] == "g" and var not in on_face)
     # at a point of the affine slice, the recovered multipliers meet every row
     face = np.ix_(problem.face, problem.face)
@@ -723,6 +773,7 @@ def test_multiplier_unknowns_are_eliminated_first():
     for row, const in problem.exact_rows:
         lhs = 0.0
         for var, c in row.items():
+            var = unknown_name(problem, var)
             if var[0] == "g":
                 lhs += float(c) * G[var[1], var[2]]
             else:
@@ -766,7 +817,7 @@ def test_affine_rows_are_factored_per_component(monkeypatch):
             k = parent[k]
         return k
 
-    for var, (expr, _) in problem.system.solved.items():
+    for var, (expr, _) in _exact_system(problem).solved.items():
         if var in gindex:
             for f in expr:
                 parent[find(gindex[f])] = find(gindex[var])

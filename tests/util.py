@@ -16,11 +16,13 @@ built problem's slice off its exact system by the library's own slice
 function, dense_rows gives such a slice back as the dense (A, b), and
 loop_arrays gives it in the form the projection loop takes;
 recover_multipliers reads the multipliers that go with a numeric G off the
-solved system.  full_sdp_rows
+solved system, and unknown_name gives the tuple name, ("g", i, j) or
+("q", k), of a built problem's int unknown.  full_sdp_rows
 is the realness SDP's row assembly over every Gram word, and zero_diagonals
 the PSD propagation run on it: the oracle for the words the face build
 drops; reference_build solves those rows sorted and filtered for dropped
-words, in Fractions, as the build once did: the oracle for its layered,
+words, in Fractions, as the build once did, with propagate_named, the
+build's layer propagation over tuple names: the oracle for its layered,
 integer elimination.  gram_matrix fills the whole
 (d1, d2)-Gram matrix of a homogeneous polynomial, and
 dense_rank_one_split, dense_factor_homogeneous, dense_is_sos and
@@ -58,7 +60,7 @@ from ncreal.exactla import Inconsistent, psd_check_exact, to_fraction_matrix
 from ncreal.factor import is_irreducible_homogeneous
 from ncreal.realness import NOT_REAL, REAL, NonRealCertificate, RealnessVerdict
 from ncreal.sdp import _component_rows
-from ncreal.sdp_build import _propagate
+from ncreal.sdp_build import _exact_system
 
 
 def rand_word(rng, g, d):
@@ -458,7 +460,7 @@ def reference_build(basis):
             feed(rows[w], 0)
             at += 1
         layer = [i for i, w in enumerate(words) if len(w) == t]
-        zeros = _propagate(system, layer)
+        zeros = propagate_named(system, layer)
         dropped |= zeros
         if len(zeros) < len(layer):
             break
@@ -491,6 +493,41 @@ def is_antianalytic(p):
     return all(c & 1 for w in p.terms for c in w)
 
 
+def propagate_named(sys, indices):
+    """sdp_build._propagate over the tuple names ("g", i, j): PSD propagation
+    over the words among indices, to a fixed point, each off-diagonal pair
+    asked at most once; returns the indices whose diagonal is pinned to 0."""
+    zeros = set()
+    progress = True
+    while progress:
+        progress = False
+        for i in indices:
+            if i in zeros:
+                continue
+            val = sys.pinned_value(("g", i, i))
+            if val is None:
+                continue
+            if val < 0:
+                raise Inconsistent(val)
+            if val == 0:
+                zeros.add(i)
+                progress = True
+                for j in indices:
+                    if j not in zeros:
+                        key = ("g", min(i, j), max(i, j))
+                        if sys.pinned_value(key) != 0:
+                            sys.add_row({key: 1}, 0)
+    return zeros
+
+
+def unknown_name(problem, var):
+    """The tuple name of a built problem's int unknown: ("g", i, j) for the
+    G unknown i n + j, n = problem.n, and ("q", k) for the multiplier -1 - k."""
+    if var < 0:
+        return ("q", -1 - var)
+    return ("g", var // problem.n, var % problem.n)
+
+
 def zero_diagonals(sys, m):
     """The indices i < m whose G[i][i] sys pins to 0 once PSD forces every
     row and column of a zero diagonal entry to 0, repeated to a fixed
@@ -514,9 +551,10 @@ def recover_multipliers(problem, G):
     One float word-dict per basis element.
     """
     out = {}
+    sys = _exact_system(problem)
     for n, (j, v, D) in enumerate(problem.qvars):
         # the unknown ("q", n) is the coefficient of v in q_j over D
-        expr, c0 = problem.system.expression(("q", n))
+        expr, c0 = sys.expression(("q", n))
         val = float(c0) + sum(
             float(e) * float(G[f[1], f[2]]) for f, e in expr.items() if f[0] == "g"
         )
