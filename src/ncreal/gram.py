@@ -101,9 +101,11 @@ def pm_sos_kind(p, order=None):
 #
 # For g = 1 write a symmetric quadratic as
 #   s = b0 + b1 (x + x^*) + b2 (x^2 + x^*^2) + b3 x x^* + b4 x^* x .
-# s is a sum of hermitian squares iff
-#   b0 >= 0,  b3 >= 0,  b4 >= 0,  b3 b4 - b2^2 >= 0,
-#   -b1^2 + b0 (2 b2 + b3 + b4) >= 0.
+# With G = [[b4, b2], [b2, b3]], sigma = 2 b2 + b3 + b4, mu = b1 / sigma (0
+# when sigma = 0) and r = (x + mu, x^* + mu),
+#   s = b0 - mu b1 + sum_ij G_ij r_i^* r_j    when sigma != 0 or b1 = 0,
+# so s is a sum of hermitian squares iff G is PSD, b1 = 0 when sigma = 0,
+# and b0 - mu b1 >= 0.
 
 
 def quad_poly(b0, b1, b2, b3, b4):
@@ -127,40 +129,30 @@ def quad_coeffs(p):
 
 
 def sos_quadratic_univariate(b0, b1, b2, b3, b4):
-    """Closed-form SOS test for b0 + b1(x+x*) + b2(x^2+x*^2) + b3 xx* + b4 x*x."""
-    b0, b1, b2, b3, b4 = (Fraction(b) for b in (b0, b1, b2, b3, b4))
-    return (
-        b0 >= 0
-        and b3 >= 0
-        and b4 >= 0
-        and b3 * b4 - b2 * b2 >= 0
-        and -b1 * b1 + b0 * (2 * b2 + b3 + b4) >= 0
-    )
+    """Closed-form SOS test for b0 + b1(x+x*) + b2(x^2+x*^2) + b3 xx* + b4 x*x:
+    whether decompose_quadratic_univariate finds a certificate."""
+    return decompose_quadratic_univariate(b0, b1, b2, b3, b4) is not None
 
 
 def decompose_quadratic_univariate(b0, b1, b2, b3, b4):
     """Constructive SOS decomposition of a univariate symmetric quadratic.
 
     Returns an SosCertificate with expand(1) == quad_poly(b0,...,b4), or None
-    when the closed-form test fails.  The decomposition shifts x by
-    mu = b1 / (2 b2 + b3 + b4), splitting off the constant square, and
-    factors the homogeneous part through its 2x2 Gram matrix
-    [[b4, b2], [b2, b3]] over the basis (x, x^*).
+    when there is none: when the 2x2 Gram matrix [[b4, b2], [b2, b3]] of the
+    homogeneous part over the basis (x, x^*) is not PSD, when
+    sigma = 2 b2 + b3 + b4 is 0 and b1 is not, or when the constant left by
+    shifting x by mu = b1 / sigma is negative.  Otherwise the squares are
+    that constant's and those of the block's LDL^T, over (x + mu, x^* + mu).
     """
     b0, b1, b2, b3, b4 = (Fraction(b) for b in (b0, b1, b2, b3, b4))
-    if not sos_quadratic_univariate(b0, b1, b2, b3, b4):
-        return None
-    sigma = 2 * b2 + b3 + b4
-    if sigma:
-        mu = b1 / sigma
-        const = b0 - b1 * b1 / sigma  # = (-b1^2 + b0*sigma) / sigma >= 0
-    else:
-        # b3*b4 >= b2^2 and b3 + b4 = -2 b2 force b1 = 0 via the last condition.
-        mu = Fraction(0)
-        const = b0
     hom = psd_check_exact([[b4, b2], [b2, b3]])
-    if not hom.is_psd:
-        raise AssertionError("internal error: homogeneous block not psd")
+    sigma = 2 * b2 + b3 + b4
+    if not hom.is_psd or not sigma and b1:
+        return None
+    mu = b1 / sigma if sigma else Fraction(0)
+    const = b0 - mu * b1
+    if const < 0:
+        return None
     x = Poly.gen(1, 1)
     shifted = [x + mu, x.star() + mu]  # rows (x, x^*) of the homogeneous Gram matrix
     weights, rows = ldl_squares(hom, shifted)

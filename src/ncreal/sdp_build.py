@@ -21,10 +21,11 @@ that D_j p_j has integer terms.  It builds the rows one word length at a
 time, top-down, as the descent reaches that length, and feeds them into
 one fraction-free exact elimination (ExactAffineSystem) that pivots on
 multiplier unknowns, the negative names, first.
-The words of a layer are integers, not tuples: a word's letters, and
-their ranks under the basis order, read as digits in base B = 2 order.g,
-so the pair {w, w^*} is chosen by comparing letter codes and the layer's
-rows sort by rank code, both as the tuples would.
+The words of a layer are integers, not tuples: a word's letter ranks
+under the basis order, read as digits in base B = 2 order.g, so that
+among words of one length the smaller code is the greater word; each pair
+{w, w^*} is kept under its greater word, and the layer's rows sort by
+that code, greatest word first.
 Once every row of length >= 2t is in, PSD propagation over the words of
 length t (t = d - 1 first) finds the words whose diagonal entry the rows
 pin to 0.  Such a word z leaves the face: G_zz = 0 forces its whole row
@@ -109,16 +110,15 @@ class SdpProblem:
 def build_real_sdp(basis):
     """Build the feasibility SDP for the ideal of a left Groebner basis, on its face.
 
-    Inside the build a word is two integers in base B = 2 order.g
-    (_coded_words): its letter code, its letters as digits, and its rank
-    code, its letter ranks (letter_key) as digits.  A product is one
-    multiply-add, code(xy) = code(x) B^|y| + code(y), and Gram words, terms
-    and multiplier words carry the codes of their adjoints too.  Among words
-    of one length letter-code order is tuple order, so the pair {w, w*} is
-    kept under the smaller letter code, as the tuples would choose it; and
-    rank-code order is letter_key order, the basis order, so a layer's rows,
-    keyed by rank code (all of one length, so no two share a code), go in
-    as sorted(rows).  Words become tuples only where they leave the build:
+    Inside the build a word is one integer in base B = 2 order.g
+    (_coded_words), its rank code: its letter ranks (letter_key) as digits.
+    A product is one multiply-add, code(xy) = code(x) B^|y| + code(y), and
+    Gram words, terms and multiplier words carry the code of their adjoint
+    too.  Among words of one length rank-code order is letter_key order, the
+    basis order, greatest word first, so the pair {w, w*} is kept under the
+    smaller code, its greater word, and a layer's rows, keyed by that code
+    (all of one length, so no two share a code), go in as sorted(rows).
+    Words become tuples only where they leave the build:
     problem.words and the v of problem.qvars.  The elimination fixes each
     unknown's pivot rank (multipliers first, then first mention) when it is
     first mentioned.
@@ -133,7 +133,7 @@ def build_real_sdp(basis):
     B = 2 * order.g
     power = [B**k for k in range(2 * d)]
     gram = [cw for cw in _coded_words(g, d - 1, order) if basis.is_irreducible_word(cw[0])]
-    words, code, rank, star_code, star_rank = map(list, zip(*gram))
+    words, rank, star_rank = map(list, zip(*gram))
     m = len(words)
     # per basis element: its multiplier unknowns (name, codes of v and v*) by
     # the length of v, and the integer terms (codes of u and u*, c) of D_j p_j
@@ -143,8 +143,7 @@ def build_real_sdp(basis):
         D = lcm(*(c.denominator for c in p.terms.values()))
         terms = {}
         for u, c in p.terms.items():
-            us = word_star(u)
-            codes = [_value(x, B) for x in (u, order.letter_key(u), us, order.letter_key(us))]
+            codes = [_value(order.letter_key(x), B) for x in (u, word_star(u))]
             terms.setdefault(len(u), []).append((*codes, c.numerator * (D // c.denominator)))
         unknowns = {}
         for v, *codes in _coded_words(g, 2 * d - 1 - p.degree(), order):
@@ -153,10 +152,10 @@ def build_real_sdp(basis):
         qblocks.append((unknowns, terms))
 
     # The rows of each word length L, top-down, built when the descent
-    # reaches L: one per pair {w, w*}, kept under w <= w* (letter codes),
-    # G unknowns of the face first, in (a, b) order, then multipliers, since
-    # the elimination breaks pivot ties by first mention; a row is keyed by
-    # the rank code of its word, so sorted(rows) is the basis order.  After
+    # reaches L: one per pair {w, w*}, kept and keyed under the smaller
+    # code, its greater word, so sorted(rows) is the basis order; G unknowns
+    # of the face first, in (a, b) order, then multipliers, since the
+    # elimination breaks pivot ties by first mention.  After
     # the rows of length 2t, propagation over the words of length t drops
     # those pinned to 0.  Every row but the trace row is homogeneous, so the
     # descent meets neither a negative diagonal nor a contradiction.
@@ -174,12 +173,13 @@ def build_real_sdp(basis):
             bs = on_face.get(L - la)
             if bs is None:
                 continue
-            # w = a* b and w* = b* a: a*'s codes shifted past b, plus b's
+            # w = a* b and w* = b* a: a*'s code shifted past b, plus b's
             pa, pb = power[la], power[L - la]
-            head, head_rank = star_code[a] * pb, star_rank[a] * pb
+            head = star_rank[a] * pb
             for b in bs:
-                if head + code[b] <= star_code[b] * pa + code[a]:
-                    row = rows.setdefault(head_rank + rank[b], {})
+                key = head + rank[b]
+                if key <= star_rank[b] * pa + rank[a]:
+                    row = rows.setdefault(key, {})
                     var = a * m + b if a <= b else b * m + a
                     row[var] = row.get(var, 0) + 1
         for unknowns, terms in qblocks:
@@ -187,15 +187,15 @@ def build_real_sdp(basis):
                 if L - lv in terms:
                     # the term c vu of q_j p_j and its adjoint c u*v* of p_j^* q_j^*
                     pu, pv = power[L - lv], power[lv]
-                    scaled = [(xu, ru, xus * pv, rus * pv, c) for xu, ru, xus, rus, c in terms[L - lv]]
-                    for var, xv, rv, xvs, rvs in named:
-                        xv, rv = xv * pu, rv * pu
-                        for xu, ru, xus, rus, c in scaled:
-                            w, ws = xv + xu, xus + xvs
+                    scaled = [(ru, rus * pv, c) for ru, rus, c in terms[L - lv]]
+                    for var, rv, rvs in named:
+                        rv *= pu
+                        for ru, rus, c in scaled:
+                            w, ws = rv + ru, rus + rvs
                             if w < ws:
-                                row = rows.setdefault(rv + ru, {})
+                                row = rows.setdefault(w, {})
                             else:
-                                row = rows.setdefault(rus + rvs, {})
+                                row = rows.setdefault(ws, {})
                                 if w == ws:
                                     c *= 2
                             row[var] = row.get(var, 0) - c
@@ -218,21 +218,20 @@ def build_real_sdp(basis):
 
 
 def _coded_words(g, k, order):
-    """(w, code, rank, star code, star rank) for each w of words_up_to(g, k,
-    order), in its order.  In base B = 2 order.g, the code of w reads its
-    letters as digits and its rank code reads their ranks (letter_key(w));
-    the star code and star rank are those of w*.  Each length is built from
-    the one below, one multiply-add per code: w c is w's codes times B plus
-    c's, and (w c)* = c* w* is c*'s codes times B^|w| plus w*'s."""
+    """(w, rank, star rank) for each w of words_up_to(g, k, order), in its
+    order.  The rank code of w reads its letter ranks (letter_key(w)) as
+    digits in base B = 2 order.g; the star rank is that of w*.  Each length
+    is built from the one below, one multiply-add per code: w c is w's code
+    times B plus c's, and (w c)* = c* w* is c*'s code times B^|w| plus w*'s."""
     B = 2 * order.g
     rank = order.letter_key(range(B))
-    letters = [(c, rank[c], c ^ 1, rank[c ^ 1]) for c in order.ranking if c < 2 * g]
-    layer = [((), 0, 0, 0, 0)]
+    letters = [(c, rank[c], rank[c ^ 1]) for c in order.ranking if c < 2 * g]
+    layer = [((), 0, 0)]
     coded = layer[:]
     scale = 1  # B^n, n the length of the words of layer
     for _ in range(k):
-        layer = [(w + (c,), x * B + c, r * B + rc, cs * scale + xs, rcs * scale + rs)
-                 for w, x, r, xs, rs in layer for c, rc, cs, rcs in letters]
+        layer = [(w + (c,), r * B + rc, rcs * scale + rs)
+                 for w, r, rs in layer for c, rc, rcs in letters]
         scale *= B
         coded += layer
     return coded

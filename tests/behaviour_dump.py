@@ -1,5 +1,5 @@
-"""Behaviour dump: print one sha256 over what a checkout decides, so that
-two checkouts can be compared byte for byte.
+"""Behaviour dump: print sha256 digests over what a checkout decides, so
+that two checkouts can be compared byte for byte.
 
     python tests/behaviour_dump.py [CHECKOUT]
 
@@ -45,8 +45,12 @@ A solved system and its free unknowns are solved and free_variables() of
 sdp_build._exact_system(problem), the system under the names ("g", i, j)
 and ("q", k), whatever names the checkout's build gives its unknowns.
 Polynomials are recorded as their sorted terms.  An exception raised
-anywhere is recorded as its repr.  The output is the number of records and
-the digest.
+anywhere is recorded as its repr.  The output is one line per kind of
+record, in the order above: its name, its number of records and the digest
+of those records alone (the workload records are split into verdict,
+solved, ranked and solve; then come frontier, random, psd, factor, sos,
+quad, text and print); then the number of records and the digest of all of
+them, one after another.
 """
 
 import hashlib
@@ -62,7 +66,7 @@ FRONTIER = ("x1 x2 x1* x2* - x2 x1 + 2", "x1 x2 x3* x1* - x3 x2 + 2")
 
 
 def records():
-    """Every record of the digest, in a fixed order, each a str."""
+    """Every record of the digest, in a fixed order, as (kind, record), the record a str."""
     import corpora
     from util import near_psd, rand_poly, rand_product, rand_text
 
@@ -105,7 +109,7 @@ def records():
         for ideal in corpora.build_corpus(workload, 1):
             gens = ideal.parse()
             for method in dict.fromkeys((workload.method, "auto")):
-                yield f"{name} {ideal.ident} {method} " + verdict(
+                yield "verdict", f"{name} {ideal.ident} {method} " + verdict(
                     gens, method=method, max_iter=workload.max_iter)
             if workload.method != "sdp":
                 continue
@@ -113,18 +117,18 @@ def records():
             if not basis.elements or any(p.is_constant() for p in basis.elements):
                 continue
             problem = build_real_sdp(basis)
-            yield f"{name} {ideal.ident} solved {_exact_system(problem).solved!r}"
+            yield "solved", f"{name} {ideal.ident} solved {_exact_system(problem).solved!r}"
             ranking = list(range(2 * basis.g))
             ranked.shuffle(ranking)
-            yield f"{name} {ideal.ident} ranked {ranking} " + outcome(
+            yield "ranked", f"{name} {ideal.ident} ranked {ranking} " + outcome(
                 system, lambda: build_real_sdp(left_groebner(gens, MonomialOrder(basis.g, ranking))))
             res = attempt(solve_feasibility, problem, max_iter=workload.max_iter)
             if isinstance(res, Exception):
-                yield f"{name} {ideal.ident} solve {res!r}"
+                yield "solve", f"{name} {ideal.ident} solve {res!r}"
                 continue
             G = None if res.G is None else res.G.tobytes().hex()
-            yield (f"{name} {ideal.ident} solve {res.status} {res.iterations} "
-                   f"{res.final_gap!r} {res.gaps!r} {G}")
+            yield "solve", (f"{name} {ideal.ident} solve {res.status} {res.iterations} "
+                            f"{res.final_gap!r} {res.gaps!r} {G}")
 
     rng = random.Random(23)
     for text in FRONTIER:
@@ -133,19 +137,19 @@ def records():
         ranking = list(range(2 * g))
         rng.shuffle(ranking)
         for order in (MonomialOrder(g), MonomialOrder(g, ranking)):
-            yield f"frontier {text!r} {order.ranking} " + outcome(
+            yield "frontier", f"frontier {text!r} {order.ranking} " + outcome(
                 system, lambda: build_real_sdp(left_groebner(gens, order)))
 
     rng = random.Random(11)
     for k in range(120):
         g = rng.choice((1, 2))
         gens = [rand_poly(rng, g, rng.randint(2, 3)) for _ in range(rng.randint(1, 3))]
-        yield f"random {k} " + verdict(gens)
+        yield "random", f"random {k} " + verdict(gens)
 
     rng = random.Random(3)
     for k in range(600):
-        yield f"psd {k} " + outcome(lambda r: (r.is_psd, r.perm, r.lower, r.diag, r.witness),
-                                    psd_check_exact, near_psd(rng))
+        yield "psd", f"psd {k} " + outcome(
+            lambda r: (r.is_psd, r.perm, r.lower, r.diag, r.witness), psd_check_exact, near_psd(rng))
 
     rng = random.Random(5)
     for k in range(200):
@@ -154,11 +158,11 @@ def records():
         ranking = list(range(2 * g))
         rng.shuffle(ranking)
         for order in (None, MonomialOrder(g, ranking)):
-            yield f"factor {k} {ranking} {order is None} " + outcome(
+            yield "factor", f"factor {k} {ranking} {order is None} " + outcome(
                 lambda fac: (fac.scalar, [terms(f) for f in fac.factors]),
                 factor_homogeneous, p, order)
             for sign in (1, -1):
-                yield f"sos {k} {order is None} {sign} " + outcome(
+                yield "sos", f"sos {k} {order is None} {sign} " + outcome(
                     lambda r: (r.is_sos, r.reason, r.witness, certificate(r.certificate)),
                     is_sos_homogeneous, sign * (p + p.star()), order)
 
@@ -166,8 +170,8 @@ def records():
     for k in range(300):
         # each coefficient is 0 one time in five; about one set in seven is SOS
         b = [Fraction(rng.randint(-1, 3), rng.randint(1, 2)) for _ in range(5)]
-        yield (f"quad {k} {outcome(poly_str, quad_poly, *b)} "
-               + outcome(certificate, decompose_quadratic_univariate, *b))
+        yield "quad", (f"quad {k} {outcome(poly_str, quad_poly, *b)} "
+                       + outcome(certificate, decompose_quadratic_univariate, *b))
 
     rng = random.Random(17)
     for k in range(4000):
@@ -178,7 +182,7 @@ def records():
             out = (str(out), out.pos)
         elif not isinstance(out, Exception):
             out = (out.g, terms(out))
-        yield f"text {k} {text!r} {g} {out!r}"
+        yield "text", f"text {k} {text!r} {g} {out!r}"
 
     rng = random.Random(19)
     for k in range(300):
@@ -186,8 +190,8 @@ def records():
         p = rand_poly(rng, g, 5, nterms=rng.randint(1, 5))
         ranking = list(range(2 * g))
         rng.shuffle(ranking)
-        yield (f"print {k} {ranking} {[word_str(w) for w, _ in terms(p)]} "
-               f"{poly_str(p)!r} {poly_str(p, MonomialOrder(g, ranking))!r}")
+        yield "print", (f"print {k} {ranking} {[word_str(w) for w, _ in terms(p)]} "
+                        f"{poly_str(p)!r} {poly_str(p, MonomialOrder(g, ranking))!r}")
 
 
 def main(argv):
@@ -200,13 +204,17 @@ def main(argv):
     # the package and the corpora from the checkout, util from beside this script
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench"),
                     str(Path(__file__).resolve().parent)]
-    digest = hashlib.sha256()
-    count = 0
-    for record in records():
-        digest.update(record.encode() + b"\n")
-        count += 1
-    print(f"{count} records from {checkout}")
-    print(digest.hexdigest())
+    total, kinds = hashlib.sha256(), {}
+    for kind, record in records():
+        line = record.encode() + b"\n"
+        total.update(line)
+        digest, count = kinds.get(kind) or (hashlib.sha256(), 0)
+        digest.update(line)
+        kinds[kind] = digest, count + 1
+    for kind, (digest, count) in kinds.items():
+        print(f"{kind:9} {count:5} {digest.hexdigest()}")
+    print(f"{sum(count for _, count in kinds.values())} records from {checkout}")
+    print(total.hexdigest())
     return 0
 
 

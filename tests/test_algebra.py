@@ -273,7 +273,7 @@ def test_variables_used():
 
 
 def test_shrinkability_against_definition_scan():
-    for w in iter_words(1, 5):
+    for w in words_up_to(1, 5):
         if not w:
             continue
         assert (shrink_length(w) is None) == (not brute_shrinkable(w))

@@ -491,6 +491,8 @@ FACE_CASES = {
         "-1/2 x1^2 x1* x1 x1* x1 - 3/2 x1 x1* x1 x1* x1 x1* - 1/2 x1* x1 x1* + 2 x1 x1*",
     ], 1, 0),
     "g = 2, d = 4": (["x1 x2 x1* x2* - x2 x1 + 2"], 2, 0),
+    # without multipliers first, a G pivot's expression would hold one
+    "multiplier priority": (["x1* x1 x1*"], 1, 4),
 }
 
 
@@ -523,6 +525,10 @@ def _assert_same_elimination(basis):
     for i in range(problem.n):
         for j in range(i, problem.n):
             assert sys.expression(("g", i, j)) == ref.expression(("g", i, j))
+    # multipliers first: a solved G unknown is an expression in G unknowns
+    # alone, which sdp._component_rows relies on
+    for var, (expr, _) in problem.system.solved.items():
+        assert var < 0 or all(f >= 0 for f in expr)
     return problem
 
 
@@ -587,15 +593,13 @@ def test_coded_words_follow_words_up_to_with_their_base_B_codes():
             for d in range(6):
                 coded = _coded_words(g, d, order)
                 assert [w for w, *_ in coded] == words_up_to(g, d, order)
-                for w, x, r, xs, rs in coded:
-                    ws = word_star(w)
-                    assert (x, r, xs, rs) == (value(w, B), value(order.letter_key(w), B),
-                                              value(ws, B), value(order.letter_key(ws), B))
-                # inside one length, letter codes sort as tuples and rank
-                # codes as letter_key: the pair choice and the layer sort
+                for w, r, rs in coded:
+                    assert (r, rs) == (value(order.letter_key(w), B),
+                                       value(order.letter_key(word_star(w)), B))
+                # inside one length, rank codes sort as letter_key, greatest
+                # word first: the pair choice and the layer sort
                 of_length = [cw for cw in coded if len(cw[0]) == d]
-                assert sorted(of_length, key=lambda cw: cw[1]) == sorted(of_length)
-                assert (sorted(of_length, key=lambda cw: cw[2])
+                assert (sorted(of_length, key=lambda cw: cw[1])
                         == sorted(of_length, key=lambda cw: order.letter_key(cw[0])))
 
 

@@ -48,7 +48,6 @@ import numpy as np
 from ncreal.algebra import (
     MonomialOrder,
     Poly,
-    iter_words,
     word_dict_add,
     word_dict_mul,
     word_dict_star,
@@ -83,7 +82,7 @@ def rand_poly(rng, g, max_deg, nterms=4):
 
 
 def rand_homogeneous(rng, g, d, nterms=3):
-    words = [w for w in iter_words(g, d) if len(w) == d]
+    words = words_of_degree(g, d)
     terms = {}
     for _ in range(nterms):
         w = words[rng.randrange(len(words))]
@@ -396,9 +395,9 @@ def full_sdp_rows(basis):
 
     Returns (words, exact_rows): the irreducible words of degree < d, and
     the trace row {("g", i, i): 1} = 1 followed by one homogeneous row per
-    pair {w, w*}, kept under w <= w* and sorted by the basis order, each a
-    dict over ("g", i, j) with i <= j and ("q", j, v), the coefficient of v
-    in the multiplier of basis element j.
+    pair {w, w*}, kept under its greater word and sorted by the basis
+    order, each a dict over ("g", i, j) with i <= j and ("q", j, v), the
+    coefficient of v in the multiplier of basis element j.
     """
     words, rows = _sdp_rows_by_word(basis)
     exact_rows = [({("g", i, i): 1 for i in range(len(words))}, 1)]
@@ -407,8 +406,13 @@ def full_sdp_rows(basis):
 
 
 def _sdp_rows_by_word(basis):
-    """full_sdp_rows' words and homogeneous rows, the rows keyed by w."""
+    """full_sdp_rows' words and homogeneous rows, the rows keyed by w: each
+    pair {w, w*} is kept under its greater word."""
     g, order = basis.g, basis.order
+
+    def kept(w):
+        return not greater(order, word_star(w), w)
+
     d = max(p.degree() for p in basis.elements)
     words = [w for w in words_up_to(g, d - 1, order) if basis.is_irreducible_word(w)]
     m = len(words)
@@ -417,7 +421,7 @@ def _sdp_rows_by_word(basis):
         wa = word_star(words[a])
         for b in range(m):
             w = wa + words[b]
-            if w <= word_star(w):
+            if kept(w):
                 row = rows.setdefault(w, {})
                 var = ("g", min(a, b), max(a, b))
                 row[var] = row.get(var, 0) + 1
@@ -426,7 +430,7 @@ def _sdp_rows_by_word(basis):
             var = ("q", j, v)
             for u, c in p.terms.items():
                 for w in (v + u, word_star(v + u)):
-                    if w <= word_star(w):
+                    if kept(w):
                         row = rows.setdefault(w, {})
                         row[var] = row.get(var, 0) - c
     return words, rows
