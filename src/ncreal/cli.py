@@ -9,6 +9,13 @@
     ncreal verify -f gens.txt -c cert.json
     ncreal eval -e "x1 x1*" -p point.json
 
+The seven commands that read polynomials take them from -e and/or -f, with
+--vars and --json.  Only parse, factor, sos, groebner and real take --order,
+a letter ranking such as x2,x2*,x1,x1*: it may rank more variables than the
+input uses, and one that ranks fewer is rejected by the library's
+checked_order.  verify and eval print the same under every ranking, so they
+take none.
+
 Exit codes: 0 when the command decided (for `real`: status Real or NotReal;
 for `verify`: certificate accepted), 2 when it could not decide (status
 NumericallyReal or Inconclusive, certificate rejected), 1 on usage or
@@ -37,7 +44,7 @@ from .realness import (
 def _load_polys(args):
     """Polynomials from -e options and/or an -f file, built once on a common g."""
     terms = [_terms(text, args.vars) for text in args.expr or []]
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file) as fh:
             terms.extend(_line_terms(fh.read(), args.vars))
     if not terms:
@@ -52,21 +59,18 @@ def _single_poly(args):
     return polys[0]
 
 
-def _ranking(text, g):
-    """Parse '--order x2,x2*,x1,x1*' into a letter ranking."""
+def _order(args):
+    """The order of '--order x2,x2*,x1,x1*' on the variables it names, or None
+    when the option is absent; checked_order defaults and checks it."""
+    if args.order is None:
+        return None
     codes = []
-    for part in text.split(","):
-        w = parse_word(part.strip(), g)
+    for part in args.order.split(","):
+        w = parse_word(part)
         if len(w) != 1:
             raise ValueError(f"ranking entries must be single letters, got {part!r}")
         codes.append(w[0])
-    return codes
-
-
-def _order_for(args, g):
-    if getattr(args, "order", None):
-        return MonomialOrder(g, _ranking(args.order, g))
-    return MonomialOrder(g)
+    return MonomialOrder(max(codes) // 2 + 1, codes)
 
 
 def _emit(args, data, text_lines):
@@ -79,16 +83,14 @@ def _emit(args, data, text_lines):
 
 
 def cmd_parse(args):
-    polys = _load_polys(args)
-    order = _order_for(args, polys[0].g)
+    polys, order = _load_polys(args), _order(args)
     strs = [poly_str(p, order) for p in polys]
     _emit(args, {"g": polys[0].g, "polynomials": strs}, strs)
     return 0
 
 
 def cmd_factor(args):
-    p = _single_poly(args)
-    order = _order_for(args, p.g)
+    p, order = _single_poly(args), _order(args)
     fac = factor_homogeneous(p, order)
     strs = [poly_str(f, order) for f in fac.factors]
     _emit(
@@ -100,8 +102,7 @@ def cmd_factor(args):
 
 
 def cmd_sos(args):
-    p = _single_poly(args)
-    order = _order_for(args, p.g)
+    p, order = _single_poly(args), _order(args)
     res = is_sos_homogeneous(p, order)
     if res.is_sos:
         lines = ["sum of hermitian squares: yes"]
@@ -143,8 +144,7 @@ def cmd_unshrinkable(args):
 
 
 def cmd_groebner(args):
-    gens = _load_polys(args)
-    order = _order_for(args, gens[0].g)
+    gens, order = _load_polys(args), _order(args)
     basis = left_groebner(gens, order)
     strs = [poly_str(p, order) for p in basis.elements]
     _emit(args, {"g": gens[0].g, "basis": strs}, strs if strs else ["(zero ideal)"])
@@ -152,8 +152,7 @@ def cmd_groebner(args):
 
 
 def cmd_real(args):
-    gens = _load_polys(args)
-    order = _order_for(args, gens[0].g)
+    gens, order = _load_polys(args), _order(args)
     verdict = real_test(
         gens,
         order=order,
@@ -221,54 +220,36 @@ def _build_parser():
         description="Realness of left ideals in the free *-algebra.",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("-e", "--expr", action="append", help="polynomial expression")
+    source.add_argument("-f", "--file", help="file with one polynomial per line")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--vars", type=int, help="number of variables g")
+    shared.add_argument("--json", action="store_true", help="machine readable output")
+    ranks = argparse.ArgumentParser(add_help=False)
+    ranks.add_argument("--order", help="letter ranking, e.g. 'x1,x1*,x2,x2*'")
+    reads, ranked = [source, shared], [source, shared, ranks]
 
-    def common(p):
-        p.add_argument("-e", "--expr", action="append", help="polynomial expression")
-        p.add_argument("-f", "--file", help="file with one polynomial per line")
-        p.add_argument("--vars", type=int, help="number of variables g")
-        p.add_argument("--order", help="letter ranking, e.g. 'x1,x1*,x2,x2*'")
-        p.add_argument("--json", action="store_true", help="machine readable output")
+    def command(name, func, summary, parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("parse", help="canonical form of polynomials")
-    common(p)
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("factor", help="factor a homogeneous polynomial")
-    common(p)
-    p.set_defaults(func=cmd_factor)
-
-    p = sub.add_parser("sos", help="sum-of-hermitian-squares check (homogeneous)")
-    common(p)
-    p.set_defaults(func=cmd_sos)
-
-    p = sub.add_parser("unshrinkable", help="left unshrinkability of a word")
+    command("parse", cmd_parse, "canonical form of polynomials", ranked)
+    command("factor", cmd_factor, "factor a homogeneous polynomial", ranked)
+    command("sos", cmd_sos, "sum-of-hermitian-squares check (homogeneous)", ranked)
+    p = command("unshrinkable", cmd_unshrinkable, "left unshrinkability of a word", [shared])
     p.add_argument("word", help="word, e.g. 'x1 x2* x2 x1'")
-    p.add_argument("--vars", type=int, help="number of variables g")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_unshrinkable)
-
-    p = sub.add_parser("groebner", help="left Groebner basis of generators")
-    common(p)
-    p.set_defaults(func=cmd_groebner)
-
-    p = sub.add_parser("real", help="decide realness of the generated left ideal")
-    common(p)
+    command("groebner", cmd_groebner, "left Groebner basis of generators", ranked)
+    p = command("real", cmd_real, "decide realness of the generated left ideal", ranked)
     p.add_argument("--method", choices=["auto", "exact", "sdp"], default="auto")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=20000)
     p.add_argument("--cert", help="write the certificate (if any) to this file")
-    p.set_defaults(func=cmd_real)
-
-    p = sub.add_parser("verify", help="check a non-realness certificate")
-    common(p)
+    p = command("verify", cmd_verify, "check a non-realness certificate", reads)
     p.add_argument("-c", "--certificate", required=True, help="certificate JSON file")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("eval", help="evaluate a polynomial at a matrix point")
-    common(p)
+    p = command("eval", cmd_eval, "evaluate a polynomial at a matrix point", reads)
     p.add_argument("-p", "--point", required=True, help="point JSON file")
-    p.set_defaults(func=cmd_eval)
-
     return top
 
 
@@ -282,7 +263,3 @@ def main(argv=None):
     except (ParseError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -10,7 +10,12 @@ from pathlib import Path
 import pytest
 
 import ncreal
+from ncreal.algebra import MonomialOrder, checked_order
 from ncreal.cli import main
+from ncreal.parsing import parse_poly, poly_str
+from ncreal.realness import real_test
+
+RANKED = ("parse", "factor", "sos", "groebner", "real")
 
 
 def _run(capsys, *argv):
@@ -134,6 +139,49 @@ def test_custom_order_changes_output(capsys):
     assert out.strip() == "x2 + x1"
     code, _, err = _run(capsys, "parse", "-e", "x1", "--order", "x1 x2,x1*,x2*")
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "-e", "x1 x1*"],
+    ["factor", "-e", "x1 x1*"],
+    ["sos", "-e", "x1 x1*"],
+    ["unshrinkable", "x1 x1*"],
+    ["groebner", "-e", "x1 x1*"],
+    ["real", "-e", "x1 x1*"],
+    ["verify", "-e", "x1 x1*", "-c", "cert.json"],
+    ["eval", "-e", "x1 x1*", "-p", "point.json"],
+])
+def test_order_is_an_option_of_exactly_the_commands_whose_output_it_changes(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "-h"])
+    assert exc.value.code == 0
+    assert ("--order" in capsys.readouterr().out) == (argv[0] in RANKED)
+    if argv[0] in RANKED:
+        assert _run(capsys, *argv, "--order", "x1,x1*")[0] == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--order", "x1,x1*"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ncreal") and "unrecognized arguments: --order" in err
+
+
+def test_a_ranking_of_more_variables_prints_what_the_library_gives(capsys):
+    wide = MonomialOrder(2, [2, 3, 0, 1])
+    code, out, _ = _run(capsys, "parse", "-e", "x1 + 1", "--order", "x2,x2*,x1,x1*")
+    assert code == 0 and out == poly_str(parse_poly("x1 + 1"), wide) + "\n"
+    code, data = _run_json(capsys, "real", "-e", "x1 x1* x1", "--order", "x2,x2*,x1,x1*")
+    assert code == 0 and data["status"] == "NotReal"
+    assert data == real_test([parse_poly("x1 x1* x1")], order=wide).to_json()
+
+
+@pytest.mark.parametrize("command", RANKED)
+def test_a_ranking_of_fewer_variables_fails_with_checked_orders_message(capsys, command):
+    code, out, err = _run(capsys, command, "-e", "x1 x1*", "--vars", "3",
+                          "--order", "x1,x1*,x2,x2*")
+    with pytest.raises(ValueError) as exc:
+        checked_order(3, MonomialOrder(2))
+    assert code == 1 and out == "" and err == f"error: {exc.value}\n"
 
 
 def test_eval_command(capsys, tmp_path):

@@ -663,6 +663,11 @@ def test_verifier_rejects_tampered_certificates():
     # one weight per member
     bad = NonRealCertificate(cert.multipliers, [*cert.weights, Fraction(1)], cert.members)
     assert not verify_nonreal_certificate(gens, bad)
+    # the identity holds: a member in the ideal, a zero weight, a negative weight
+    for q, weight, member in (("1/2 x1* x1", 1, "x1* x1"), ("0", 0, "x1"), ("-1", -2, "x1")):
+        bad = NonRealCertificate([parse_poly(q, 1)], [Fraction(weight)], [parse_poly(member, 1)])
+        assert _defect_pair(gens, bad.multipliers, bad.weights, bad.members)[0] == {}
+        assert not verify_nonreal_certificate(gens, bad)
 
 
 def test_verdict_json_shape():
