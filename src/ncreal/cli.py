@@ -60,8 +60,8 @@ def _single_poly(args):
 
 
 def _order(args):
-    """The order of '--order x2,x2*,x1,x1*' on the variables it names, or None
-    when the option is absent; checked_order defaults and checks it."""
+    """The order of '--order x2,x2*,x1,x1*' on one variable per two entries, or
+    None when the option is absent; checked_order defaults and checks it."""
     if args.order is None:
         return None
     codes = []
@@ -70,7 +70,7 @@ def _order(args):
         if len(w) != 1:
             raise ValueError(f"ranking entries must be single letters, got {part!r}")
         codes.append(w[0])
-    return MonomialOrder(max(codes) // 2 + 1, codes)
+    return MonomialOrder((len(codes) + 1) // 2, codes)
 
 
 def _emit(args, data, text_lines):

@@ -1,7 +1,7 @@
 """Mutation audit: check that the tier-1 tests catch a fixed list of
 one-line faults in the exact checks and the command line.
 
-    python tests/mutation_audit.py [NAME ...]
+    python tests/mutation_audit.py
 
 Run it from anywhere.  It copies the checkout into a temporary directory,
 runs the test modules that the mutants name on the unchanged copy (they
@@ -11,8 +11,7 @@ that code.  A mutant is killed when pytest reports a failing test and
 survives when every test passes.  A mutant whose line is not in the
 source exactly once, or whose run ends in any other way (a collection
 error or a run past TIMEOUT, for instance), is an error, because it shows
-nothing about the tests.  With NAME arguments only the mutants whose name
-contains one of them run.
+nothing about the tests.
 
 It prints one line per mutant, its outcome, seconds and name, then a
 count.  The exit status is 0 when every mutant is killed, 1 when one
@@ -118,19 +117,18 @@ def pytest(copy, modules, *args):
     return status, time.perf_counter() - start
 
 
-def main(names):
-    mutants = [m for m in MUTANTS if not names or any(n in m[0] for n in names)]
+def main():
     counts = {"killed": 0, "survived": 0, "error": 0}
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".benchmarks", "*.egg-info"))
-        modules = sorted({m for mutant in mutants for m in mutant[4]})
+        modules = sorted({m for mutant in MUTANTS for m in mutant[4]})
         status, seconds = pytest(copy, modules)
         print(f"{'passed' if status == 0 else 'error':9} {seconds:6.1f} s  unchanged copy")
         if status != 0:
             return 2
-        for name, file, line, mutated, owners in mutants:
+        for name, file, line, mutated, owners in MUTANTS:
             path = copy / "src" / "ncreal" / file
             source = path.read_text()
             if source.count(line) != 1:
@@ -142,10 +140,10 @@ def main(names):
                 outcome = {0: "survived", 1: "killed"}.get(status, "error")
             counts[outcome] += 1
             print(f"{outcome:9} {seconds:6.1f} s  {name} ({file})")
-    print(f"{counts['killed']} of {len(mutants)} mutant(s) killed, "
+    print(f"{counts['killed']} of {len(MUTANTS)} mutant(s) killed, "
           f"{counts['survived']} survived, {counts['error']} error(s)")
     return 2 if counts["error"] else 1 if counts["survived"] else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -184,6 +184,14 @@ def test_a_ranking_of_fewer_variables_fails_with_checked_orders_message(capsys, 
     assert code == 1 and out == "" and err == f"error: {exc.value}\n"
 
 
+def test_a_ranking_sizes_its_order_by_its_entries_not_its_largest_letter(capsys):
+    # an order sized by the letter's index would hold 8e8 ranks
+    code, out, err = _run(capsys, "parse", "-e", "x1", "--order", "x400000000")
+    assert code == 1 and out == "" and err.startswith("error:")
+    code, out, err = _run(capsys, "parse", "-e", "x1", "--order", "x1,x400000000")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_eval_command(capsys, tmp_path):
     point = tmp_path / "point.json"
     point.write_text(json.dumps({"X": [[[0, 1], [0, 0]]], "v": [1, 0]}))
